@@ -35,7 +35,6 @@ from .pellsolve import (
     Norm6Shape,
     NormEqClasses,
     PellFundamental,
-    Pm2Certificate,
     ShapeViolation,
     UnitShape,
     cf_sqrt,
@@ -45,7 +44,7 @@ from .pellsolve import (
     fundamental_shape,
     fundamental_unit,
     norm6_shape,
-    select_norm6_by_parity,
+    select_norm6,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
@@ -56,7 +55,6 @@ from .quadring import (
     NotSquareFreeError,
     QuadInt,
     RingCtx,
-    divisors,
     exact_div,
     factorize,
     format_element,

@@ -221,7 +221,7 @@ def cmd_counterexamples(args) -> int:
             continue
         eligible += 1
         try:
-            report = build_report(RingCtx(cand.d), args.t)
+            report = build_report(cand.ctx, args.t)
         except StageError as exc:
             lines.append(f"alpha={cand.alpha} d={cand.d} FAILED: {exc}")
             continue

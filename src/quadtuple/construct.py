@@ -112,24 +112,6 @@ def _unit_exponent(index: int) -> int:
     return -(index // 2)
 
 
-def _pick_norm6(ctx: RingCtx, choice: str) -> QuadInt:
-    """First enumerated norm -6 solution matching the factorization form.
-
-    'first' wants y = +1 (mod 6), 'second' wants y = -1 (mod 6); both
-    residues occur among the sign flips of any solution.
-    """
-    want = 1 if choice == "first" else -1
-    classes = pellsolve.solve_norm_eq(ctx, -6)
-    if not classes.representatives:
-        raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    limit = 8
-    while True:
-        for sol in pellsolve.enumerate_solutions(classes, limit):
-            if pellsolve.norm6_shape(sol).sign_y == want:
-                return sol
-        limit *= 2
-
-
 def construct_quadruple(
     ctx: RingCtx,
     m: int,
@@ -158,7 +140,9 @@ def construct_quadruple(
     if factorization_choice not in ("first", "second"):
         raise ValueError(f"factorization_choice must be 'first' or 'second'")
 
-    gd = _pick_norm6(ctx, factorization_choice)
+    # 'first' wants y = +1 (mod 6), 'second' wants y = -1 (mod 6)
+    want = 1 if factorization_choice == "first" else -1
+    gd = pellsolve.select_norm6(ctx, lambda shape: shape.sign_y == want)
     n = QuadInt(4 * m + 2, 4 * k, ctx)
     alpha1 = QuadInt(-gd.a, gd.b, ctx)
     alpha2 = gd * QuadInt(2 * m + 1, 2 * k, ctx)

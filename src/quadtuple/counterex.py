@@ -29,7 +29,6 @@ from .quadring import (
     RingCtx,
     element_from_json,
     element_to_json,
-    is_square_free,
 )
 from .represent import (
     NonRepCertificate,
@@ -62,12 +61,23 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DCandidate:
-    """One member of the d-family, with its built-in norm -6 solution x + sqrt(d)."""
+    """One member of the d-family, with its built-in norm -6 solution x + sqrt(d).
+
+    ctx is built with allow_nonsquarefree=True, so every member has one and
+    square-freeness is decided once, when it is built.
+    """
 
     alpha: int
-    d: int
     x: int
-    square_free: bool
+    ctx: RingCtx
+
+    @property
+    def d(self) -> int:
+        return self.ctx.d
+
+    @property
+    def square_free(self) -> bool:
+        return self.ctx.square_free
 
 
 def family_d(alpha: int) -> DCandidate:
@@ -76,7 +86,7 @@ def family_d(alpha: int) -> DCandidate:
     x = 60 * alpha + 3
     if x * x - d != -6:
         raise StageError("family", f"x^2 - d = {x * x - d} at alpha = {alpha}")
-    return DCandidate(alpha=alpha, d=d, x=x, square_free=is_square_free(d))
+    return DCandidate(alpha=alpha, x=x, ctx=RingCtx(d, allow_nonsquarefree=True))
 
 
 def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> list[DCandidate]:
@@ -176,7 +186,9 @@ def verify_report_doc(doc: dict) -> bool:
         ctx = RingCtx(d)
         quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
-    except (NotSquareFreeError, ValueError, KeyError, IndexError, TypeError):
+    except (
+        NotSquareFreeError, ValueError, KeyError, IndexError, TypeError, AttributeError
+    ):
         return False
     if quad.n != n:
         return False

@@ -1,13 +1,16 @@
 """Continued fractions for sqrt(d) and the norm-equation machinery.
 
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
-and deterministic enumeration for x^2 - d*y^2 = N, and executable congruence
-checks on the shapes of norm -6 and norm 1 solutions when d = 15 (mod 60).
+and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
+the construction rests on when d = 15 (mod 60): the shape of norm -6
+solutions and the one selector that picks among their sign flips, the norm 1
+element built from one, and the mod-5 argument that +-2 are not norms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -20,7 +23,6 @@ __all__ = [
     "Norm6Shape",
     "NormEqClasses",
     "PellFundamental",
-    "Pm2Certificate",
     "ShapeViolation",
     "UnitShape",
     "cf_sqrt",
@@ -30,7 +32,7 @@ __all__ = [
     "fundamental_shape",
     "fundamental_unit",
     "norm6_shape",
-    "select_norm6_by_parity",
+    "select_norm6",
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
@@ -228,50 +230,14 @@ def enumerate_solutions(classes: NormEqClasses, limit: int) -> list[QuadInt]:
 # ---------------------------------------------------------------------------
 # structure of solutions for d = 15 (mod 60)
 
-_QR_MOD5 = {0, 1, 4}
 
+def check_pm2_unsolvable(ctx: RingCtx) -> bool:
+    """True when 5 | d, which proves x^2 - d*y^2 = +-2 unsolvable.
 
-@dataclass(frozen=True)
-class Pm2Certificate:
-    """Record that x^2 - d*y^2 = +-2 is unsolvable when 5 | d.
-
-    Both +2 and -2 are quadratic non-residues mod 5, so neither equation has
-    solutions; the two *_empty fields cross-check that against the solver.
+    Reducing mod 5 leaves x^2 = +-2, and both are quadratic non-residues
+    mod 5.  False makes no claim either way.
     """
-
-    d: int
-    d_mod5: int
-    plus2_qr_mod5: bool
-    minus2_qr_mod5: bool
-    plus2_empty: bool
-    minus2_empty: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.d_mod5 == 0
-            and not self.plus2_qr_mod5
-            and not self.minus2_qr_mod5
-            and self.plus2_empty
-            and self.minus2_empty
-        )
-
-
-def check_pm2_unsolvable(ctx: RingCtx) -> Pm2Certificate:
-    """Certificate that +-2 are unattained norms; requires d = 15 (mod 60)."""
-    if ctx.d_mod60 != 15:
-        raise ValueError(f"d = {ctx.d} is not 15 mod 60")
-    cert = Pm2Certificate(
-        d=ctx.d,
-        d_mod5=ctx.d % 5,
-        plus2_qr_mod5=2 % 5 in _QR_MOD5,
-        minus2_qr_mod5=-2 % 5 in _QR_MOD5,
-        plus2_empty=not solve_norm_eq(ctx, 2).representatives,
-        minus2_empty=not solve_norm_eq(ctx, -2).representatives,
-    )
-    if not cert.ok:
-        raise ShapeViolation(f"+-2 unexpectedly solvable for d = {ctx.d}")
-    return cert
+    return ctx.d % 5 == 0
 
 
 @dataclass(frozen=True)
@@ -305,27 +271,25 @@ def norm6_shape(sol: QuadInt) -> Norm6Shape:
     return Norm6Shape(alpha=(x - 3) // 6, beta=beta, sign_x=1, sign_y=sign_y)
 
 
-def select_norm6_by_parity(ctx: RingCtx, parity: str) -> QuadInt:
-    """First enumerated norm -6 solution whose alpha + beta has the parity.
+def select_norm6(ctx: RingCtx, want: Callable[[Norm6Shape], bool]) -> QuadInt:
+    """First norm -6 solution, in the canonical order, whose shape satisfies want.
 
-    Both parities occur among the sign flips of any one solution, so the
-    scan terminates.
+    Tries the sign flips (x, y), (x, -y), (-x, y), (-x, -y) of the first
+    class representative, which are the first four solutions in that order.
+    Flipping y flips sign_y and flipping x flips the parity of alpha + beta,
+    so a predicate on either is always met among them.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if ctx.d_mod60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
-    classes = solve_norm_eq(ctx, -6)
-    if not classes.representatives:
+    reps = solve_norm_eq(ctx, -6).representatives
+    if not reps:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    want = 0 if parity == "even" else 1
-    limit = 8
-    while True:
-        for sol in enumerate_solutions(classes, limit):
-            shape = norm6_shape(sol)
-            if (shape.alpha + shape.beta) % 2 == want:
-                return sol
-        limit *= 2
+    x, y = reps[0].a, reps[0].b
+    for sx, sy in ((x, y), (x, -y), (-x, y), (-x, -y)):
+        sol = QuadInt(sx, sy, ctx)
+        if want(norm6_shape(sol)):
+            return sol
+    raise ValueError(f"no sign flip of {reps[0]} has the requested shape")
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:

@@ -3,13 +3,12 @@
 Elements are pairs (a, b) standing for a + b*sqrt(d) with unbounded integer
 coordinates; nothing in this module ever rounds.  Alongside the ring type it
 carries the integer routines the rest of the toolkit leans on (perfect-square
-test, factorization, divisor enumeration) and the decision procedure for
+test, factorization, square-freeness) and the decision procedure for
 squareness of a ring element.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import re
 from dataclasses import InitVar, dataclass, field
@@ -20,7 +19,6 @@ __all__ = [
     "NotSquareFreeError",
     "QuadInt",
     "RingCtx",
-    "divisors",
     "element_from_json",
     "element_to_json",
     "exact_div",
@@ -58,10 +56,6 @@ _DEFAULT_RHO_SEED = 1257787
 # deterministic Miller-Rabin bases, sufficient below this limit
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _rho_seed() -> int:
-    return int(os.environ.get("QUADTUPLE_RHO_SEED", _DEFAULT_RHO_SEED))
 
 
 def _is_prime(n: int, rng: random.Random) -> bool:
@@ -125,8 +119,7 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division below 10**6, then Brent's rho on what remains.  The rho
-    walk is seeded deterministically (override with the QUADTUPLE_RHO_SEED
-    environment variable) so repeated runs are byte-identical.
+    walk is seeded deterministically, so repeated runs take the same walk.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -145,7 +138,7 @@ def factorize(n: int) -> dict[int, int]:
         p += wheel[i]
         i = (i + 1) % 8
     if n > 1:
-        rng = random.Random(_rho_seed())
+        rng = random.Random(_DEFAULT_RHO_SEED)
         stack = [n]
         while stack:
             m = stack.pop()
@@ -156,14 +149,6 @@ def factorize(n: int) -> dict[int, int]:
             stack.append(f)
             stack.append(m // f)
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, sorted ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
 
 
 def is_square_free(n: int) -> bool:

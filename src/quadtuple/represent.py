@@ -99,7 +99,7 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
         return None
     if not pellsolve.solve_norm_eq(ctx, -6).representatives:
         return None
-    if not pellsolve.check_pm2_unsolvable(ctx).ok:
+    if not pellsolve.check_pm2_unsolvable(ctx):
         return None
     return NonRepCertificate(
         n=n,

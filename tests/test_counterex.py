@@ -101,6 +101,7 @@ def test_report_self_contained_reverification(ring15):
         lambda doc: doc["quadruple"]["elements"].__setitem__(
             1, doc["quadruple"]["elements"][0]
         ),
+        lambda doc: doc["quadruple"].__setitem__("witnesses", []),
     ],
 )
 def test_reverification_rejects_tampering(ring15, mutate):

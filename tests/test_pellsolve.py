@@ -11,11 +11,12 @@ from quadtuple import (
     check_pm2_unsolvable,
     d_congruence_check,
     enumerate_solutions,
+    family_d,
     fundamental_shape,
     fundamental_unit,
     is_square_free,
     norm6_shape,
-    select_norm6_by_parity,
+    select_norm6,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
@@ -28,6 +29,13 @@ from conftest import RING15, RING735, RING3975, brute_norm_solutions, enum_order
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
 # the members where norm -6 is attained (exactly those = 15 mod 360)
 MINUS6_D = [15, 1095, 1455]
+# the shape predicates the construction and the parity split select by
+SHAPE_PREDICATES = {
+    "sign_y=+1": lambda shape: shape.sign_y == 1,
+    "sign_y=-1": lambda shape: shape.sign_y == -1,
+    "even": lambda shape: (shape.alpha + shape.beta) % 2 == 0,
+    "odd": lambda shape: (shape.alpha + shape.beta) % 2 == 1,
+}
 
 
 def test_cf_examples(ring15):
@@ -109,14 +117,15 @@ def test_norm6_times_unit_closure(ring15):
 
 
 def test_pm2_certificates(ring15, ring735):
+    # +2 and -2 are quadratic non-residues mod 5
+    assert {x * x % 5 for x in range(5)}.isdisjoint({2 % 5, -2 % 5})
     for ctx in (ring15, ring735):
-        cert = check_pm2_unsolvable(ctx)
-        assert cert.ok
-        assert cert.d_mod5 == 0
-        assert not cert.plus2_qr_mod5 and not cert.minus2_qr_mod5
-        assert cert.plus2_empty and cert.minus2_empty
-    with pytest.raises(ValueError):
-        check_pm2_unsolvable(RingCtx(13))
+        assert check_pm2_unsolvable(ctx)
+        assert solve_norm_eq(ctx, 2).representatives == ()
+        assert solve_norm_eq(ctx, -2).representatives == ()
+    # without 5 | d there is no claim: 1 - 3 = -2 is a norm in Z[sqrt(3)]
+    assert not check_pm2_unsolvable(RingCtx(3))
+    assert solve_norm_eq(RingCtx(3), -2).representatives
 
 
 def test_norm6_shape_examples(ring15, ring735):
@@ -145,19 +154,27 @@ def test_every_norm6_solution_has_the_shape(d):
 
 
 def test_select_norm6_by_parity(ring15):
-    even = select_norm6_by_parity(ring15, "even")
-    assert even == ring15.element(3, 1)
-    odd = select_norm6_by_parity(ring15, "odd")
-    assert odd == ring15.element(-3, 1)
-    for parity, want in (("even", 0), ("odd", 1)):
-        shape = norm6_shape(select_norm6_by_parity(ring15, parity))
+    even, odd = SHAPE_PREDICATES["even"], SHAPE_PREDICATES["odd"]
+    assert select_norm6(ring15, even) == ring15.element(3, 1)
+    assert select_norm6(ring15, odd) == ring15.element(-3, 1)
+    for want, predicate in ((0, even), (1, odd)):
+        shape = norm6_shape(select_norm6(ring15, predicate))
         assert (shape.alpha + shape.beta) % 2 == want
     with pytest.raises(ValueError):
-        select_norm6_by_parity(RingCtx(13), "even")
+        select_norm6(RingCtx(13), even)
     with pytest.raises(ValueError):
-        select_norm6_by_parity(RingCtx(195), "even")  # -6 not attained
-    with pytest.raises(ValueError):
-        select_norm6_by_parity(ring15, "both")
+        select_norm6(RingCtx(195), even)  # -6 not attained
+
+
+@pytest.mark.parametrize("want", SHAPE_PREDICATES.values(), ids=list(SHAPE_PREDICATES))
+def test_select_norm6_matches_enumeration(want):
+    # oracle: the first match in the canonical enumeration, which is how
+    # the selection was defined before it tried only the sign flips
+    rings = [RingCtx(d) for d in MINUS6_D] + [family_d(a).ctx for a in range(-100, 300)]
+    for ctx in rings:
+        solutions = enumerate_solutions(solve_norm_eq(ctx, -6), 8)
+        first = next(sol for sol in solutions if want(norm6_shape(sol)))
+        assert select_norm6(ctx, want) == first, ctx.d
 
 
 def test_unit_from_norm6(ring15, ring735, ring3975):
@@ -197,7 +214,7 @@ def test_pm2_agrees_with_brute_force_on_sampled_d():
     # 100 consecutive members of d = 15 (mod 60), square-free or not
     for d in range(15, 15 + 60 * 100, 60):
         ctx = RingCtx(d, allow_nonsquarefree=True)
-        assert check_pm2_unsolvable(ctx).ok
+        assert check_pm2_unsolvable(ctx)
         assert not brute_norm_solutions(ctx, 2, 1000)
         assert not brute_norm_solutions(ctx, -2, 1000)
 

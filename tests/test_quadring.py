@@ -9,7 +9,6 @@ from quadtuple import (
     NotSquareFreeError,
     QuadInt,
     RingCtx,
-    divisors,
     exact_div,
     factorize,
     format_element,
@@ -190,7 +189,9 @@ def _sqrt_by_divisor_pairs(z):
     if b % 2:
         return None
     half = b // 2
-    for x in divisors(abs(half)):
+    for x in range(1, abs(half) + 1):
+        if half % x:
+            continue
         y = half // x
         for sx, sy in ((x, y), (-x, -y)):
             if sx * sx + d * sy * sy == a:
@@ -273,14 +274,7 @@ def test_factorize():
         factorize(0)
 
 
-def test_factorize_seed_override(monkeypatch):
-    monkeypatch.setenv("QUADTUPLE_RHO_SEED", "12345")
-    assert factorize(1_000_003 * 1_000_033) == {1_000_003: 1, 1_000_033: 1}
-
-
-def test_divisors_and_square_free():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+def test_is_square_free():
     assert is_square_free(15)
     assert not is_square_free(45)
     assert is_square_free(1)
