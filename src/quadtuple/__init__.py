@@ -17,7 +17,6 @@ from .construct import (
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
-    target_n,
     verify_quadruple,
 )
 from .counterex import (
@@ -36,12 +35,9 @@ from .pellsolve import (
     NormEqClasses,
     PellFundamental,
     ShapeViolation,
-    UnitShape,
     cf_sqrt,
     check_pm2_unsolvable,
-    d_congruence_check,
     enumerate_solutions,
-    fundamental_shape,
     fundamental_unit,
     norm6_shape,
     select_norm6,
@@ -66,6 +62,7 @@ from .quadring import (
 from .represent import (
     NClass,
     NonRepCertificate,
+    certificate_holds,
     certify_nonrepresentable,
     classify_n,
     no_quadruple_if_T,

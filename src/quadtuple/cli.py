@@ -177,7 +177,7 @@ def cmd_checkrepr(args) -> int:
         lines = [
             f"n = {format_element(n)} is certified not a difference of two squares",
             f"u = {format_element(certificate.u)} has norm 1; d = {ctx.d} = 15 (mod 60); "
-            "-6 attained; +-2 unattained",
+            f"-6 = N({format_element(certificate.minus6)}); +-2 unattained",
         ]
         _emit(args, doc, lines)
         return EXIT_OK

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import pellsolve
-from .quadring import QuadInt, RingCtx, element_from_json, element_to_json, exact_div, sqrt_in_ring
+from .quadring import (
+    QuadInt,
+    RingCtx,
+    element_from_json,
+    element_to_json,
+    exact_div,
+    int_from_json,
+    sqrt_in_ring,
+)
 
 __all__ = [
     "PAIRS",
@@ -27,19 +35,20 @@ __all__ = [
     "ParityError",
     "Quadruple",
     "RetryBudgetExceeded",
-    "TargetN",
     "VerifyReport",
     "construct_quadruple",
     "degenerate_check",
     "quadruple_from_json",
     "quadruple_to_json",
     "scale_quadruple",
-    "target_n",
     "verify_quadruple",
 ]
 
 # index pairs of a quadruple, 1-based
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+# unit choices construct_quadruple tries before giving up
+RETRY_BUDGET = 64
 
 
 class ParityError(ValueError):
@@ -48,19 +57,6 @@ class ParityError(ValueError):
 
 class RetryBudgetExceeded(RuntimeError):
     """Every tried unit choice produced a degenerate element set."""
-
-
-@dataclass(frozen=True)
-class TargetN:
-    """The target n = (4m+2) + 4k*sqrt(d)."""
-
-    m: int
-    k: int
-    n: QuadInt
-
-
-def target_n(ctx: RingCtx, m: int, k: int) -> TargetN:
-    return TargetN(m, k, QuadInt(4 * m + 2, 4 * k, ctx))
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,6 @@ def construct_quadruple(
     k: int,
     unit_index: int = 0,
     factorization_choice: str = "first",
-    retry_budget: int = 64,
 ) -> tuple[Quadruple, ConstructionTrace]:
     """Build a verified D(n) quadruple for n = (4m+2, 4k), m + k even.
 
@@ -154,7 +149,7 @@ def construct_quadruple(
     eps2 = eps * eps
     eps2_inv = eps2.conjugate()  # norm 1, so the conjugate inverts it
 
-    for attempt in range(retry_budget):
+    for attempt in range(RETRY_BUDGET):
         index = unit_index + attempt
         j = _unit_exponent(index)
         step = eps2 if j >= 0 else eps2_inv
@@ -190,7 +185,7 @@ def construct_quadruple(
         )
         return quad, trace
     raise RetryBudgetExceeded(
-        f"no nondegenerate quadruple within {retry_budget} unit choices"
+        f"no nondegenerate quadruple within {RETRY_BUDGET} unit choices"
     )
 
 
@@ -264,9 +259,10 @@ def quadruple_to_json(quad: Quadruple) -> dict:
 
 
 def quadruple_from_json(doc: dict, ctx: RingCtx | None = None) -> Quadruple:
+    d = int_from_json(doc["d"])
     if ctx is None:
-        ctx = RingCtx(int(doc["d"]), allow_nonsquarefree=True)
-    elif ctx.d != int(doc["d"]):
+        ctx = RingCtx(d, allow_nonsquarefree=True)
+    elif ctx.d != d:
         raise ValueError(f"document is for d = {doc['d']}, context has d = {ctx.d}")
     elements = tuple(element_from_json(e, ctx) for e in doc["elements"])
     if len(elements) != 4:

@@ -6,7 +6,9 @@ eligible (square-free) member produces a self-contained report: a verified
 D(n) quadruple for n = 2*unit^(2t) together with a certificate that this n
 is not a difference of two squares.  Each report is a machine-checkable
 counterexample to the Franusic-Jadrijevic conjecture, which ties D(n)
-quadruple existence to n being a difference of two squares.
+quadruple existence to n being a difference of two squares.  The report's
+certificate carries its own norm -6 witness, so verify_report_doc checks a
+report with arithmetic alone and runs no solver.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from .quadring import (
     RingCtx,
     element_from_json,
     element_to_json,
+    int_from_json,
 )
 from .represent import (
     NonRepCertificate,
+    certificate_from_json,
+    certificate_holds,
     certificate_to_json,
     certify_nonrepresentable,
 )
@@ -110,8 +115,8 @@ class CounterexampleReport:
     notes: tuple[str, ...]
 
 
-def build_report(ctx: RingCtx, t: int, t_cap: int = T_CAP_DEFAULT) -> CounterexampleReport:
-    """Full pipeline for one ring and exponent t >= 0.
+def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
+    """Full pipeline for one ring and exponent 0 <= t <= T_CAP_DEFAULT.
 
     Base D(2) quadruple at m = k = 0, scaled by unit^t to reach
     n = 2*unit^(2t); the certificate applies because even unit powers have
@@ -120,8 +125,8 @@ def build_report(ctx: RingCtx, t: int, t_cap: int = T_CAP_DEFAULT) -> Counterexa
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t > t_cap:
-        raise ValueError(f"t = {t} exceeds the cap {t_cap}")
+    if t > T_CAP_DEFAULT:
+        raise ValueError(f"t = {t} exceeds the cap {T_CAP_DEFAULT}")
     if not ctx.square_free:
         raise StageError("eligibility", f"d = {ctx.d} is not square-free")
     if ctx.d_mod60 != 15:
@@ -177,31 +182,26 @@ def report_to_json(report: CounterexampleReport) -> dict:
 def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
-    Uses only d, n, elements, witnesses, and the certificate: rebuilds the
-    ring, re-runs the pairwise verification, and recomputes the certificate
-    hypotheses from scratch.  Any inconsistency returns False.
+    Rebuilds the ring from d and parses n, the quadruple and the
+    certificate, accepting only decimal-string integers.  True iff the three
+    copies of n agree, the elements are nonzero and distinct, the
+    certificate's hypotheses hold (certificate_holds, which needs no
+    solver: the certificate carries its norm -6 witness), and all six
+    pairwise products plus n are squares, matching any stored witnesses.
+    Anything malformed, including a certificate without minus6, is False.
     """
     try:
-        d = int(doc["d"])
-        ctx = RingCtx(d)
+        ctx = RingCtx(int_from_json(doc["d"]))
         quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
+        certificate = certificate_from_json(doc["certificate"], ctx)
     except (
         NotSquareFreeError, ValueError, KeyError, IndexError, TypeError, AttributeError
     ):
         return False
-    if quad.n != n:
-        return False
-    if not degenerate_check(quad.elements):
-        return False
-    if not verify_quadruple(ctx, quad).ok:
-        return False
-    certificate = certify_nonrepresentable(n)
-    if certificate is None:
-        return False
-    stored = doc.get("certificate", {})
-    try:
-        stored_u = element_from_json(stored["u"], ctx)
-    except (ValueError, KeyError, TypeError):
-        return False
-    return stored_u == certificate.u
+    return (
+        quad.n == n == certificate.n
+        and degenerate_check(quad.elements)
+        and certificate_holds(certificate)
+        and verify_quadruple(ctx, quad).ok
+    )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
@@ -24,12 +23,9 @@ __all__ = [
     "NormEqClasses",
     "PellFundamental",
     "ShapeViolation",
-    "UnitShape",
     "cf_sqrt",
     "check_pm2_unsolvable",
-    "d_congruence_check",
     "enumerate_solutions",
-    "fundamental_shape",
     "fundamental_unit",
     "norm6_shape",
     "select_norm6",
@@ -39,7 +35,8 @@ __all__ = [
     "unit_quadint",
 ]
 
-NORM_CAP_DEFAULT = 10**6
+# largest |N| solve_norm_eq accepts
+NORM_CAP = 10**6
 
 
 class ShapeViolation(RuntimeError):
@@ -146,7 +143,7 @@ def _associated(s: QuadInt, r: QuadInt, N: int) -> bool:
     return v.norm() == 1
 
 
-def solve_norm_eq(ctx: RingCtx, N: int, cap: int = NORM_CAP_DEFAULT) -> NormEqClasses:
+def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     """Class representatives of x^2 - d*y^2 = N.
 
     Scans 0 <= y <= ceil(sqrt(|N| * (t + 1) / (2d))) with (t, u) the
@@ -155,8 +152,8 @@ def solve_norm_eq(ctx: RingCtx, N: int, cap: int = NORM_CAP_DEFAULT) -> NormEqCl
     """
     if N == 0:
         raise ValueError("N must be nonzero")
-    if abs(N) > cap:
-        raise ValueError(f"|N| = {abs(N)} exceeds the search cap {cap}")
+    if abs(N) > NORM_CAP:
+        raise ValueError(f"|N| = {abs(N)} exceeds the search cap {NORM_CAP}")
     fu = fundamental_unit(ctx)
     ybound = isqrt(abs(N) * (fu.x + 1) // (2 * ctx.d)) + 1
     hits: list[QuadInt] = []
@@ -309,36 +306,3 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
     if u.a % 2 != 0 or u.b % 2 != 1:
         raise ShapeViolation(f"derived unit {u} missing even/odd coordinate parity")
     return u
-
-
-class UnitShape(Enum):
-    """The two possible coordinate shapes of the fundamental unit mod 6."""
-
-    Y_PM1 = "(6a+-4, 6b+-1)"
-    Y_PLUS3 = "(6a+-4, 6b+3)"
-
-
-def fundamental_shape(ctx: RingCtx) -> UnitShape:
-    """Classify the fundamental unit's coordinates mod 6."""
-    fu = fundamental_unit(ctx)
-    if fu.x % 6 not in (2, 4):
-        raise ShapeViolation(f"fundamental unit x = {fu.x} not +-4 mod 6")
-    ymod = fu.y % 6
-    if ymod in (1, 5):
-        return UnitShape.Y_PM1
-    if ymod == 3:
-        return UnitShape.Y_PLUS3
-    raise ShapeViolation(f"fundamental unit y = {fu.y} even mod 6")
-
-
-def d_congruence_check(ctx: RingCtx) -> bool | None:
-    """d = 15 (mod 360), which is forced whenever norm -6 is attained.
-
-    Returns None (not applicable) when d is not 15 mod 60 or -6 is not
-    attained; a False return therefore signals invalid input.
-    """
-    if ctx.d_mod60 != 15:
-        return None
-    if not solve_norm_eq(ctx, -6).representatives:
-        return None
-    return ctx.d_mod360 == 15

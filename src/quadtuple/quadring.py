@@ -24,6 +24,7 @@ __all__ = [
     "exact_div",
     "factorize",
     "format_element",
+    "int_from_json",
     "is_perfect_square",
     "is_square_free",
     "parse_element",
@@ -171,7 +172,6 @@ class RingCtx:
     d: int
     d_mod4: int = field(init=False)
     d_mod60: int = field(init=False)
-    d_mod360: int = field(init=False)
     square_free: bool = field(init=False)
     allow_nonsquarefree: InitVar[bool] = False
 
@@ -188,7 +188,6 @@ class RingCtx:
             )
         object.__setattr__(self, "d_mod4", d % 4)
         object.__setattr__(self, "d_mod60", d % 60)
-        object.__setattr__(self, "d_mod360", d % 360)
         object.__setattr__(self, "square_free", square_free)
 
     def element(self, a: int, b: int) -> QuadInt:
@@ -343,7 +342,9 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
 # ---------------------------------------------------------------------------
 # textual and JSON element formats
 
-_ELEMENT_RE = re.compile(r"^([+-]?[0-9]+),([+-]?[0-9]+)$")
+_INT = r"[+-]?[0-9]+"
+_INT_RE = re.compile(_INT)
+_ELEMENT_RE = re.compile(f"({_INT}),({_INT})")
 
 
 def format_element(x: QuadInt) -> str:
@@ -353,7 +354,7 @@ def format_element(x: QuadInt) -> str:
 
 def parse_element(text: str, ctx: RingCtx) -> QuadInt:
     """Parse the 'a,b' format; raises ValueError on anything else."""
-    m = _ELEMENT_RE.match(text)
+    m = _ELEMENT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed element {text!r}: expected 'a,b'")
     return QuadInt(int(m.group(1)), int(m.group(2)), ctx)
@@ -364,5 +365,16 @@ def element_to_json(x: QuadInt) -> dict[str, str]:
     return {"a": str(x.a), "b": str(x.b)}
 
 
+def int_from_json(text: str) -> int:
+    """A JSON integer field: only a str of ASCII digits with an optional sign.
+
+    Numbers, padded or underscored strings and non-ASCII digits all raise
+    ValueError, so a document cannot have a value coerced into it.
+    """
+    if not isinstance(text, str) or _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"expected a decimal integer string, got {text!r}")
+    return int(text)
+
+
 def element_from_json(doc: dict, ctx: RingCtx) -> QuadInt:
-    return QuadInt(int(doc["a"]), int(doc["b"]), ctx)
+    return QuadInt(int_from_json(doc["a"]), int_from_json(doc["b"]), ctx)

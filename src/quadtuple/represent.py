@@ -2,8 +2,10 @@
 
 Classifies n by the coordinate residues that govern quadruple existence for
 d = 3 (mod 4), certifies non-representability for n = 2u with norm(u) = 1 in
-rings with d = 15 (mod 60), and carries an exhaustive search that serves as
-the independent oracle for those certificates.
+rings with square-free d = 15 (mod 60) where -6 is a norm, and carries an
+exhaustive search that serves as the independent oracle for those
+certificates.  A certificate holds its one witness, an element of norm -6,
+so certificate_holds checks every hypothesis with arithmetic and no solver.
 """
 
 from __future__ import annotations
@@ -12,12 +14,20 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import pellsolve
-from .quadring import QuadInt, element_to_json, is_perfect_square, sqrt_in_ring
+from .quadring import (
+    QuadInt,
+    RingCtx,
+    element_from_json,
+    element_to_json,
+    is_perfect_square,
+    sqrt_in_ring,
+)
 
 __all__ = [
     "NClass",
     "NonRepCertificate",
-    "RingChecks",
+    "certificate_from_json",
+    "certificate_holds",
     "certificate_to_json",
     "certify_nonrepresentable",
     "classify_n",
@@ -67,46 +77,53 @@ def no_quadruple_if_T(n: QuadInt) -> bool:
 
 
 @dataclass(frozen=True)
-class RingChecks:
-    d_mod_60: int
-    minus6_solvable: bool
-    pm2_unsolvable: bool
-
-
-@dataclass(frozen=True)
 class NonRepCertificate:
-    """Recorded hypotheses under which n = 2u is not a difference of squares.
+    """n = 2u is not a difference of two squares, with its norm -6 witness.
 
-    n = (4m+2) + 4k*sqrt(d) with u = n/2 of norm 1, in a ring with
-    d = 15 (mod 60) where -6 is an attained norm and +-2 are not.
+    The hypotheses (see certificate_holds): n = (4m+2) + 4k*sqrt(d) with
+    u = n/2 of norm 1, in a ring with square-free d = 15 (mod 60), so that
+    +-2 are not norms, and minus6 an element of norm -6.
     """
 
     n: QuadInt
     u: QuadInt
-    unit_check: bool
-    ring_checks: RingChecks
+    minus6: QuadInt
+
+
+def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
+    ctx = n.ctx
+    return (
+        classify_n(n) is NClass.TWO_MOD_FOUR
+        and 2 * u == n
+        and u.norm() == 1
+        and ctx.square_free
+        and ctx.d_mod60 == 15
+        and pellsolve.check_pm2_unsolvable(ctx)
+    )
+
+
+def certificate_holds(cert: NonRepCertificate) -> bool:
+    """True iff the certificate meets every hypothesis, by arithmetic alone."""
+    return (
+        _n_and_ring_hold(cert.n, cert.u)
+        and cert.minus6.ctx == cert.n.ctx
+        and cert.minus6.norm() == -6
+    )
 
 
 def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
-    """Certificate for the hypotheses above, or None (no claim made)."""
-    ctx = n.ctx
-    if classify_n(n) is not NClass.TWO_MOD_FOUR:
+    """Certificate for the hypotheses above, or None (no claim made).
+
+    The checks on n and the ring run first, so only an n that passes them
+    pays for the one norm -6 solve that finds the witness.
+    """
+    u = QuadInt(n.a // 2, n.b // 2, n.ctx)
+    if not _n_and_ring_hold(n, u):
         return None
-    u = QuadInt(n.a // 2, n.b // 2, ctx)
-    if u.norm() != 1:
+    reps = pellsolve.solve_norm_eq(n.ctx, -6).representatives
+    if not reps:
         return None
-    if ctx.d_mod60 != 15:
-        return None
-    if not pellsolve.solve_norm_eq(ctx, -6).representatives:
-        return None
-    if not pellsolve.check_pm2_unsolvable(ctx):
-        return None
-    return NonRepCertificate(
-        n=n,
-        u=u,
-        unit_check=True,
-        ring_checks=RingChecks(d_mod_60=15, minus6_solvable=True, pm2_unsolvable=True),
-    )
+    return NonRepCertificate(n=n, u=u, minus6=reps[0])
 
 
 def _signed_range(bound: int):
@@ -147,10 +164,14 @@ def certificate_to_json(cert: NonRepCertificate) -> dict:
     return {
         "n": element_to_json(cert.n),
         "u": element_to_json(cert.u),
-        "norm_u": "1",
-        "ring_checks": {
-            "d_mod_60": cert.ring_checks.d_mod_60,
-            "minus6_solvable": cert.ring_checks.minus6_solvable,
-            "pm2_unsolvable": cert.ring_checks.pm2_unsolvable,
-        },
+        "minus6": element_to_json(cert.minus6),
     }
+
+
+def certificate_from_json(doc: dict, ctx: RingCtx) -> NonRepCertificate:
+    """Parse without judging; certificate_holds decides whether it holds."""
+    return NonRepCertificate(
+        n=element_from_json(doc["n"], ctx),
+        u=element_from_json(doc["u"], ctx),
+        minus6=element_from_json(doc["minus6"], ctx),
+    )

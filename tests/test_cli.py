@@ -169,6 +169,18 @@ def test_checkrepr_certified(capsys):
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["certificate"]["u"] == {"a": "1", "b": "0"}
+    assert doc["certificate"]["minus6"] == {"a": "3", "b": "1"}
+
+
+@pytest.mark.parametrize("d", ["735", "3975"])
+def test_checkrepr_nonsquarefree_not_certified(capsys, d):
+    # -6 is a norm in both rings, but d has a square factor
+    code, out, _ = run(
+        capsys, "--format", "json", "checkrepr", "--d", d, "--n", "2,0",
+        "--allow-nonsquarefree", "--bound", "20",
+    )
+    assert code == 3
+    assert json.loads(out)["certified"] is False
 
 
 def test_checkrepr_found(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import quadtuple.construct
 from quadtuple import (
     ParityError,
     Quadruple,
@@ -13,7 +14,6 @@ from quadtuple import (
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
-    target_n,
     unit_quadint,
     verify_quadruple,
 )
@@ -110,9 +110,10 @@ def test_preconditions(ring15):
         construct_quadruple(RingCtx(13), 0, 0)
 
 
-def test_retry_budget_zero(ring15):
+def test_retry_budget_zero(ring15, monkeypatch):
+    monkeypatch.setattr(quadtuple.construct, "RETRY_BUDGET", 0)
     with pytest.raises(RetryBudgetExceeded):
-        construct_quadruple(ring15, 0, 0, retry_budget=0)
+        construct_quadruple(ring15, 0, 0)
 
 
 def test_trace_invariants_random():
@@ -173,12 +174,6 @@ def test_degenerate_check(ring15):
     assert degenerate_check(quad.elements)
     assert not degenerate_check(quad.elements[:3] + (ring15.zero(),))
     assert not degenerate_check(quad.elements[:3] + (quad.elements[0],))
-
-
-def test_target_n(ring15):
-    target = target_n(ring15, 2, -4)
-    assert target.n == ring15.element(10, -16)
-    assert (target.m, target.k) == (2, -4)
 
 
 def test_quadruple_json_round_trip(ring15):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import quadtuple.pellsolve
 from quadtuple import (
     RingCtx,
     StageError,
@@ -80,7 +81,11 @@ def test_report_json_shape(ring15):
     assert doc["t"] == 0
     assert doc["n"] == {"a": "2", "b": "0"}
     assert doc["verified"] is True
-    assert doc["certificate"]["norm_u"] == "1"
+    assert doc["certificate"] == {
+        "n": {"a": "2", "b": "0"},
+        "u": {"a": "1", "b": "0"},
+        "minus6": {"a": "3", "b": "1"},
+    }
     assert len(doc["quadruple"]["elements"]) == 4
     assert set(doc["quadruple"]["witnesses"]) == {"12", "13", "14", "23", "24", "34"}
 
@@ -102,6 +107,15 @@ def test_report_self_contained_reverification(ring15):
             1, doc["quadruple"]["elements"][0]
         ),
         lambda doc: doc["quadruple"].__setitem__("witnesses", []),
+        lambda doc: doc["certificate"].__setitem__("minus6", {"a": "4", "b": "1"}),
+        lambda doc: doc["certificate"].pop("minus6"),
+        lambda doc: doc["certificate"]["n"].__setitem__("a", "6"),
+        # integers are decimal strings, never coerced from other forms
+        lambda doc: doc["quadruple"]["elements"][0].__setitem__("a", 4.5),
+        lambda doc: doc.__setitem__("d", 15.9),
+        lambda doc: doc["n"].__setitem__("a", "0_2"),
+        lambda doc: doc["n"].__setitem__("a", " 2 "),
+        lambda doc: doc["n"].__setitem__("a", 2),
     ],
 )
 def test_reverification_rejects_tampering(ring15, mutate):
@@ -111,6 +125,21 @@ def test_reverification_rejects_tampering(ring15, mutate):
     if doc["d"] != "15":
         doc["quadruple"]["d"] = doc["d"]
     assert not verify_report_doc(doc)
+
+
+def test_reverification_runs_no_solver(ring15, monkeypatch):
+    docs = [
+        json.loads(json.dumps(report_to_json(build_report(ring15, 1)))),
+        json.loads(json.dumps(report_to_json(build_report(family_d(2).ctx, 0)))),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_report_doc ran a solver")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    monkeypatch.setattr(quadtuple.pellsolve, "fundamental_unit", forbidden)
+    for doc in docs:
+        assert verify_report_doc(doc)
 
 
 def test_reports_across_family_members():

@@ -2,17 +2,15 @@ from __future__ import annotations
 
 import pytest
 
+import quadtuple.pellsolve
 from quadtuple import (
     Norm6Shape,
     RingCtx,
     ShapeViolation,
-    UnitShape,
     cf_sqrt,
     check_pm2_unsolvable,
-    d_congruence_check,
     enumerate_solutions,
     family_d,
-    fundamental_shape,
     fundamental_unit,
     is_square_free,
     norm6_shape,
@@ -80,12 +78,13 @@ def test_solve_norm_eq_examples(ring15, ring735):
     assert solve_norm_eq(ring15, 1).representatives == (ring15.one(),)
 
 
-def test_solve_norm_eq_guards(ring15):
+def test_solve_norm_eq_guards(ring15, monkeypatch):
     with pytest.raises(ValueError):
         solve_norm_eq(ring15, 0)
     with pytest.raises(ValueError):
         solve_norm_eq(ring15, 10**7)
-    assert solve_norm_eq(ring15, 10**7, cap=10**8).N == 10**7
+    monkeypatch.setattr(quadtuple.pellsolve, "NORM_CAP", 10**8)
+    assert solve_norm_eq(ring15, 10**7).N == 10**7
 
 
 def test_enumerate_solutions(ring15):
@@ -197,17 +196,21 @@ def test_unit_from_norm6_parity(d):
 
 
 def test_fundamental_shape(ring15, ring735, ring3975):
-    assert fundamental_shape(ring15) is UnitShape.Y_PM1
-    assert fundamental_shape(ring735) is UnitShape.Y_PLUS3
-    assert fundamental_shape(ring3975) is UnitShape.Y_PLUS3
+    # the fundamental unit is (6a +- 4, 6b +- 1) or (6a +- 4, 6b + 3)
+    for ctx, y_mod6 in ((ring15, {1, 5}), (ring735, {3}), (ring3975, {3})):
+        fu = fundamental_unit(ctx)
+        assert fu.x % 6 in (2, 4)
+        assert fu.y % 6 in y_mod6
 
 
-def test_d_congruence_check(ring15, ring735):
-    assert d_congruence_check(ring15) is True
-    assert d_congruence_check(ring735) is True
-    assert d_congruence_check(RingCtx(75, allow_nonsquarefree=True)) is None
-    assert d_congruence_check(RingCtx(195)) is None  # -6 not attained
-    assert d_congruence_check(RingCtx(13)) is None
+def test_d_congruence_check(ring735, ring3975):
+    # d = 15 (mod 360) wherever -6 is attained
+    attained = []
+    for ctx in [RingCtx(d) for d in SQUAREFREE_D] + [ring735, ring3975]:
+        if solve_norm_eq(ctx, -6).representatives:
+            assert ctx.d % 360 == 15, ctx.d
+            attained.append(ctx.d)
+    assert attained == MINUS6_D + [735, 3975]
 
 
 def test_pm2_agrees_with_brute_force_on_sampled_d():

@@ -17,7 +17,7 @@ from quadtuple import (
     parse_element,
     sqrt_in_ring,
 )
-from quadtuple.quadring import element_from_json, element_to_json
+from quadtuple.quadring import element_from_json, element_to_json, int_from_json
 
 from conftest import RING15, RING735
 
@@ -122,7 +122,7 @@ def test_ringctx_override_and_caches():
     ctx = RingCtx(45, allow_nonsquarefree=True)
     assert not ctx.square_free
     ctx2 = RingCtx(735, allow_nonsquarefree=True)
-    assert (ctx2.d_mod4, ctx2.d_mod60, ctx2.d_mod360) == (3, 15, 15)
+    assert (ctx2.d_mod4, ctx2.d_mod60) == (3, 15)
     assert RingCtx(15).square_free
 
 
@@ -291,7 +291,7 @@ def test_parse_format_round_trip(ring15):
         assert format_element(parse_element(text, ring15)) == text
 
 
-@pytest.mark.parametrize("bad", ["x,y", "4", "4,1,2", "4, 1", " 4,1", "4.0,1", ""])
+@pytest.mark.parametrize("bad", ["x,y", "4", "4,1,2", "4, 1", " 4,1", "4.0,1", "", "4,1\n"])
 def test_parse_rejects_malformed(ring15, bad):
     with pytest.raises(ValueError):
         parse_element(bad, ring15)
@@ -302,3 +302,10 @@ def test_element_json_round_trip(ring15):
     doc = element_to_json(x)
     assert doc == {"a": str(-(10**40)), "b": "7"}
     assert element_from_json(doc, ring15) == x
+
+
+@pytest.mark.parametrize("bad", [4, 4.0, True, None, "4.0", " 4", "4 ", "0_4", "+", "\u0664", "4\n"])
+def test_element_from_json_rejects_coercible_values(ring15, bad):
+    assert int_from_json("-4") == -4 and int_from_json("+4") == 4
+    with pytest.raises(ValueError):
+        element_from_json({"a": bad, "b": "0"}, ring15)

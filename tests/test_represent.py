@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 
 from quadtuple import (
     NClass,
+    NonRepCertificate,
     RingCtx,
+    certificate_holds,
     certify_nonrepresentable,
     classify_n,
     no_quadruple_if_T,
     search_repr,
     unit_quadint,
 )
-from quadtuple.represent import certificate_to_json
+from quadtuple.represent import certificate_from_json, certificate_to_json
 
-from conftest import RING15
+from conftest import RING15, RING735, RING3975
 
 
 @pytest.mark.parametrize(
@@ -78,17 +80,45 @@ def test_certify_examples(ring15):
     cert = certify_nonrepresentable(ring15.element(2, 0))
     assert cert is not None
     assert cert.u == ring15.one()
-    assert cert.unit_check
-    checks = cert.ring_checks
-    assert (checks.d_mod_60, checks.minus6_solvable, checks.pm2_unsolvable) == (15, True, True)
+    assert cert.minus6 == ring15.element(3, 1)
+    assert certificate_holds(cert)
 
     cert2 = certify_nonrepresentable(ring15.element(62, 16))
     assert cert2 is not None and cert2.u == ring15.element(31, 8)
+    assert certificate_holds(cert2)
 
     assert certify_nonrepresentable(ring15.element(10, 0)) is None  # u = 5 has norm 25
     assert certify_nonrepresentable(ring15.element(3, 0)) is None  # wrong residue class
     # right shape and unit norm, but -6 is not attained for d = 195
     assert certify_nonrepresentable(RingCtx(195).element(2, 0)) is None
+    # -6 is a norm in both, but the result needs square-free d
+    assert certify_nonrepresentable(RING735.element(2, 0)) is None
+    assert certify_nonrepresentable(RING3975.element(2, 0)) is None
+
+
+def _cert(ctx, n, u, minus6, minus6_ctx=None):
+    return NonRepCertificate(
+        ctx.element(*n), ctx.element(*u), (minus6_ctx or ctx).element(*minus6)
+    )
+
+
+# each case breaks one hypothesis; 5 | d follows from d = 15 (mod 60), so the
+# +-2 hypothesis cannot fail on its own
+@pytest.mark.parametrize(
+    "cert",
+    [
+        _cert(RING15, (8, 2), (4, 1), (3, 1)),  # n = 4m + (4k+2)sqrt(d)
+        _cert(RING15, (2, 0), (31, 8), (3, 1)),  # 2u != n
+        _cert(RING15, (10, 0), (5, 0), (3, 1)),  # norm(u) = 25
+        _cert(RING735, (2, 0), (1, 0), (27, 1)),  # 735 = 3 * 5 * 7^2
+        _cert(RingCtx(10), (2, 0), (1, 0), (2, 1)),  # d = 10 (mod 60)
+        _cert(RING15, (2, 0), (1, 0), (4, 1)),  # norm(minus6) = 1
+        _cert(RING15, (2, 0), (1, 0), (2, 1), minus6_ctx=RingCtx(10)),  # another ring
+    ],
+    ids=["class", "2u", "norm_u", "square_free", "d_mod_60", "norm_minus6", "ring_minus6"],
+)
+def test_certificate_holds_needs_every_hypothesis(cert):
+    assert not certificate_holds(cert)
 
 
 def test_certificate_closed_under_unit_squares(ring15):
@@ -103,12 +133,15 @@ def test_certificate_closed_under_unit_squares(ring15):
 
 def test_certificate_json(ring15):
     cert = certify_nonrepresentable(ring15.element(2, 0))
-    assert certificate_to_json(cert) == {
+    doc = certificate_to_json(cert)
+    assert doc == {
         "n": {"a": "2", "b": "0"},
         "u": {"a": "1", "b": "0"},
-        "norm_u": "1",
-        "ring_checks": {"d_mod_60": 15, "minus6_solvable": True, "pm2_unsolvable": True},
+        "minus6": {"a": "3", "b": "1"},
     }
+    assert certificate_from_json(doc, ring15) == cert
+    with pytest.raises(KeyError):
+        certificate_from_json({"n": doc["n"], "u": doc["u"]}, ring15)
 
 
 def test_search_repr_examples(ring15):
