@@ -18,12 +18,14 @@ from .construct import (
     ParityError,
     Quadruple,
     RetryBudgetExceeded,
+    WITNESS_KEYS,
     construct_quadruple,
     quadruple_to_json,
     verify_quadruple,
 )
 from .counterex import (
     StageError,
+    T_CAP_DEFAULT,
     build_report,
     enumerate_counterexample_rings,
     report_to_json,
@@ -45,8 +47,6 @@ EXIT_INCONCLUSIVE = 3  # also: norm equation unsolvable
 EXIT_RING = 4  # non-square-free d without the override flag
 EXIT_HYPOTHESIS = 5  # m + k odd
 EXIT_BUDGET = 6  # retry budget exhausted
-
-_WITNESS_KEYS = ("12", "13", "14", "23", "24", "34")
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
@@ -130,9 +130,9 @@ def _parse_witnesses(items, ctx):
     witnesses = {}
     for item in items:
         key, sep, value = item.partition("=")
-        if not sep or key not in _WITNESS_KEYS:
+        if not sep or key not in WITNESS_KEYS:
             raise ValueError(f"malformed witness {item!r}: expected e.g. 12=a,b")
-        witnesses[(int(key[0]), int(key[1]))] = parse_element(value, ctx)
+        witnesses[WITNESS_KEYS[key]] = parse_element(value, ctx)
     return witnesses
 
 
@@ -207,8 +207,8 @@ def cmd_counterexamples(args) -> int:
     if m is None:
         raise ValueError(f"malformed range {args.alpha!r}: expected lo..hi")
     lo, hi = int(m.group(1)), int(m.group(2))
-    if args.t < 0:
-        raise ValueError(f"t must be >= 0, got {args.t}")
+    if not 0 <= args.t <= T_CAP_DEFAULT:
+        raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {args.t}")
     candidates = enumerate_counterexample_rings(lo, hi)
 
     reports = []

@@ -36,6 +36,7 @@ __all__ = [
     "Quadruple",
     "RetryBudgetExceeded",
     "VerifyReport",
+    "WITNESS_KEYS",
     "construct_quadruple",
     "degenerate_check",
     "quadruple_from_json",
@@ -46,6 +47,9 @@ __all__ = [
 
 # index pairs of a quadruple, 1-based
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+# the one spelling of each pair as a witness key, "12" for (1, 2), in PAIRS order
+WITNESS_KEYS = {f"{i}{j}": (i, j) for i, j in PAIRS}
 
 # unit choices construct_quadruple tries before giving up
 RETRY_BUDGET = 64
@@ -251,11 +255,19 @@ def quadruple_to_json(quad: Quadruple) -> dict:
     }
     if quad.witnesses is not None:
         doc["witnesses"] = {
-            f"{i}{j}": element_to_json(quad.witnesses[(i, j)])
-            for (i, j) in PAIRS
-            if (i, j) in quad.witnesses
+            key: element_to_json(quad.witnesses[pair])
+            for key, pair in WITNESS_KEYS.items()
+            if pair in quad.witnesses
         }
     return doc
+
+
+def _witness_pair(key: str) -> tuple[int, int]:
+    """The index pair a witness key names; ValueError for any other key."""
+    pair = WITNESS_KEYS.get(key)
+    if pair is None:
+        raise ValueError(f"unknown witness key {key!r}, expected one of {list(WITNESS_KEYS)}")
+    return pair
 
 
 def quadruple_from_json(doc: dict, ctx: RingCtx | None = None) -> Quadruple:
@@ -270,7 +282,7 @@ def quadruple_from_json(doc: dict, ctx: RingCtx | None = None) -> Quadruple:
     witnesses = None
     if "witnesses" in doc:
         witnesses = {
-            (int(key[0]), int(key[1])): element_from_json(value, ctx)
+            _witness_pair(key): element_from_json(value, ctx)
             for key, value in doc["witnesses"].items()
         }
     return Quadruple(elements, element_from_json(doc["n"], ctx), witnesses)

@@ -38,7 +38,6 @@ from .represent import (
     certificate_from_json,
     certificate_holds,
     certificate_to_json,
-    certify_nonrepresentable,
 )
 
 __all__ = [
@@ -115,13 +114,50 @@ class CounterexampleReport:
     notes: tuple[str, ...]
 
 
+def _u_matches_t(certificate: NonRepCertificate, t: int) -> bool:
+    """u == (gamma^2/6)^(2t) for the norm -6 witness gamma, by arithmetic alone.
+
+    The canonical gamma has gamma^2 = 6*unit, so this ties t to n with no
+    solver.  gamma^2/6 has norm 1, and the first coordinate of its e-th
+    power has at least e*(bits(a) - 1) bits, a its own first coordinate; a u
+    shorter than that is refused before the power is taken, so a long
+    witness cannot make the check build a number far beyond the document.
+    """
+    unit = pellsolve.unit_from_norm6(certificate.minus6)
+    u, e = certificate.u, 2 * t
+    return e * (unit.a.bit_length() - 1) <= u.a.bit_length() and u == unit**e
+
+
+def _report_holds(
+    ctx: RingCtx, t: int, n: QuadInt, quad: Quadruple, certificate: NonRepCertificate
+) -> bool:
+    """The one definition of a valid report: build_report's verified flag and
+    verify_report_doc's verdict.
+
+    The three copies of n agree, the elements are nonzero and distinct, the
+    certificate holds and matches t (_u_matches_t), and all six pairwise
+    products plus n are squares, matching any stored witnesses.
+    certificate_holds runs first: it guarantees the norm -6 shape that
+    unit_from_norm6 would otherwise raise on.
+    """
+    return (
+        quad.n == n == certificate.n
+        and degenerate_check(quad.elements)
+        and certificate_holds(certificate)
+        and _u_matches_t(certificate, t)
+        and verify_quadruple(ctx, quad).ok
+    )
+
+
 def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     """Full pipeline for one ring and exponent 0 <= t <= T_CAP_DEFAULT.
 
-    Base D(2) quadruple at m = k = 0, scaled by unit^t to reach
-    n = 2*unit^(2t); the certificate applies because even unit powers have
-    an odd first and even second coordinate, keeping n = (4m+2, 4k) with
-    n/2 of norm 1.
+    Base D(2) quadruple at m = k = 0, scaled by w = unit^t to reach
+    n = 2*w^2; the certificate applies because even unit powers have an odd
+    first and even second coordinate, keeping n = (4m+2, 4k) with n/2 of
+    norm 1.  Its norm -6 witness is the representative the eligibility check
+    solved for, and verified is the verdict verify_report_doc gives on the
+    report's JSON.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -131,27 +167,21 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
         raise StageError("eligibility", f"d = {ctx.d} is not square-free")
     if ctx.d_mod60 != 15:
         raise StageError("eligibility", f"d = {ctx.d} is not 15 mod 60")
-    if not pellsolve.solve_norm_eq(ctx, -6).representatives:
+    minus6 = pellsolve.solve_norm_eq(ctx, -6).representatives
+    if not minus6:
         raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
 
-    unit = pellsolve.unit_quadint(ctx)
-    n = 2 * unit ** (2 * t)
+    w = pellsolve.unit_quadint(ctx) ** t
+    u = w * w
+    n = 2 * u
 
     try:
         base, trace = construct_quadruple(ctx, 0, 0)
     except Exception as exc:
         raise StageError("construct", str(exc)) from exc
-    scaled = scale_quadruple(ctx, base, unit**t)
-
-    certificate = certify_nonrepresentable(n)
-    if certificate is None:
-        raise StageError("certify", f"hypotheses unexpectedly fail for n = {n}")
-
-    verified = (
-        scaled.n == n
-        and degenerate_check(scaled.elements)
-        and verify_quadruple(ctx, scaled).ok
-    )
+    scaled = scale_quadruple(ctx, base, w)
+    certificate = NonRepCertificate(n=n, u=u, minus6=minus6[0])
+    verified = _report_holds(ctx, t, n, scaled, certificate)
     notes = (
         f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
         f"factorization={trace.factorization_choice}",
@@ -183,14 +213,16 @@ def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
     Rebuilds the ring from d and parses n, the quadruple and the
-    certificate, accepting only decimal-string integers.  True iff the three
-    copies of n agree, the elements are nonzero and distinct, the
-    certificate's hypotheses hold (certificate_holds, which needs no
-    solver: the certificate carries its norm -6 witness), and all six
-    pairwise products plus n are squares, matching any stored witnesses.
-    Anything malformed, including a certificate without minus6, is False.
+    certificate, accepting only decimal-string integers and the six witness
+    keys "12" ... "34".  True iff the report states "verified": true, t is a
+    JSON integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no
+    solver: the certificate carries its norm -6 witness.  Anything
+    malformed, including a certificate without minus6, is False.
     """
     try:
+        t, verified = doc["t"], doc["verified"]
+        if verified is not True or type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
+            return False
         ctx = RingCtx(int_from_json(doc["d"]))
         quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
@@ -199,9 +231,4 @@ def verify_report_doc(doc: dict) -> bool:
         NotSquareFreeError, ValueError, KeyError, IndexError, TypeError, AttributeError
     ):
         return False
-    return (
-        quad.n == n == certificate.n
-        and degenerate_check(quad.elements)
-        and certificate_holds(certificate)
-        and verify_quadruple(ctx, quad).ok
-    )
+    return _report_holds(ctx, t, n, quad, certificate)

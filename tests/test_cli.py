@@ -257,6 +257,10 @@ def test_counterexamples_bad_range_exits_2(capsys):
 def test_counterexamples_negative_t_exits_2(capsys):
     code, _, _ = run(capsys, "counterexamples", "--alpha", "0..0", "--t", "-1")
     assert code == 2
+    # the cap holds before any ring is looked at, even if none is eligible
+    for alpha in ("0..0", "1..1"):
+        code, _, _ = run(capsys, "counterexamples", "--alpha", alpha, "--t", "5000")
+        assert code == 2
 
 
 def test_counterexamples_text_summary(capsys):

@@ -187,3 +187,9 @@ def test_quadruple_json_round_trip(ring15):
     doc2 = quadruple_to_json(stripped)
     assert "witnesses" not in doc2
     assert quadruple_from_json(doc2) == stripped
+    # keys are exactly "12" ... "34": no reversed, padded or non-ASCII pairs
+    for key in ("21", "123", "99", "\u0661\u0662", "1", ""):
+        bad = quadruple_to_json(quad)
+        bad["witnesses"][key] = bad["witnesses"].pop("12")
+        with pytest.raises(ValueError, match="witness key"):
+            quadruple_from_json(bad)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadtuple.pellsolve
 from quadtuple import (
@@ -15,6 +19,7 @@ from quadtuple import (
     unit_quadint,
     verify_report_doc,
 )
+from quadtuple.quadring import element_to_json
 
 
 def test_family_d_examples():
@@ -116,6 +121,27 @@ def test_report_self_contained_reverification(ring15):
         lambda doc: doc["n"].__setitem__("a", "0_2"),
         lambda doc: doc["n"].__setitem__("a", " 2 "),
         lambda doc: doc["n"].__setitem__("a", 2),
+        # the stated t and verdict are read: n = 2*unit^(2t) must hold for t
+        lambda doc: doc.__setitem__("t", 7),
+        lambda doc: doc.__setitem__("t", -1),
+        lambda doc: doc.__setitem__("t", 1001),
+        lambda doc: doc.__setitem__("t", "0"),
+        lambda doc: doc.__setitem__("t", False),
+        lambda doc: doc.__setitem__("t", 0.0),
+        lambda doc: doc.pop("t"),
+        lambda doc: doc.__setitem__("verified", False),
+        lambda doc: doc.__setitem__("verified", "true"),
+        lambda doc: doc.pop("verified"),
+        # witness keys are exactly "12" ... "34"
+        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+            "\u0661\u0662", doc["quadruple"]["witnesses"].pop("12")
+        ),
+        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+            "123", doc["quadruple"]["witnesses"].pop("12")
+        ),
+        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+            "99", doc["quadruple"]["witnesses"]["12"]
+        ),
     ],
 )
 def test_reverification_rejects_tampering(ring15, mutate):
@@ -125,6 +151,18 @@ def test_reverification_rejects_tampering(ring15, mutate):
     if doc["d"] != "15":
         doc["quadruple"]["d"] = doc["d"]
     assert not verify_report_doc(doc)
+
+
+def test_reverification_refuses_a_long_witness_before_its_power(ring15):
+    # (3, 1) * unit^500 still has norm -6, but at t = 1000 the t check would
+    # raise its ~900-digit unit to the 2000th power; the short u refuses it first
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
+    doc["t"] = 1000
+    long_witness = ring15.element(3, 1) * unit_quadint(ring15) ** 500
+    doc["certificate"]["minus6"] = element_to_json(long_witness)
+    start = time.process_time()
+    assert not verify_report_doc(doc)
+    assert time.process_time() - start < 1.0
 
 
 def test_reverification_runs_no_solver(ring15, monkeypatch):
@@ -140,6 +178,60 @@ def test_reverification_runs_no_solver(ring15, monkeypatch):
     monkeypatch.setattr(quadtuple.pellsolve, "fundamental_unit", forbidden)
     for doc in docs:
         assert verify_report_doc(doc)
+
+
+# any JSON value, plus decimal strings that parse, so mutations reach the checks
+# behind the parser; d stays below 10^6 here, since factorising an adversarial
+# d of 10^50 still searches (an open time bound, not a correctness one)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.integers(-(10**6), 10**6).map(str),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=3),
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, as the keys that lead to it."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(junk=JUNK, key=st.text(max_size=3))
+def test_verify_report_doc_never_raises_on_mutated_reports(junk, key):
+    # every position of a valid report is dropped, replaced by junk, or, if it
+    # is a container, given a junk entry; hypothesis picks the junk
+    base = json.loads(json.dumps(report_to_json(build_report(RingCtx(15), 1))))
+    for path in _paths(base):
+        for action in ("drop", "replace", "insert"):
+            doc = copy.deepcopy(base)
+            parent, node = None, doc
+            for step in path:
+                parent, node = node, node[step]
+            if action == "replace":
+                if path:
+                    parent[path[-1]] = junk
+                else:
+                    doc = junk
+            elif action == "drop" and path:
+                del parent[path[-1]]
+            elif action == "insert" and isinstance(node, dict):
+                node[key] = junk
+            elif action == "insert" and isinstance(node, list):
+                node.append(junk)
+            assert type(verify_report_doc(doc)) is bool, (path, action)
 
 
 def test_reports_across_family_members():

@@ -171,9 +171,12 @@ def test_select_norm6_matches_enumeration(want):
     # the selection was defined before it tried only the sign flips
     rings = [RingCtx(d) for d in MINUS6_D] + [family_d(a).ctx for a in range(-100, 300)]
     for ctx in rings:
-        solutions = enumerate_solutions(solve_norm_eq(ctx, -6), 8)
+        classes = solve_norm_eq(ctx, -6)
+        solutions = enumerate_solutions(classes, 8)
         first = next(sol for sol in solutions if want(norm6_shape(sol)))
         assert select_norm6(ctx, want) == first, ctx.d
+        # gamma^2 = 6 * unit: what lets verify_report_doc tie t to n
+        assert unit_from_norm6(classes.representatives[0]) == unit_quadint(ctx), ctx.d
 
 
 def test_unit_from_norm6(ring15, ring735, ring3975):
@@ -207,8 +210,11 @@ def test_d_congruence_check(ring735, ring3975):
     # d = 15 (mod 360) wherever -6 is attained
     attained = []
     for ctx in [RingCtx(d) for d in SQUAREFREE_D] + [ring735, ring3975]:
-        if solve_norm_eq(ctx, -6).representatives:
+        reps = solve_norm_eq(ctx, -6).representatives
+        if reps:
             assert ctx.d % 360 == 15, ctx.d
+            # gamma^2 = 6 * unit for the canonical representative gamma
+            assert unit_from_norm6(reps[0]) == unit_quadint(ctx), ctx.d
             attained.append(ctx.d)
     assert attained == MINUS6_D + [735, 3975]
 
