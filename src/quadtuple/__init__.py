@@ -40,7 +40,6 @@ from .pellsolve import (
     enumerate_solutions,
     fundamental_unit,
     norm6_shape,
-    select_norm6,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,

@@ -62,6 +62,8 @@ def _ring(args) -> RingCtx:
 
 
 def cmd_pell(args) -> int:
+    if args.limit < 1:
+        raise ValueError(f"limit must be >= 1, got {args.limit}")
     ctx = _ring(args)
     classes = solve_norm_eq(ctx, args.norm)
     solvable = bool(classes.representatives)
@@ -199,11 +201,11 @@ def cmd_checkrepr(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-_RANGE_RE = re.compile(r"^(-?[0-9]+)\.\.(-?[0-9]+)$")
+_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
 def cmd_counterexamples(args) -> int:
-    m = _RANGE_RE.match(args.alpha)
+    m = _RANGE_RE.fullmatch(args.alpha)
     if m is None:
         raise ValueError(f"malformed range {args.alpha!r}: expected lo..hi")
     lo, hi = int(m.group(1)), int(m.group(2))

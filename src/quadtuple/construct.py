@@ -121,14 +121,8 @@ def construct_quadruple(
 ) -> tuple[Quadruple, ConstructionTrace]:
     """Build a verified D(n) quadruple for n = (4m+2, 4k), m + k even.
 
-    Steps: pick a norm -6 solution (gamma, delta) of the requested shape;
-    split 3n = alpha1 * alpha2 with alpha1 = (-gamma, delta) and
-    alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
-    take a from the deterministic unit schedule (all units of even/odd
-    coordinate parity, which keeps r integral); then b = (r^2 - n) / a.
-
-    Degenerate element sets (a zero or a collision) advance the schedule;
-    only finitely many indices can misbehave, so the budget is generous.
+    Checks the arguments, solves x^2 - d*y^2 = -6 once and builds the
+    quadruple from its canonical representative (_construct_from_norm6).
     """
     if ctx.d_mod60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
@@ -138,10 +132,31 @@ def construct_quadruple(
         raise ValueError(f"unit_index must be >= 0, got {unit_index}")
     if factorization_choice not in ("first", "second"):
         raise ValueError(f"factorization_choice must be 'first' or 'second'")
+    reps = pellsolve.solve_norm_eq(ctx, -6).representatives
+    if not reps:
+        raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
+    return _construct_from_norm6(reps[0], m, k, unit_index, factorization_choice)
 
-    # 'first' wants y = +1 (mod 6), 'second' wants y = -1 (mod 6)
+
+def _construct_from_norm6(
+    gamma: QuadInt, m: int, k: int, unit_index: int, factorization_choice: str
+) -> tuple[Quadruple, ConstructionTrace]:
+    """construct_quadruple's steps, from the canonical norm -6 representative gamma.
+
+    Steps: flip the sign of gamma's y if needed so that (gamma, delta) has
+    y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second'; split
+    3n = alpha1 * alpha2 with alpha1 = (-gamma, delta) and
+    alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
+    take a from the deterministic unit schedule (all units of even/odd
+    coordinate parity, which keeps r integral); then b = (r^2 - n) / a.
+    The fundamental unit is gamma^2/6 (unit_from_norm6).
+
+    Degenerate element sets (a zero or a collision) advance the schedule;
+    only finitely many indices can misbehave, so the budget is generous.
+    """
+    ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else -1
-    gd = pellsolve.select_norm6(ctx, lambda shape: shape.sign_y == want)
+    gd = gamma if pellsolve.norm6_shape(gamma).sign_y == want else gamma.conjugate()
     n = QuadInt(4 * m + 2, 4 * k, ctx)
     alpha1 = QuadInt(-gd.a, gd.b, ctx)
     alpha2 = gd * QuadInt(2 * m + 1, 2 * k, ctx)
@@ -149,7 +164,7 @@ def construct_quadruple(
     alpha_sym = _halved(alpha1 - alpha2)
 
     base_unit = pellsolve.unit_from_norm6(gd)
-    eps = pellsolve.unit_quadint(ctx)
+    eps = pellsolve.unit_from_norm6(gamma)
     eps2 = eps * eps
     eps2_inv = eps2.conjugate()  # norm 1, so the conjugate inverts it
 

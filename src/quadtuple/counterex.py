@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import pellsolve
 from .construct import (
     Quadruple,
-    construct_quadruple,
+    _construct_from_norm6,
     degenerate_check,
     quadruple_from_json,
     quadruple_to_json,
@@ -152,12 +152,13 @@ def _report_holds(
 def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     """Full pipeline for one ring and exponent 0 <= t <= T_CAP_DEFAULT.
 
-    Base D(2) quadruple at m = k = 0, scaled by w = unit^t to reach
-    n = 2*w^2; the certificate applies because even unit powers have an odd
-    first and even second coordinate, keeping n = (4m+2, 4k) with n/2 of
-    norm 1.  Its norm -6 witness is the representative the eligibility check
-    solved for, and verified is the verdict verify_report_doc gives on the
-    report's JSON.
+    One norm -6 solve: its canonical representative gamma is the
+    certificate's witness, the start of the base D(2) quadruple at
+    m = k = 0, and the source of the unit, gamma^2/6.  The quadruple is
+    scaled by w = unit^t to reach n = 2*w^2; the certificate applies because
+    even unit powers have an odd first and even second coordinate, keeping
+    n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
+    verify_report_doc gives on the report's JSON.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -170,17 +171,17 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     minus6 = pellsolve.solve_norm_eq(ctx, -6).representatives
     if not minus6:
         raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
-
-    w = pellsolve.unit_quadint(ctx) ** t
-    u = w * w
-    n = 2 * u
+    gamma = minus6[0]
 
     try:
-        base, trace = construct_quadruple(ctx, 0, 0)
+        base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
     except Exception as exc:
         raise StageError("construct", str(exc)) from exc
+    w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
+    u = w * w
+    n = 2 * u
     scaled = scale_quadruple(ctx, base, w)
-    certificate = NonRepCertificate(n=n, u=u, minus6=minus6[0])
+    certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
     verified = _report_holds(ctx, t, n, scaled, certificate)
     notes = (
         f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "

@@ -3,14 +3,13 @@
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
 the construction rests on when d = 15 (mod 60): the shape of norm -6
-solutions and the one selector that picks among their sign flips, the norm 1
-element built from one, and the mod-5 argument that +-2 are not norms.
+solutions, the norm 1 element built from one, and the mod-5 argument that
++-2 are not norms.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -28,7 +27,6 @@ __all__ = [
     "enumerate_solutions",
     "fundamental_unit",
     "norm6_shape",
-    "select_norm6",
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
@@ -239,15 +237,14 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
 
 @dataclass(frozen=True)
 class Norm6Shape:
-    """Decomposition x = 6*alpha + 3*sign_x, y = 6*beta + sign_y.
+    """Decomposition x = 6*alpha + 3, y = 6*beta + sign_y.
 
-    The convention is fixed: sign_x is always +1 (negative x is absorbed
-    into alpha) and sign_y follows y mod 6, so the decomposition is unique.
+    Negative x is absorbed into alpha and sign_y follows y mod 6, so the
+    decomposition is unique.
     """
 
     alpha: int
     beta: int
-    sign_x: int
     sign_y: int
 
 
@@ -265,35 +262,18 @@ def norm6_shape(sol: QuadInt) -> Norm6Shape:
         sign_y, beta = -1, (y + 1) // 6
     else:
         raise ShapeViolation(f"norm -6 solution with y = {y} not +-1 mod 6")
-    return Norm6Shape(alpha=(x - 3) // 6, beta=beta, sign_x=1, sign_y=sign_y)
-
-
-def select_norm6(ctx: RingCtx, want: Callable[[Norm6Shape], bool]) -> QuadInt:
-    """First norm -6 solution, in the canonical order, whose shape satisfies want.
-
-    Tries the sign flips (x, y), (x, -y), (-x, y), (-x, -y) of the first
-    class representative, which are the first four solutions in that order.
-    Flipping y flips sign_y and flipping x flips the parity of alpha + beta,
-    so a predicate on either is always met among them.
-    """
-    if ctx.d_mod60 != 15:
-        raise ValueError(f"d = {ctx.d} is not 15 mod 60")
-    reps = solve_norm_eq(ctx, -6).representatives
-    if not reps:
-        raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    x, y = reps[0].a, reps[0].b
-    for sx, sy in ((x, y), (x, -y), (-x, y), (-x, -y)):
-        sol = QuadInt(sx, sy, ctx)
-        if want(norm6_shape(sol)):
-            return sol
-    raise ValueError(f"no sign flip of {reps[0]} has the requested shape")
+    return Norm6Shape(alpha=(x - 3) // 6, beta=beta, sign_y=sign_y)
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
-    3 | g for every norm -6 solution, so the division is exact; the result
-    always has an even first and odd second coordinate.
+    The element is (g, h)^2 / 6; 3 | g for every norm -6 solution, so the
+    division is exact, and the result always has an even first and odd
+    second coordinate.  For the canonical representative of
+    solve_norm_eq(ctx, -6) it is the fundamental unit: (g, h)^2 / 6 = unit^k
+    with k odd, since sqrt(6) is not in Q(sqrt(d)), and the least h > 0 in
+    the class, with g > 0, is where k = 1.
     """
     if sol.norm() != -6:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")

@@ -250,8 +250,9 @@ class QuadInt:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self) -> QuadInt:

@@ -1,0 +1,35 @@
+"""Rings and oracles shared by the test modules.
+
+A plain module rather than conftest.py, so that `from support import ...`
+resolves to this file even when pytest also collects bench/tests, whose
+conftest.py would otherwise shadow this directory's.
+"""
+
+from __future__ import annotations
+
+from quadtuple import RingCtx, is_perfect_square
+
+# rings the suite keeps coming back to; 735 and 3975 carry square factors
+# (3*5*7^2 and 3*5^2*53) so they need the explicit opt-in
+RING15 = RingCtx(15)
+RING735 = RingCtx(735, allow_nonsquarefree=True)
+RING3975 = RingCtx(3975, allow_nonsquarefree=True)
+
+
+def brute_norm_solutions(ctx, N, ybound):
+    """Every (x, y) with x^2 - d*y^2 = N and |y| <= ybound, by raw scan."""
+    out = set()
+    for y in range(ybound + 1):
+        t = ctx.d * y * y + N
+        if t < 0:
+            continue
+        x = is_perfect_square(t)
+        if x is None:
+            continue
+        out.update({(x, y), (-x, y), (x, -y), (-x, -y)})
+    return out
+
+
+def enum_order_key(sol):
+    """The toolkit's deterministic solution order, restated for comparisons."""
+    return (abs(sol.b), abs(sol.a), sol.a <= 0, sol.b < 0)

@@ -29,7 +29,7 @@ from quadtuple import (
     verify_quadruple,
 )
 
-from conftest import RING15, RING735, RING3975, brute_norm_solutions
+from support import RING15, RING735, RING3975, brute_norm_solutions
 
 
 @contextmanager

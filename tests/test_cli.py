@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import quadtuple.cli
 from quadtuple import verify_report_doc
 from quadtuple.cli import main
 
@@ -46,11 +47,21 @@ def test_pell_nonsquarefree_gate(capsys):
     assert code == 0
 
 
-def test_pell_bad_flags(capsys):
+def test_pell_bad_flags(capsys, monkeypatch):
     code, _, _ = run(capsys, "pell", "--d", "notanint", "--norm", "1")
     assert code == 2
     code, _, _ = run(capsys, "pell", "--d", "15")
     assert code == 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pell solved before checking --limit")
+
+    # --limit is checked before the solver, whether or not the norm is attained
+    monkeypatch.setattr(quadtuple.cli, "solve_norm_eq", forbidden)
+    for d in ("15", "195"):
+        code, out, err = run(capsys, "pell", "--d", d, "--norm", "-6", "--limit", "0")
+        assert (code, out) == (2, "")
+        assert "limit must be >= 1" in err
 
 
 def test_pell_735_example(capsys):
@@ -252,6 +263,8 @@ def test_counterexamples_bad_range_exits_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "counterexamples", "--alpha", "0-3")
     assert code == 2
+    code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1\n")
+    assert (code, out) == (2, "")
 
 
 def test_counterexamples_negative_t_exits_2(capsys):

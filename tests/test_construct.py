@@ -18,7 +18,7 @@ from quadtuple import (
     verify_quadruple,
 )
 
-from conftest import RING15, RING735, RING3975
+from support import RING15, RING735, RING3975
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
 GOLDEN_WITNESSES = {
@@ -108,6 +108,8 @@ def test_preconditions(ring15):
 
     with pytest.raises(ValueError):
         construct_quadruple(RingCtx(13), 0, 0)
+    with pytest.raises(ValueError):
+        construct_quadruple(RingCtx(195), 0, 0)  # -6 not attained
 
 
 def test_retry_budget_zero(ring15, monkeypatch):

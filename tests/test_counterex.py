@@ -165,6 +165,24 @@ def test_reverification_refuses_a_long_witness_before_its_power(ring15):
     assert time.process_time() - start < 1.0
 
 
+def test_build_report_solves_once(ring15, monkeypatch):
+    # one norm -6 solve per report: the construction and the unit both
+    # start from its representative (the unit is gamma^2/6), and the one
+    # fundamental_unit call is the solver's own
+    calls = {"solve_norm_eq": 0, "fundamental_unit": 0}
+    for name in calls:
+        original = getattr(quadtuple.pellsolve, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(quadtuple.pellsolve, name, counted)
+    report = build_report(ring15, 1)
+    assert report.verified
+    assert calls == {"solve_norm_eq": 1, "fundamental_unit": 1}
+
+
 def test_reverification_runs_no_solver(ring15, monkeypatch):
     docs = [
         json.loads(json.dumps(report_to_json(build_report(ring15, 1)))),

@@ -9,31 +9,26 @@ from quadtuple import (
     ShapeViolation,
     cf_sqrt,
     check_pm2_unsolvable,
+    construct_quadruple,
     enumerate_solutions,
     family_d,
     fundamental_unit,
     is_square_free,
     norm6_shape,
-    select_norm6,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
     unit_quadint,
 )
 
-from conftest import RING15, RING735, RING3975, brute_norm_solutions, enum_order_key
+from support import RING15, RING735, RING3975, brute_norm_solutions, enum_order_key
 
 # all square-free d = 15 (mod 60) up to 2000
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
 # the members where norm -6 is attained (exactly those = 15 mod 360)
 MINUS6_D = [15, 1095, 1455]
-# the shape predicates the construction and the parity split select by
-SHAPE_PREDICATES = {
-    "sign_y=+1": lambda shape: shape.sign_y == 1,
-    "sign_y=-1": lambda shape: shape.sign_y == -1,
-    "even": lambda shape: (shape.alpha + shape.beta) % 2 == 0,
-    "odd": lambda shape: (shape.alpha + shape.beta) % 2 == 1,
-}
+# the shape each factorization choice of the construction starts from
+CHOICE_SIGN_Y = {"first": 1, "second": -1}
 
 
 def test_cf_examples(ring15):
@@ -128,10 +123,10 @@ def test_pm2_certificates(ring15, ring735):
 
 
 def test_norm6_shape_examples(ring15, ring735):
-    assert norm6_shape(ring15.element(3, 1)) == Norm6Shape(0, 0, 1, 1)
-    assert norm6_shape(ring15.element(-3, 1)) == Norm6Shape(-1, 0, 1, 1)
-    assert norm6_shape(ring15.element(3, -1)) == Norm6Shape(0, 0, 1, -1)
-    assert norm6_shape(ring735.element(27, 1)) == Norm6Shape(4, 0, 1, 1)
+    assert norm6_shape(ring15.element(3, 1)) == Norm6Shape(0, 0, 1)
+    assert norm6_shape(ring15.element(-3, 1)) == Norm6Shape(-1, 0, 1)
+    assert norm6_shape(ring15.element(3, -1)) == Norm6Shape(0, 0, -1)
+    assert norm6_shape(ring735.element(27, 1)) == Norm6Shape(4, 0, 1)
     with pytest.raises(ValueError):
         norm6_shape(ring15.element(4, 1))
 
@@ -139,7 +134,7 @@ def test_norm6_shape_examples(ring15, ring735):
 def test_norm6_shape_reconstructs(ring15):
     for sol in enumerate_solutions(solve_norm_eq(ring15, -6), 20):
         shape = norm6_shape(sol)
-        assert 6 * shape.alpha + 3 * shape.sign_x == sol.a
+        assert 6 * shape.alpha + 3 == sol.a
         assert 6 * shape.beta + shape.sign_y == sol.b
 
 
@@ -152,30 +147,19 @@ def test_every_norm6_solution_has_the_shape(d):
         norm6_shape(sol)  # must not raise
 
 
-def test_select_norm6_by_parity(ring15):
-    even, odd = SHAPE_PREDICATES["even"], SHAPE_PREDICATES["odd"]
-    assert select_norm6(ring15, even) == ring15.element(3, 1)
-    assert select_norm6(ring15, odd) == ring15.element(-3, 1)
-    for want, predicate in ((0, even), (1, odd)):
-        shape = norm6_shape(select_norm6(ring15, predicate))
-        assert (shape.alpha + shape.beta) % 2 == want
-    with pytest.raises(ValueError):
-        select_norm6(RingCtx(13), even)
-    with pytest.raises(ValueError):
-        select_norm6(RingCtx(195), even)  # -6 not attained
-
-
-@pytest.mark.parametrize("want", SHAPE_PREDICATES.values(), ids=list(SHAPE_PREDICATES))
-def test_select_norm6_matches_enumeration(want):
-    # oracle: the first match in the canonical enumeration, which is how
-    # the selection was defined before it tried only the sign flips
+@pytest.mark.parametrize("choice", CHOICE_SIGN_Y)
+def test_construction_gamma_matches_enumeration(choice):
+    # oracle: the first solution in the canonical enumeration whose y is
+    # +-1 (mod 6) as the choice asks, found by a scan rather than by
+    # flipping the sign of the representative's y
     rings = [RingCtx(d) for d in MINUS6_D] + [family_d(a).ctx for a in range(-100, 300)]
     for ctx in rings:
         classes = solve_norm_eq(ctx, -6)
         solutions = enumerate_solutions(classes, 8)
-        first = next(sol for sol in solutions if want(norm6_shape(sol)))
-        assert select_norm6(ctx, want) == first, ctx.d
-        # gamma^2 = 6 * unit: what lets verify_report_doc tie t to n
+        first = next(sol for sol in solutions if norm6_shape(sol).sign_y == CHOICE_SIGN_Y[choice])
+        _, trace = construct_quadruple(ctx, 0, 0, factorization_choice=choice)
+        assert trace.gamma_delta == first, ctx.d
+        # gamma^2 = 6 * unit: the construction and verify_report_doc read the unit off it
         assert unit_from_norm6(classes.representatives[0]) == unit_quadint(ctx), ctx.d
 
 

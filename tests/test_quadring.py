@@ -19,7 +19,7 @@ from quadtuple import (
 )
 from quadtuple.quadring import element_from_json, element_to_json, int_from_json
 
-from conftest import RING15, RING735
+from support import RING15, RING735
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
 rings = st.sampled_from([RING15, RING735])
@@ -66,6 +66,10 @@ def test_pow(ring15):
     assert ring15.element(4, 1) ** 2 == ring15.element(31, 8)
     assert ring15.element(9, -2) ** 0 == ring15.one()
     assert ring15.element(9, -2) ** 1 == ring15.element(9, -2)
+    x, power = ring15.element(9, -2), ring15.one()
+    for e in range(70):
+        assert x**e == power, e
+        power = power * x
     with pytest.raises(ValueError):
         ring15.element(4, 1) ** -1
 

@@ -17,7 +17,7 @@ from quadtuple import (
 )
 from quadtuple.represent import certificate_from_json, certificate_to_json
 
-from conftest import RING15, RING735, RING3975
+from support import RING15, RING735, RING3975
 
 
 @pytest.mark.parametrize(
