@@ -30,12 +30,10 @@ from .counterex import (
     verify_report_doc,
 )
 from .pellsolve import (
-    CFExpansion,
     Norm6Shape,
     NormEqClasses,
     PellFundamental,
     ShapeViolation,
-    cf_sqrt,
     check_pm2_unsolvable,
     enumerate_solutions,
     fundamental_unit,

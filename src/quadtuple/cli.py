@@ -30,7 +30,7 @@ from .counterex import (
     enumerate_counterexample_rings,
     report_to_json,
 )
-from .pellsolve import enumerate_solutions, solve_norm_eq
+from .pellsolve import LIMIT_CAP, enumerate_solutions, solve_norm_eq
 from .quadring import (
     NotSquareFreeError,
     RingCtx,
@@ -38,7 +38,12 @@ from .quadring import (
     format_element,
     parse_element,
 )
-from .represent import certificate_to_json, certify_nonrepresentable, search_repr
+from .represent import (
+    BOUND_CAP,
+    certificate_to_json,
+    certify_nonrepresentable,
+    search_repr,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1  # disproved / representation found / verification failed
@@ -62,8 +67,8 @@ def _ring(args) -> RingCtx:
 
 
 def cmd_pell(args) -> int:
-    if args.limit < 1:
-        raise ValueError(f"limit must be >= 1, got {args.limit}")
+    if not 1 <= args.limit <= LIMIT_CAP:
+        raise ValueError(f"limit must be in [1, {LIMIT_CAP}], got {args.limit}")
     ctx = _ring(args)
     classes = solve_norm_eq(ctx, args.norm)
     solvable = bool(classes.representatives)
@@ -171,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_checkrepr(args) -> int:
+    if not 1 <= args.bound <= BOUND_CAP:
+        raise ValueError(f"bound must be in [1, {BOUND_CAP}], got {args.bound}")
     ctx = _ring(args)
     n = parse_element(args.n, ctx)
     certificate = certify_nonrepresentable(n)

@@ -35,6 +35,7 @@ __all__ = [
     "ParityError",
     "Quadruple",
     "RetryBudgetExceeded",
+    "UNIT_INDEX_CAP",
     "VerifyReport",
     "WITNESS_KEYS",
     "construct_quadruple",
@@ -53,6 +54,10 @@ WITNESS_KEYS = {f"{i}{j}": (i, j) for i, j in PAIRS}
 
 # unit choices construct_quadruple tries before giving up
 RETRY_BUDGET = 64
+
+# largest unit_index construct_quadruple accepts: 2 * counterex.T_CAP_DEFAULT,
+# so its elements never outgrow a capped report's unit^(2t)
+UNIT_INDEX_CAP = 2000
 
 
 class ParityError(ValueError):
@@ -128,8 +133,8 @@ def construct_quadruple(
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
     if (m + k) % 2:
         raise ParityError(f"m + k = {m + k} is odd")
-    if unit_index < 0:
-        raise ValueError(f"unit_index must be >= 0, got {unit_index}")
+    if not 0 <= unit_index <= UNIT_INDEX_CAP:
+        raise ValueError(f"unit_index must be in [0, {UNIT_INDEX_CAP}], got {unit_index}")
     if factorization_choice not in ("first", "second"):
         raise ValueError(f"factorization_choice must be 'first' or 'second'")
     reps = pellsolve.solve_norm_eq(ctx, -6).representatives

@@ -1,4 +1,4 @@
-"""Continued fractions for sqrt(d) and the norm-equation machinery.
+"""The fundamental unit of Z[sqrt(d)] and the norm-equation machinery.
 
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
@@ -9,7 +9,6 @@ solutions, the norm 1 element built from one, and the mod-5 argument that
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -17,12 +16,12 @@ from math import isqrt
 from .quadring import QuadInt, RingCtx, is_perfect_square
 
 __all__ = [
-    "CFExpansion",
+    "LIMIT_CAP",
+    "NORM_CAP",
     "Norm6Shape",
     "NormEqClasses",
     "PellFundamental",
     "ShapeViolation",
-    "cf_sqrt",
     "check_pm2_unsolvable",
     "enumerate_solutions",
     "fundamental_unit",
@@ -35,6 +34,8 @@ __all__ = [
 
 # largest |N| solve_norm_eq accepts
 NORM_CAP = 10**6
+# largest limit enumerate_solutions accepts
+LIMIT_CAP = 1000
 
 
 class ShapeViolation(RuntimeError):
@@ -42,38 +43,6 @@ class ShapeViolation(RuntimeError):
 
     Seeing this means a bug or a hypothesis violation (typically a
     non-square-free radicand smuggled past the checks)."""
-
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """Periodic continued fraction of sqrt(d): [a0; period repeating]."""
-
-    a0: int
-    period: tuple[int, ...]
-
-    def partial_quotients(self):
-        """a0, then the period forever."""
-        yield self.a0
-        yield from itertools.cycle(self.period)
-
-
-def cf_sqrt(ctx: RingCtx) -> CFExpansion:
-    """Exact periodic expansion of sqrt(d) via the (P, Q) recurrence.
-
-    The period closes exactly when Q returns to 1, at which point the last
-    partial quotient equals 2*a0.
-    """
-    d = ctx.d
-    a0 = isqrt(d)
-    m, q, a = 0, 1, a0
-    period = []
-    while True:
-        m = q * a - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period.append(a)
-        if q == 1:
-            return CFExpansion(a0, tuple(period))
 
 
 @dataclass(frozen=True)
@@ -86,13 +55,22 @@ class PellFundamental:
 
 @lru_cache(maxsize=None)
 def fundamental_unit(ctx: RingCtx) -> PellFundamental:
-    """Fundamental solution of x^2 - d*y^2 = 1, read off the convergents."""
+    """Fundamental solution of x^2 - d*y^2 = 1, read off the convergents of sqrt(d).
+
+    One loop runs the (P, Q) recurrence of the continued fraction and the
+    convergents h/k together, and stops at the first convergent of norm 1:
+    the end of the first period when its length is even, of the second when
+    it is odd.
+    """
     d = ctx.d
-    quotients = cf_sqrt(ctx).partial_quotients()
-    h0, k0 = 1, 0
-    h1, k1 = next(quotients), 1
+    a0 = isqrt(d)
+    p, q, a = 0, 1, a0
+    h0, h1 = 1, a0
+    k0, k1 = 0, 1
     while h1 * h1 - d * k1 * k1 != 1:
-        a = next(quotients)
+        p = q * a - p
+        q = (d - p * p) // q
+        a = (a0 + p) // q
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
     return PellFundamental(h1, k1)
@@ -133,12 +111,13 @@ def _enum_key(s: QuadInt):
 
 
 def _associated(s: QuadInt, r: QuadInt, N: int) -> bool:
-    """True iff s = r * v for a unit v of norm 1."""
-    z = s * r.conjugate()  # equals v * N when associated
-    if z.a % N or z.b % N:
-        return False
-    v = QuadInt(z.a // N, z.b // N, s.ctx)
-    return v.norm() == 1
+    """True iff s = r * v for a unit v of norm 1.
+
+    s * conj(r) = v * N, so v is integral exactly when N divides both
+    coordinates, and then N(v) = N(s) * N(r) / N^2 = 1 by itself.
+    """
+    z = s * r.conjugate()
+    return z.a % N == 0 and z.b % N == 0
 
 
 def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
@@ -162,12 +141,8 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
         x = is_perfect_square(t)
         if x is None:
             continue
-        seen = set()
-        for sx in (x, -x):
-            for sy in (y, -y):
-                if (sx, sy) not in seen:
-                    seen.add((sx, sy))
-                    hits.append(QuadInt(sx, sy, ctx))
+        signs = {(x, y), (-x, y), (x, -y), (-x, -y)}
+        hits.extend(QuadInt(sx, sy, ctx) for sx, sy in signs)
     hits.sort(key=_rep_key)
     reps: list[QuadInt] = []
     for s in hits:
@@ -179,9 +154,12 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
 def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
     """All solutions with |y| <= ybound, deterministically ordered.
 
-    Walks +-rep * unit^k both ways from each representative; |y| along a walk
-    descends to a single valley and then grows, so the walk stops once it is
-    past the valley and above the bound.
+    Walks +-rep * unit^k both ways from each representative.  With r, r' the
+    two real images of rep and e > 1 the unit's,
+    y_k = (r * e^k - r' * e^-k) / (2 sqrt(d)) and r * r' = N: y_k is monotone
+    in k when N > 0, and of one sign and convex when N < 0.  Either way |y_k|
+    never shrinks going away from the representative, which has the least
+    |y| in its class, so each walk stops at its first |y| above the bound.
     """
     if not classes.representatives:
         return []
@@ -191,27 +169,19 @@ def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
     for rep in classes.representatives:
         for step in (unit, unit.conjugate()):
             cur = rep
-            prev = None
-            for _ in range(100_000):
-                ay = abs(cur.b)
-                if ay <= ybound:
-                    found.add((cur.a, cur.b))
-                    found.add((-cur.a, -cur.b))
-                elif prev is not None and ay >= prev:
-                    break
-                prev = ay
+            while abs(cur.b) <= ybound:
+                found.add((cur.a, cur.b))
+                found.add((-cur.a, -cur.b))
                 cur = cur * step
-            else:
-                raise RuntimeError(f"unit walk failed to leave |y| <= {ybound}")
     sols = [QuadInt(a, b, ctx) for (a, b) in found]
     sols.sort(key=_enum_key)
     return sols
 
 
 def enumerate_solutions(classes: NormEqClasses, limit: int) -> list[QuadInt]:
-    """The first `limit` solutions in the canonical order."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    """The first `limit` solutions in the canonical order, 1 <= limit <= LIMIT_CAP."""
+    if not 1 <= limit <= LIMIT_CAP:
+        raise ValueError(f"limit must be in [1, {LIMIT_CAP}], got {limit}")
     if not classes.representatives:
         return []
     bound = max(abs(r.b) for r in classes.representatives) + 1

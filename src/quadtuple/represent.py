@@ -24,6 +24,7 @@ from .quadring import (
 )
 
 __all__ = [
+    "BOUND_CAP",
     "NClass",
     "NonRepCertificate",
     "certificate_from_json",
@@ -34,6 +35,9 @@ __all__ = [
     "no_quadruple_if_T",
     "search_repr",
 ]
+
+# largest coordinate bound search_repr accepts
+BOUND_CAP = 2000
 
 
 class NClass(Enum):
@@ -139,10 +143,10 @@ def search_repr(n: QuadInt, bound: int) -> tuple[QuadInt, QuadInt] | None:
     Exhaustive over p = (x1, y1); q is pinned down by p (roots are unique up
     to sign), so only norm and square tests run per candidate.  x1 >= 0 is a
     true symmetry; y1 >= 0 is one only for rational n, so for b != 0 the
-    scan covers both signs of y1.
+    scan covers both signs of y1.  1 <= bound <= BOUND_CAP.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    if not 1 <= bound <= BOUND_CAP:
+        raise ValueError(f"bound must be in [1, {BOUND_CAP}], got {bound}")
     ctx = n.ctx
     d, na, nb = ctx.d, n.a, n.b
     y_values = range(bound + 1) if nb == 0 else list(_signed_range(bound))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import quadtuple.cli
+import quadtuple.pellsolve
 from quadtuple import verify_report_doc
 from quadtuple.cli import main
 
@@ -59,9 +60,10 @@ def test_pell_bad_flags(capsys, monkeypatch):
     # --limit is checked before the solver, whether or not the norm is attained
     monkeypatch.setattr(quadtuple.cli, "solve_norm_eq", forbidden)
     for d in ("15", "195"):
-        code, out, err = run(capsys, "pell", "--d", d, "--norm", "-6", "--limit", "0")
-        assert (code, out) == (2, "")
-        assert "limit must be >= 1" in err
+        for limit in ("0", "1001", "1000000"):
+            code, out, err = run(capsys, "pell", "--d", d, "--norm", "-6", "--limit", limit)
+            assert (code, out) == (2, "")
+            assert f"limit must be in [1, 1000], got {limit}" in err
 
 
 def test_pell_735_example(capsys):
@@ -113,6 +115,19 @@ def test_construct_odd_parity_exits_5(capsys):
     code, _, err = run(capsys, "construct", "--d", "15", "--m", "1", "--k", "0")
     assert code == 5
     assert "odd" in err
+
+
+def test_construct_unit_index_cap_exits_2(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("construct solved before checking --unit-index")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    for index in ("-1", "2001", "1000000000"):
+        code, out, err = run(
+            capsys, "construct", "--d", "15", "--m", "0", "--k", "0", "--unit-index", index
+        )
+        assert (code, out) == (2, "")
+        assert f"unit_index must be in [0, 2000], got {index}" in err
 
 
 def test_construct_json_is_deterministic(capsys):
@@ -218,6 +233,20 @@ def test_checkrepr_inconclusive(capsys):
     )
     assert code == 3
     assert json.loads(out)["found"] is None
+
+
+@pytest.mark.parametrize("n", ["2,0", "3,0"])  # certified, and found by the search
+def test_checkrepr_bad_bound_exits_2(capsys, monkeypatch, n):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("checkrepr worked before checking --bound")
+
+    # --bound is checked before the certificate and the search, whatever n is
+    monkeypatch.setattr(quadtuple.cli, "certify_nonrepresentable", forbidden)
+    monkeypatch.setattr(quadtuple.cli, "search_repr", forbidden)
+    for bound in ("0", "-5", "2001"):
+        code, out, err = run(capsys, "checkrepr", "--d", "15", "--n", n, "--bound", bound)
+        assert (code, out) == (2, "")
+        assert f"bound must be in [1, 2000], got {bound}" in err
 
 
 def test_checkrepr_malformed_n(capsys):

@@ -18,6 +18,8 @@ from quadtuple import (
     verify_quadruple,
 )
 
+from quadtuple.construct import UNIT_INDEX_CAP
+from quadtuple.counterex import T_CAP_DEFAULT
 from support import RING15, RING735, RING3975
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
@@ -102,6 +104,9 @@ def test_preconditions(ring15):
         construct_quadruple(ring15, 0, -3)
     with pytest.raises(ValueError):
         construct_quadruple(ring15, 0, 0, unit_index=-1)
+    for index in (UNIT_INDEX_CAP + 1, 10**9):
+        with pytest.raises(ValueError):
+            construct_quadruple(ring15, 0, 0, unit_index=index)
     with pytest.raises(ValueError):
         construct_quadruple(ring15, 0, 0, factorization_choice="third")
     from quadtuple import RingCtx
@@ -147,6 +152,15 @@ def test_distinct_unit_indices_distinct_quadruples(ring15):
         assert verify_quadruple(ring15, quad).ok
         seen.add(_coords(quad))
     assert len(seen) == 10
+
+
+def test_unit_index_cap_is_reachable(ring15):
+    # index 2000 takes a = unit^-1999: no larger than a capped report's unit^(2t)
+    assert UNIT_INDEX_CAP == 2 * T_CAP_DEFAULT
+    quad, trace = construct_quadruple(ring15, 0, 0, unit_index=UNIT_INDEX_CAP)
+    assert trace.unit_index == UNIT_INDEX_CAP
+    assert trace.unit_a == unit_quadint(ring15).conjugate() ** (UNIT_INDEX_CAP - 1)
+    assert verify_quadruple(ring15, quad).ok
 
 
 def test_scale_identity_and_negation(ring15):

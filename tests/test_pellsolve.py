@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 import quadtuple.pellsolve
 from quadtuple import (
     Norm6Shape,
+    PellFundamental,
     RingCtx,
     ShapeViolation,
-    cf_sqrt,
     check_pm2_unsolvable,
     construct_quadruple,
     enumerate_solutions,
@@ -29,22 +32,52 @@ SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
 MINUS6_D = [15, 1095, 1455]
 # the shape each factorization choice of the construction starts from
 CHOICE_SIGN_Y = {"first": 1, "second": -1}
+# rings whose sqrt(d) has an odd period, so the unit closes the second pass
+ODD_PERIOD_D = [2, 5, 13, 29, 61, 109]
+# odd periods, several classes per N, and two rings with square factors
+SOLVER_D = MINUS6_D + [2, 3, 7, 13, 94, 735, 3975]
 
 
 def test_cf_examples(ring15):
-    cf = cf_sqrt(ring15)
-    assert (cf.a0, cf.period) == (3, (1, 6))
-    cf3 = cf_sqrt(RingCtx(3))
-    assert (cf3.a0, cf3.period) == (1, (1, 2))
+    # sqrt(15) = [3; 1, 6] and sqrt(3) = [1; 1, 2]: one pass each
+    assert fundamental_unit(ring15) == PellFundamental(4, 1)
+    assert fundamental_unit(RingCtx(3)) == PellFundamental(2, 1)
+    # sqrt(13) = [3; 1, 1, 1, 1, 6]: the first pass ends at 18^2 - 13*5^2 = -1
+    assert fundamental_unit(RingCtx(13)) == PellFundamental(649, 180)
     with pytest.raises(ValueError):
-        RingCtx(4)  # perfect squares never reach the expansion
+        RingCtx(4)  # perfect squares never reach the recurrence
+
+
+def cf_period(d):
+    """a0 and the period of sqrt(d), from the (P, Q) recurrence up to Q = 1."""
+    a0 = isqrt(d)
+    p, q, a = 0, 1, a0
+    period = []
+    while not period or q != 1:
+        p = q * a - p
+        q = (d - p * p) // q
+        a = (a0 + p) // q
+        period.append(a)
+    return a0, period
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_D)
 def test_cf_period_ends_with_twice_a0(d):
-    cf = cf_sqrt(RingCtx(d))
-    assert cf.period
-    assert cf.period[-1] == 2 * cf.a0
+    a0, period = cf_period(d)
+    assert period[-1] == 2 * a0
+    # the unit is the convergent closing the period, or the second pass if odd
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    for a in period * (1 + len(period) % 2):
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    assert fundamental_unit(RingCtx(d)) == PellFundamental(h0, k0)
+
+
+@pytest.mark.parametrize("d", SQUAREFREE_D + ODD_PERIOD_D)
+def test_fundamental_unit_matches_diop_DN(d):
+    # sympy's diop_DN(d, 1) gives the fundamental solution, found independently
+    ((x, y),) = diop_DN(d, 1)
+    assert fundamental_unit(RingCtx(d)) == PellFundamental(x, y)
 
 
 def test_fundamental_unit_examples(ring15, ring735, ring3975):
@@ -91,15 +124,25 @@ def test_enumerate_solutions(ring15):
     assert enumerate_solutions(empty, 5) == []
     with pytest.raises(ValueError):
         enumerate_solutions(classes, 0)
+    cap = quadtuple.pellsolve.LIMIT_CAP
+    with pytest.raises(ValueError):
+        enumerate_solutions(classes, cap + 1)
+    assert len(enumerate_solutions(classes, cap)) == cap
 
 
-@pytest.mark.parametrize("d", MINUS6_D)
+@pytest.mark.parametrize("d", SOLVER_D)
 @pytest.mark.parametrize("N", [1, -1, 2, -2, -6])
 def test_solver_matches_brute_force(d, N):
-    ctx = RingCtx(d)
+    ctx = RingCtx(d, allow_nonsquarefree=d in (735, 3975))
     sols = solutions_within(solve_norm_eq(ctx, N), 500)
     assert sorted((s.a, s.b) for s in sols) == sorted(brute_norm_solutions(ctx, N, 500))
     assert [enum_order_key(s) for s in sols] == sorted(enum_order_key(s) for s in sols)
+
+
+def test_solutions_within_bound_below_every_representative(ring15):
+    # the representative (3, 1) already has |y| above the bound: no walk starts
+    assert solutions_within(solve_norm_eq(ring15, -6), 0) == []
+    assert solutions_within(solve_norm_eq(ring15, 1), 0) == [ring15.one(), -ring15.one()]
 
 
 def test_norm6_times_unit_closure(ring15):

@@ -15,7 +15,7 @@ from quadtuple import (
     search_repr,
     unit_quadint,
 )
-from quadtuple.represent import certificate_from_json, certificate_to_json
+from quadtuple.represent import BOUND_CAP, certificate_from_json, certificate_to_json
 
 from support import RING15, RING735, RING3975
 
@@ -155,8 +155,9 @@ def test_search_repr_examples(ring15):
         ring15.element(2, 1),
         ring15.element(0, 0),
     )
-    with pytest.raises(ValueError):
-        search_repr(ring15.element(3, 0), 0)
+    for bound in (0, -5, BOUND_CAP + 1):
+        with pytest.raises(ValueError):
+            search_repr(ring15.element(3, 0), bound)
 
 
 def test_search_repr_returns_valid_pairs(ring15):
