@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .construct import (
     ParityError,
@@ -258,7 +259,10 @@ def cmd_counterexamples(args) -> int:
     return EXIT_OK if verified == eligible else EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process and shared by every
+    main call: parse_args leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="quadtuple",
         description="Diophantine quadruples with property D(n) in Z[sqrt(d)]: "
@@ -313,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

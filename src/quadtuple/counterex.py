@@ -41,6 +41,7 @@ from .represent import (
 )
 
 __all__ = [
+    "ALPHA_SPAN_CAP",
     "CounterexampleReport",
     "DCandidate",
     "StageError",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 T_CAP_DEFAULT = 1000
+ALPHA_SPAN_CAP = 10**5  # family members one enumeration may build
 
 
 class StageError(RuntimeError):
@@ -96,10 +98,16 @@ def family_d(alpha: int) -> DCandidate:
 def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> list[DCandidate]:
     """All candidates for alpha_lo <= alpha <= alpha_hi, in alpha order.
 
-    Non-square-free members are retained but flagged ineligible.
+    Non-square-free members are retained but flagged ineligible.  A span
+    over ALPHA_SPAN_CAP members is refused before any ring is built.
     """
     if alpha_lo > alpha_hi:
         raise ValueError(f"empty range: {alpha_lo} > {alpha_hi}")
+    if alpha_hi - alpha_lo >= ALPHA_SPAN_CAP:
+        raise ValueError(
+            f"range {alpha_lo}..{alpha_hi} spans {alpha_hi - alpha_lo + 1} members, "
+            f"over the cap {ALPHA_SPAN_CAP}"
+        )
     return [family_d(alpha) for alpha in range(alpha_lo, alpha_hi + 1)]
 
 

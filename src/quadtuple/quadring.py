@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import InitVar, dataclass, field
+from itertools import cycle
 from math import gcd, isqrt
 
 __all__ = [
@@ -53,6 +54,7 @@ def is_perfect_square(n: int) -> int | None:
 
 
 _TRIAL_BOUND = 10**6
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps from 7 through the numbers coprime to 30
 _DEFAULT_RHO_SEED = 1257787
 # deterministic Miller-Rabin bases, sufficient below this limit
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -116,11 +118,38 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
+
+
+def _rho_factorize(n: int, out: dict[int, int]) -> dict[int, int]:
+    """Add the prime factorization of n > 1 to out, by Miller-Rabin and
+    Brent's rho, with no trial division.
+
+    The rho walk is seeded deterministically, so repeated runs take the
+    same walk.
+    """
+    rng = random.Random(_DEFAULT_RHO_SEED)
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if _is_prime(m, rng):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = _brent_rho(m, rng)
+        stack.append(f)
+        stack.append(m // f)
+    return out
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division below 10**6, then Brent's rho on what remains.  The rho
-    walk is seeded deterministically, so repeated runs take the same walk.
+    Trial division below 10**6, then Brent's rho on what remains.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -129,32 +158,48 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps through numbers coprime to 2,3,5
-    i = 0
-    while p <= _TRIAL_BOUND and p * p <= n:
+    p, limit = 7, min(_TRIAL_BOUND, isqrt(n))
+    for step in cycle(_WHEEL):
+        if p > limit:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
-    if n > 1:
-        rng = random.Random(_DEFAULT_RHO_SEED)
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if _is_prime(m, rng):
-                out[m] = out.get(m, 0) + 1
-                continue
-            f = _brent_rho(m, rng)
-            stack.append(f)
-            stack.append(m // f)
-    return out
+            limit = min(limit, isqrt(n))
+        p += step
+    return _rho_factorize(n, out) if n > 1 else out
 
 
 def is_square_free(n: int) -> bool:
-    """True iff no prime squared divides n (n >= 1)."""
-    return all(e == 1 for e in factorize(n).values())
+    """True iff no prime squared divides n (n >= 1).
+
+    Trial division divides each prime out once and runs only while
+    p^3 <= n, for the cofactor n left so far.  When it stops there, every
+    prime factor of n exceeds its cube root, so n is 1, a prime, a product
+    of two primes or a prime squared, and only a prime squared is a
+    perfect square.  Only when _TRIAL_BOUND stops it first (n above about
+    10**18) does the cofactor go to Brent's rho.
+    """
+    if n < 1:
+        raise ValueError(f"is_square_free needs n >= 1, got {n}")
+    for p in (2, 3, 5):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+    p, limit = 7, min(_TRIAL_BOUND, _icbrt(n))
+    for step in cycle(_WHEEL):
+        if p > limit:
+            break
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+            limit = min(limit, _icbrt(n))
+        p += step
+    if p * p * p > n:
+        return n == 1 or is_perfect_square(n) is None
+    return all(e == 1 for e in _rho_factorize(n, {}).values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import quadtuple.cli
+import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import verify_report_doc
 from quadtuple.cli import main
@@ -305,8 +306,44 @@ def test_counterexamples_negative_t_exits_2(capsys):
         assert code == 2
 
 
+def test_counterexamples_alpha_span_cap_exits_2(capsys, monkeypatch):
+    def forbidden(alpha):
+        raise AssertionError("a ring was built before the span was checked")
+
+    monkeypatch.setattr(quadtuple.counterex, "family_d", forbidden)
+    code, out, err = run(capsys, "counterexamples", "--alpha", "0..100000000")
+    assert (code, out) == (2, "")
+    assert "over the cap 100000" in err
+
+
 def test_counterexamples_text_summary(capsys):
     code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1", "--t", "0")
     assert code == 0
     assert "ineligible (not square-free)" in out
     assert "eligible=1 ineligible=1 verified=1" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert quadtuple.cli.build_parser() is quadtuple.cli.build_parser()
+    construct = ("--format", "json", "construct", "--d", "15", "--m", "0", "--k", "0")
+    code, _, _ = run(capsys, *construct, "--factorization", "second")
+    assert code == 0
+    code, out, _ = run(capsys, *construct)
+    assert code == 0
+    assert json.loads(out)["trace"]["factorization_choice"] == "first"
+
+    verify = ("--format", "json", "verify", "--d", "15", "--n", "2,0")
+    code, _, _ = run(capsys, *verify, "--witness", "12=-2,0", *GOLDEN)
+    assert code == 0
+    code, out, _ = run(capsys, *verify, *GOLDEN)
+    assert code == 0
+    assert [p["witness_ok"] for p in json.loads(out)["pairs"]] == [None] * 6
+
+    code, _, _ = run(capsys, "pell", "--d", "15")
+    assert code == 2
+    code, _, _ = run(capsys, "pell", "--d", "15", "--norm", "-6")
+    assert code == 0

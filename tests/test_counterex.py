@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import (
     RingCtx,
@@ -45,6 +46,25 @@ def test_enumerate_counterexample_rings():
     assert enumerate_counterexample_rings(2, 2)[0].alpha == 2
     with pytest.raises(ValueError):
         enumerate_counterexample_rings(5, 1)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_alpha_span_cap_is_checked_before_any_ring(monkeypatch):
+    def built(alpha):
+        raise _Built(alpha)
+
+    monkeypatch.setattr(quadtuple.counterex, "family_d", built)
+    cap = quadtuple.counterex.ALPHA_SPAN_CAP
+    assert cap >= 10_001  # a 10,001-member window stays one enumeration
+    for lo, hi in ((0, cap), (-(10**12), 10**12), (0, 10**8)):
+        with pytest.raises(ValueError, match="over the cap"):
+            enumerate_counterexample_rings(lo, hi)
+    # a span of exactly cap members is allowed, so it reaches family_d
+    with pytest.raises(_Built):
+        enumerate_counterexample_rings(1, cap)
 
 
 def test_build_report_base(ring15):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, nextprime, prevprime
 
 from quadtuple import (
     MixedRingError,
@@ -284,6 +285,39 @@ def test_is_square_free():
     assert is_square_free(1)
     assert not is_square_free(735)
     assert not is_square_free(3975)
+    for bad in (0, -15):
+        with pytest.raises(ValueError):
+            is_square_free(bad)
+
+
+def _oracle_square_free(n):
+    return all(e == 1 for e in factorint(n).values())
+
+
+def test_is_square_free_matches_factorint():
+    """The cube-root stop and the rho stage agree with sympy's factorint;
+    factorize, which shares the rho stage, matches it too."""
+    for n in range(1, 2 * 10**5):
+        assert is_square_free(n) == _oracle_square_free(n), n
+    for n in range(1, 2 * 10**4):
+        assert factorize(n) == factorint(n), n
+    for alpha in range(-3000, 3000):
+        d = 360 * (10 * alpha * alpha + alpha) + 15
+        assert is_square_free(d) == _oracle_square_free(d), alpha
+    # primes below and above the cube root of their products, and on both
+    # sides of the trial-division bound 10**6
+    primes = [7, 997, 9973, 104729, prevprime(10**6), nextprime(10**6), nextprime(10**7)]
+    for p in primes:
+        for q in primes:
+            for n in (p * p, p * p * q, p * q * q, p * q, p * q * 11):
+                assert is_square_free(n) == _oracle_square_free(n), (p, q, n)
+                assert factorize(n) == factorint(n), (p, q, n)
+    # above 10**18 the cofactor goes to Brent's rho
+    p, q, r = 1_000_003, 1_000_033, nextprime(10**7)
+    for n in (p * p * r, p * q * r, p**3, p * p * q * q, 7 * p * q * r, 10**18 + 9, 2**61 - 1):
+        assert n > 10**18
+        assert is_square_free(n) == _oracle_square_free(n), n
+        assert factorize(n) == factorint(n), n
 
 
 # ---------------------------------------------------------------------------
