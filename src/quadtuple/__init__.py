@@ -32,7 +32,6 @@ from .counterex import (
 from .pellsolve import (
     Norm6Shape,
     NormEqClasses,
-    PellFundamental,
     ShapeViolation,
     check_pm2_unsolvable,
     enumerate_solutions,
@@ -41,14 +40,12 @@ from .pellsolve import (
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
-    unit_quadint,
 )
 from .quadring import (
     MixedRingError,
     NotSquareFreeError,
     QuadInt,
     RingCtx,
-    exact_div,
     factorize,
     format_element,
     is_perfect_square,

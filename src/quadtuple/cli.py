@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from .construct import (
@@ -78,13 +79,13 @@ def cmd_pell(args) -> int:
         "d": str(ctx.d),
         "norm": str(args.norm),
         "solvable": solvable,
-        "fundamental_unit": {"x": str(classes.unit.x), "y": str(classes.unit.y)},
+        "fundamental_unit": {"x": str(classes.unit.a), "y": str(classes.unit.b)},
         "representatives": [element_to_json(r) for r in classes.representatives],
         "solutions": [element_to_json(s) for s in solutions],
     }
     lines = [
         f"d = {ctx.d}",
-        f"fundamental unit: {classes.unit.x},{classes.unit.y}",
+        f"fundamental unit: {format_element(classes.unit)}",
     ]
     if solvable:
         lines.append(
@@ -209,6 +210,15 @@ def cmd_checkrepr(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _open_archive(path: str):
+    """The --out file, opened for writing; a path that cannot be opened is a
+    usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+
+
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
@@ -220,32 +230,31 @@ def cmd_counterexamples(args) -> int:
     if not 0 <= args.t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {args.t}")
     candidates = enumerate_counterexample_rings(lo, hi)
-
-    reports = []
-    lines = []
-    eligible = ineligible = verified = 0
-    for cand in candidates:
-        if not cand.square_free:
-            ineligible += 1
-            lines.append(f"alpha={cand.alpha} d={cand.d} ineligible (not square-free)")
-            continue
-        eligible += 1
-        try:
-            report = build_report(cand.ctx, args.t)
-        except StageError as exc:
-            lines.append(f"alpha={cand.alpha} d={cand.d} FAILED: {exc}")
-            continue
-        reports.append(report_to_json(report))
-        if report.verified:
-            verified += 1
-        lines.append(f"alpha={cand.alpha} d={cand.d} t={report.t} verified={report.verified}")
-    summary = {"eligible": eligible, "ineligible": ineligible, "verified": verified}
-    lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # the archive is opened before any report is built, so a bad path costs nothing
+    with _open_archive(args.out) if args.out else nullcontext() as archive:
+        reports = []
+        lines = []
+        eligible = ineligible = verified = 0
+        for cand in candidates:
+            if not cand.square_free:
+                ineligible += 1
+                lines.append(f"alpha={cand.alpha} d={cand.d} ineligible (not square-free)")
+                continue
+            eligible += 1
+            try:
+                report = build_report(cand.ctx, args.t)
+            except StageError as exc:
+                lines.append(f"alpha={cand.alpha} d={cand.d} FAILED: {exc}")
+                continue
+            reports.append(report_to_json(report))
+            if report.verified:
+                verified += 1
+            lines.append(f"alpha={cand.alpha} d={cand.d} t={report.t} verified={report.verified}")
+        summary = {"eligible": eligible, "ineligible": ineligible, "verified": verified}
+        lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
+        if archive is not None:
             for doc in reports:
-                handle.write(json.dumps(doc) + "\n")
+                archive.write(json.dumps(doc) + "\n")
     if args.format == "json":
         outdoc: dict = {"summary": summary}
         if args.out:

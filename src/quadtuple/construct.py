@@ -23,7 +23,6 @@ from .quadring import (
     RingCtx,
     element_from_json,
     element_to_json,
-    exact_div,
     int_from_json,
     sqrt_in_ring,
 )
@@ -129,7 +128,7 @@ def construct_quadruple(
     Checks the arguments, solves x^2 - d*y^2 = -6 once and builds the
     quadruple from its canonical representative (_construct_from_norm6).
     """
-    if ctx.d_mod60 != 15:
+    if ctx.d % 60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
     if (m + k) % 2:
         raise ParityError(f"m + k = {m + k} is odd")
@@ -153,8 +152,11 @@ def _construct_from_norm6(
     3n = alpha1 * alpha2 with alpha1 = (-gamma, delta) and
     alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
     take a from the deterministic unit schedule (all units of even/odd
-    coordinate parity, which keeps r integral); then b = (r^2 - n) / a.
-    The fundamental unit is gamma^2/6 (unit_from_norm6).
+    coordinate parity, which keeps r integral); then b = (r^2 - n) / a,
+    which is (r^2 - n) * conj(a) since a has norm 1.  The fundamental unit
+    is eps = gamma^2/6 (unit_from_norm6), and the schedule starts from
+    (gamma, delta)^2/6: eps itself, or its conjugate when delta flips
+    gamma's y.
 
     Degenerate element sets (a zero or a collision) advance the schedule;
     only finitely many indices can misbehave, so the budget is generous.
@@ -168,8 +170,8 @@ def _construct_from_norm6(
     s = _halved(alpha1 + alpha2)  # a + 2r
     alpha_sym = _halved(alpha1 - alpha2)
 
-    base_unit = pellsolve.unit_from_norm6(gd)
     eps = pellsolve.unit_from_norm6(gamma)
+    base_unit = eps if gd is gamma else eps.conjugate()
     eps2 = eps * eps
     eps2_inv = eps2.conjugate()  # norm 1, so the conjugate inverts it
 
@@ -181,9 +183,7 @@ def _construct_from_norm6(
         if a.norm() != 1 or a.a % 2 != 0 or a.b % 2 != 1:
             raise pellsolve.ShapeViolation(f"unit schedule produced {a}")
         r = _halved(s - a)
-        b = exact_div(r * r - n, a)
-        if b is None:  # cannot happen: a is a unit
-            raise pellsolve.ShapeViolation(f"division by unit {a} failed")
+        b = (r * r - n) * a.conjugate()
         elements = (a, b, a + b + 2 * r, a + 4 * b + 4 * r)
         if not degenerate_check(elements):
             continue

@@ -174,7 +174,7 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
         raise ValueError(f"t = {t} exceeds the cap {T_CAP_DEFAULT}")
     if not ctx.square_free:
         raise StageError("eligibility", f"d = {ctx.d} is not square-free")
-    if ctx.d_mod60 != 15:
+    if ctx.d % 60 != 15:
         raise StageError("eligibility", f"d = {ctx.d} is not 15 mod 60")
     minus6 = pellsolve.solve_norm_eq(ctx, -6).representatives
     if not minus6:

@@ -20,7 +20,6 @@ __all__ = [
     "NORM_CAP",
     "Norm6Shape",
     "NormEqClasses",
-    "PellFundamental",
     "ShapeViolation",
     "check_pm2_unsolvable",
     "enumerate_solutions",
@@ -29,7 +28,6 @@ __all__ = [
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
-    "unit_quadint",
 ]
 
 # largest |N| solve_norm_eq accepts
@@ -45,17 +43,10 @@ class ShapeViolation(RuntimeError):
     non-square-free radicand smuggled past the checks)."""
 
 
-@dataclass(frozen=True)
-class PellFundamental:
-    """Minimal positive solution of x^2 - d*y^2 = 1."""
-
-    x: int
-    y: int
-
-
 @lru_cache(maxsize=None)
-def fundamental_unit(ctx: RingCtx) -> PellFundamental:
-    """Fundamental solution of x^2 - d*y^2 = 1, read off the convergents of sqrt(d).
+def fundamental_unit(ctx: RingCtx) -> QuadInt:
+    """The fundamental unit x + y*sqrt(d), x, y > 0 the least solution of
+    x^2 - d*y^2 = 1, read off the convergents of sqrt(d).
 
     One loop runs the (P, Q) recurrence of the continued fraction and the
     convergents h/k together, and stops at the first convergent of norm 1:
@@ -73,13 +64,7 @@ def fundamental_unit(ctx: RingCtx) -> PellFundamental:
         a = (a0 + p) // q
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
-    return PellFundamental(h1, k1)
-
-
-def unit_quadint(ctx: RingCtx) -> QuadInt:
-    """The fundamental unit as a ring element."""
-    fu = fundamental_unit(ctx)
-    return QuadInt(fu.x, fu.y, ctx)
+    return QuadInt(h1, k1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +82,7 @@ class NormEqClasses:
 
     N: int
     representatives: tuple[QuadInt, ...]
-    unit: PellFundamental
+    unit: QuadInt
 
 
 def _rep_key(s: QuadInt):
@@ -123,7 +108,7 @@ def _associated(s: QuadInt, r: QuadInt, N: int) -> bool:
 def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     """Class representatives of x^2 - d*y^2 = N.
 
-    Scans 0 <= y <= ceil(sqrt(|N| * (t + 1) / (2d))) with (t, u) the
+    Scans 0 <= y <= ceil(sqrt(|N| * (t + 1) / (2d))) with t + u*sqrt(d) the
     fundamental unit; every class has a fundamental solution inside that
     range, so an empty result is a proof of unsolvability.
     """
@@ -131,8 +116,8 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
         raise ValueError("N must be nonzero")
     if abs(N) > NORM_CAP:
         raise ValueError(f"|N| = {abs(N)} exceeds the search cap {NORM_CAP}")
-    fu = fundamental_unit(ctx)
-    ybound = isqrt(abs(N) * (fu.x + 1) // (2 * ctx.d)) + 1
+    unit = fundamental_unit(ctx)
+    ybound = isqrt(abs(N) * (unit.a + 1) // (2 * ctx.d)) + 1
     hits: list[QuadInt] = []
     for y in range(ybound + 1):
         t = ctx.d * y * y + N
@@ -148,7 +133,7 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     for s in hits:
         if not any(_associated(s, r, N) for r in reps):
             reps.append(s)
-    return NormEqClasses(N, tuple(reps), fu)
+    return NormEqClasses(N, tuple(reps), unit)
 
 
 def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
@@ -161,10 +146,7 @@ def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
     never shrinks going away from the representative, which has the least
     |y| in its class, so each walk stops at its first |y| above the bound.
     """
-    if not classes.representatives:
-        return []
-    ctx = classes.representatives[0].ctx
-    unit = QuadInt(classes.unit.x, classes.unit.y, ctx)
+    unit = classes.unit
     found: set[tuple[int, int]] = set()
     for rep in classes.representatives:
         for step in (unit, unit.conjugate()):
@@ -173,7 +155,7 @@ def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
                 found.add((cur.a, cur.b))
                 found.add((-cur.a, -cur.b))
                 cur = cur * step
-    sols = [QuadInt(a, b, ctx) for (a, b) in found]
+    sols = [QuadInt(a, b, unit.ctx) for (a, b) in found]
     sols.sort(key=_enum_key)
     return sols
 

@@ -19,10 +19,10 @@ __all__ = [
     "MixedRingError",
     "NotSquareFreeError",
     "QuadInt",
+    "RADICAND_CAP",
     "RingCtx",
     "element_from_json",
     "element_to_json",
-    "exact_div",
     "factorize",
     "format_element",
     "int_from_json",
@@ -206,17 +206,21 @@ def is_square_free(n: int) -> bool:
 # the ring
 
 
+# smallest radicand RingCtx refuses: above about 10**18 square-freeness falls
+# to Brent's rho, which needs about p**(1/2) steps to split off a prime p, so
+# a d with two large prime factors costs seconds at 30 digits and grows fast
+RADICAND_CAP = 10**30
+
+
 @dataclass(frozen=True)
 class RingCtx:
-    """Validated ring parameter d for Z[sqrt(d)], with cached residues.
+    """Validated ring parameter d for Z[sqrt(d)], with its square-freeness.
 
-    Rejects d < 2, perfect squares, and (unless allow_nonsquarefree is set)
-    radicands with a square factor.
+    Rejects d < 2, d >= RADICAND_CAP, perfect squares, and (unless
+    allow_nonsquarefree is set) radicands with a square factor.
     """
 
     d: int
-    d_mod4: int = field(init=False)
-    d_mod60: int = field(init=False)
     square_free: bool = field(init=False)
     allow_nonsquarefree: InitVar[bool] = False
 
@@ -224,6 +228,8 @@ class RingCtx:
         d = self.d
         if d < 2:
             raise ValueError(f"ring radicand must be >= 2, got {d}")
+        if d >= RADICAND_CAP:
+            raise ValueError(f"ring radicand must be below the cap {RADICAND_CAP}")
         if is_perfect_square(d) is not None:
             raise ValueError(f"ring radicand must not be a perfect square, got {d}")
         square_free = is_square_free(d)
@@ -231,8 +237,6 @@ class RingCtx:
             raise NotSquareFreeError(
                 f"d = {d} is not square-free; pass allow_nonsquarefree=True to override"
             )
-        object.__setattr__(self, "d_mod4", d % 4)
-        object.__setattr__(self, "d_mod60", d % 60)
         object.__setattr__(self, "square_free", square_free)
 
     def element(self, a: int, b: int) -> QuadInt:
@@ -323,22 +327,6 @@ class QuadInt:
 
     def __str__(self) -> str:
         return f"{self.a},{self.b}"
-
-
-def exact_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
-    """x / y when the quotient lies in the ring, else None.
-
-    Multiplies by the conjugate and requires norm(y) to divide both
-    coordinates; the ring is an integral domain so the quotient is unique.
-    """
-    if y.is_zero():
-        raise ZeroDivisionError("division by the zero element")
-    x._same_ring(y)
-    ny = y.norm()
-    z = x * y.conjugate()
-    if z.a % ny or z.b % ny:
-        return None
-    return QuadInt(z.a // ny, z.b // ny, x.ctx)
 
 
 def sqrt_in_ring(z: QuadInt) -> QuadInt | None:

@@ -75,7 +75,7 @@ def classify_n(n: QuadInt) -> NClass:
 
 def no_quadruple_if_T(n: QuadInt) -> bool:
     """True asserts no D(n) quadruple exists; requires d = 3 (mod 4)."""
-    if n.ctx.d_mod4 != 3:
+    if n.ctx.d % 4 != 3:
         raise ValueError(f"d = {n.ctx.d} is not 3 mod 4")
     return classify_n(n) is NClass.T
 
@@ -101,7 +101,7 @@ def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
         and 2 * u == n
         and u.norm() == 1
         and ctx.square_free
-        and ctx.d_mod60 == 15
+        and ctx.d % 60 == 15
         and pellsolve.check_pm2_unsolvable(ctx)
     )
 

@@ -25,7 +25,6 @@ from quadtuple import (
     solve_norm_eq,
     sqrt_in_ring,
     unit_from_norm6,
-    unit_quadint,
     verify_quadruple,
 )
 
@@ -50,7 +49,7 @@ def criterion(num, description, budget_seconds):
 def test_criterion_1_d15_fundamentals():
     with criterion(1, "d=15 fundamental unit (4,1) and norm -6 class (3,1)", 0.1):
         fu = fundamental_unit(RING15)
-        assert (fu.x, fu.y) == (4, 1)
+        assert (fu.a, fu.b) == (4, 1)
         reps = solve_norm_eq(RING15, -6).representatives
         assert RING15.element(3, 1) in reps
 
@@ -58,7 +57,7 @@ def test_criterion_1_d15_fundamentals():
 def test_criterion_2_d735_fundamentals():
     with criterion(2, "d=735 fundamental unit (244,9), class (27,1), derived unit", 0.1):
         fu = fundamental_unit(RING735)
-        assert (fu.x, fu.y) == (244, 9)
+        assert (fu.a, fu.b) == (244, 9)
         reps = solve_norm_eq(RING735, -6).representatives
         assert RING735.element(27, 1) in reps
         assert unit_from_norm6(RING735.element(27, 1)) == RING735.element(244, 9)
@@ -80,7 +79,7 @@ def test_criterion_3_base_quadruple():
 def test_criterion_4_scaling_family():
     with criterion(4, "scaled D(2*(4,1)^(2t)) quadruples, t in {1,2,5,10,50}", 2.0):
         base, _ = construct_quadruple(RING15, 0, 0)
-        u = unit_quadint(RING15)
+        u = fundamental_unit(RING15)
         for t in (1, 2, 5, 10, 50):
             w = u**t
             scaled = scale_quadruple(RING15, base, w)
@@ -113,7 +112,7 @@ def test_criterion_6_counterexample_pipeline():
 
 def test_criterion_7_nonrepresentability_concordance():
     with criterion(7, "certified n resist search to 500; odd integers never do", 60.0):
-        u = unit_quadint(RING15)
+        u = fundamental_unit(RING15)
         for t in (0, 1):
             n = 2 * u ** (2 * t)
             assert certify_nonrepresentable(n) is not None

@@ -316,6 +316,29 @@ def test_counterexamples_alpha_span_cap_exits_2(capsys, monkeypatch):
     assert "over the cap 100000" in err
 
 
+def test_radicand_cap_exits_2(capsys):
+    code, out, err = run(capsys, "pell", "--d", "1000000000000000000000000000015", "--norm", "-6")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    # d = 360 * (10 * alpha^2 + alpha) + 15 is about 1.44 * 10**30 here
+    code, out, err = run(capsys, "counterexamples", "--alpha", "20000000000000..20000000000000")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_counterexamples_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, where):
+    def forbidden(ctx, t):
+        raise AssertionError("a report was built before --out was opened")
+
+    monkeypatch.setattr(quadtuple.cli, "build_report", forbidden)
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "reports.jsonl"
+    code, out, err = run(capsys, "counterexamples", "--alpha", "0..3", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err
+
+
 def test_counterexamples_text_summary(capsys):
     code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1", "--t", "0")
     assert code == 0

@@ -11,10 +11,10 @@ from quadtuple import (
     RetryBudgetExceeded,
     construct_quadruple,
     degenerate_check,
+    fundamental_unit,
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
-    unit_quadint,
     verify_quadruple,
 )
 
@@ -159,7 +159,7 @@ def test_unit_index_cap_is_reachable(ring15):
     assert UNIT_INDEX_CAP == 2 * T_CAP_DEFAULT
     quad, trace = construct_quadruple(ring15, 0, 0, unit_index=UNIT_INDEX_CAP)
     assert trace.unit_index == UNIT_INDEX_CAP
-    assert trace.unit_a == unit_quadint(ring15).conjugate() ** (UNIT_INDEX_CAP - 1)
+    assert trace.unit_a == fundamental_unit(ring15).conjugate() ** (UNIT_INDEX_CAP - 1)
     assert verify_quadruple(ring15, quad).ok
 
 
@@ -177,7 +177,7 @@ def test_scale_identity_and_negation(ring15):
 
 def test_scale_by_unit_powers(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    u = unit_quadint(ring15)
+    u = fundamental_unit(ring15)
     for t in (1, 2, 3):
         w = u**t
         scaled = scale_quadruple(ring15, quad, w)

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import nextprime
 
 import quadtuple.counterex
 import quadtuple.pellsolve
@@ -16,8 +17,8 @@ from quadtuple import (
     build_report,
     enumerate_counterexample_rings,
     family_d,
+    fundamental_unit,
     report_to_json,
-    unit_quadint,
     verify_report_doc,
 )
 from quadtuple.quadring import element_to_json
@@ -178,11 +179,24 @@ def test_reverification_refuses_a_long_witness_before_its_power(ring15):
     # raise its ~900-digit unit to the 2000th power; the short u refuses it first
     doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
     doc["t"] = 1000
-    long_witness = ring15.element(3, 1) * unit_quadint(ring15) ** 500
+    long_witness = ring15.element(3, 1) * fundamental_unit(ring15) ** 500
     doc["certificate"]["minus6"] = element_to_json(long_witness)
     start = time.process_time()
     assert not verify_report_doc(doc)
     assert time.process_time() - start < 1.0
+
+
+def test_reverification_refuses_a_radicand_over_the_cap(ring15):
+    # a 41-digit semiprime with two 21-digit factors: deciding its
+    # square-freeness takes Brent's rho well over 30 s, so the cap must
+    # refuse it before any test
+    d = nextprime(10**20) * nextprime(2 * 10**20)
+    assert len(str(d)) == 41
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
+    doc["d"] = doc["quadruple"]["d"] = str(d)
+    start = time.process_time()
+    assert not verify_report_doc(doc)
+    assert time.process_time() - start < 0.1
 
 
 def test_build_report_solves_once(ring15, monkeypatch):
@@ -219,8 +233,7 @@ def test_reverification_runs_no_solver(ring15, monkeypatch):
 
 
 # any JSON value, plus decimal strings that parse, so mutations reach the checks
-# behind the parser; d stays below 10^6 here, since factorising an adversarial
-# d of 10^50 still searches (an open time bound, not a correctness one)
+# behind the parser; the long ones reach d past quadring.RADICAND_CAP
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -228,6 +241,7 @@ JUNK = st.one_of(
     st.floats(),
     st.text(max_size=8),
     st.integers(-(10**6), 10**6).map(str),
+    st.integers(-(10**60), 10**60).map(str),
     st.lists(st.integers(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=3),
 )
@@ -269,7 +283,9 @@ def test_verify_report_doc_never_raises_on_mutated_reports(junk, key):
                 node[key] = junk
             elif action == "insert" and isinstance(node, list):
                 node.append(junk)
+            start = time.process_time()
             assert type(verify_report_doc(doc)) is bool, (path, action)
+            assert time.process_time() - start < 0.5, (path, action)
 
 
 def test_reports_across_family_members():
@@ -292,7 +308,7 @@ def test_coordinate_growth_is_linear_in_t(ring15):
 
 
 def test_n_matches_unit_power(ring15):
-    u = unit_quadint(ring15)
+    u = fundamental_unit(ring15)
     for t in (0, 1, 2, 7):
         report = build_report(ring15, t)
         assert report.n == 2 * u ** (2 * t)

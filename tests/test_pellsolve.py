@@ -8,7 +8,6 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 import quadtuple.pellsolve
 from quadtuple import (
     Norm6Shape,
-    PellFundamental,
     RingCtx,
     ShapeViolation,
     check_pm2_unsolvable,
@@ -21,7 +20,6 @@ from quadtuple import (
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
-    unit_quadint,
 )
 
 from support import RING15, RING735, RING3975, brute_norm_solutions, enum_order_key
@@ -40,10 +38,12 @@ SOLVER_D = MINUS6_D + [2, 3, 7, 13, 94, 735, 3975]
 
 def test_cf_examples(ring15):
     # sqrt(15) = [3; 1, 6] and sqrt(3) = [1; 1, 2]: one pass each
-    assert fundamental_unit(ring15) == PellFundamental(4, 1)
-    assert fundamental_unit(RingCtx(3)) == PellFundamental(2, 1)
+    assert fundamental_unit(ring15) == ring15.element(4, 1)
+    ring3 = RingCtx(3)
+    assert fundamental_unit(ring3) == ring3.element(2, 1)
     # sqrt(13) = [3; 1, 1, 1, 1, 6]: the first pass ends at 18^2 - 13*5^2 = -1
-    assert fundamental_unit(RingCtx(13)) == PellFundamental(649, 180)
+    ring13 = RingCtx(13)
+    assert fundamental_unit(ring13) == ring13.element(649, 180)
     with pytest.raises(ValueError):
         RingCtx(4)  # perfect squares never reach the recurrence
 
@@ -70,29 +70,31 @@ def test_cf_period_ends_with_twice_a0(d):
     for a in period * (1 + len(period) % 2):
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
-    assert fundamental_unit(RingCtx(d)) == PellFundamental(h0, k0)
+    ctx = RingCtx(d)
+    assert fundamental_unit(ctx) == ctx.element(h0, k0)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_D + ODD_PERIOD_D)
 def test_fundamental_unit_matches_diop_DN(d):
     # sympy's diop_DN(d, 1) gives the fundamental solution, found independently
     ((x, y),) = diop_DN(d, 1)
-    assert fundamental_unit(RingCtx(d)) == PellFundamental(x, y)
+    ctx = RingCtx(d)
+    assert fundamental_unit(ctx) == ctx.element(x, y)
 
 
 def test_fundamental_unit_examples(ring15, ring735, ring3975):
-    assert (fundamental_unit(ring15).x, fundamental_unit(ring15).y) == (4, 1)
-    assert (fundamental_unit(ring735).x, fundamental_unit(ring735).y) == (244, 9)
-    assert (fundamental_unit(ring3975).x, fundamental_unit(ring3975).y) == (1324, 21)
+    assert fundamental_unit(ring15) == ring15.element(4, 1)
+    assert fundamental_unit(ring735) == ring735.element(244, 9)
+    assert fundamental_unit(ring3975) == ring3975.element(1324, 21)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_D)
 def test_fundamental_unit_is_minimal(d):
     ctx = RingCtx(d)
     fu = fundamental_unit(ctx)
-    assert fu.x > 0 and fu.y > 0
-    assert fu.x * fu.x - d * fu.y * fu.y == 1
-    smaller = brute_norm_solutions(ctx, 1, fu.y - 1)
+    assert fu.a > 0 and fu.b > 0
+    assert fu.a * fu.a - d * fu.b * fu.b == 1
+    smaller = brute_norm_solutions(ctx, 1, fu.b - 1)
     assert all(y == 0 for (_, y) in smaller)
 
 
@@ -203,7 +205,16 @@ def test_construction_gamma_matches_enumeration(choice):
         _, trace = construct_quadruple(ctx, 0, 0, factorization_choice=choice)
         assert trace.gamma_delta == first, ctx.d
         # gamma^2 = 6 * unit: the construction and verify_report_doc read the unit off it
-        assert unit_from_norm6(classes.representatives[0]) == unit_quadint(ctx), ctx.d
+        assert unit_from_norm6(classes.representatives[0]) == fundamental_unit(ctx), ctx.d
+
+
+@pytest.mark.parametrize("choice", CHOICE_SIGN_Y)
+@pytest.mark.parametrize("d", MINUS6_D)
+def test_construction_unit_is_gamma_delta_squared_over_6(d, choice):
+    # the construction takes (gamma, delta)^2/6 as the conjugate of gamma^2/6
+    # when delta flips gamma's y; derive it from (gamma, delta) directly
+    _, trace = construct_quadruple(RingCtx(d), 0, 0, factorization_choice=choice)
+    assert trace.unit_a == unit_from_norm6(trace.gamma_delta)
 
 
 def test_unit_from_norm6(ring15, ring735, ring3975):
@@ -229,8 +240,8 @@ def test_fundamental_shape(ring15, ring735, ring3975):
     # the fundamental unit is (6a +- 4, 6b +- 1) or (6a +- 4, 6b + 3)
     for ctx, y_mod6 in ((ring15, {1, 5}), (ring735, {3}), (ring3975, {3})):
         fu = fundamental_unit(ctx)
-        assert fu.x % 6 in (2, 4)
-        assert fu.y % 6 in y_mod6
+        assert fu.a % 6 in (2, 4)
+        assert fu.b % 6 in y_mod6
 
 
 def test_d_congruence_check(ring735, ring3975):
@@ -241,7 +252,7 @@ def test_d_congruence_check(ring735, ring3975):
         if reps:
             assert ctx.d % 360 == 15, ctx.d
             # gamma^2 = 6 * unit for the canonical representative gamma
-            assert unit_from_norm6(reps[0]) == unit_quadint(ctx), ctx.d
+            assert unit_from_norm6(reps[0]) == fundamental_unit(ctx), ctx.d
             attained.append(ctx.d)
     assert attained == MINUS6_D + [735, 3975]
 
@@ -258,7 +269,7 @@ def test_pm2_agrees_with_brute_force_on_sampled_d():
 def test_no_norm_minus_one_among_unit_powers():
     for d in MINUS6_D + [195, 255]:
         ctx = RingCtx(d)
-        u = unit_quadint(ctx)
+        u = fundamental_unit(ctx)
         for k in range(7):
             assert (u**k).norm() == 1
             assert (-(u**k)).norm() == 1

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, nextprime, prevprime
 
+import quadtuple.quadring
 from quadtuple import (
     MixedRingError,
     NotSquareFreeError,
     QuadInt,
     RingCtx,
-    exact_div,
     factorize,
     format_element,
     is_perfect_square,
@@ -18,7 +18,7 @@ from quadtuple import (
     parse_element,
     sqrt_in_ring,
 )
-from quadtuple.quadring import element_from_json, element_to_json, int_from_json
+from quadtuple.quadring import RADICAND_CAP, element_from_json, element_to_json, int_from_json
 
 from support import RING15, RING735
 
@@ -75,15 +75,6 @@ def test_pow(ring15):
         ring15.element(4, 1) ** -1
 
 
-def test_exact_div(ring15):
-    assert exact_div(ring15.element(2, 0), ring15.element(4, 1)) == ring15.element(8, -2)
-    x = ring15.element(23, -9)
-    assert exact_div(x, ring15.one()) == x
-    assert exact_div(ring15.one(), ring15.element(2, 0)) is None
-    with pytest.raises(ZeroDivisionError):
-        exact_div(x, ring15.zero())
-
-
 def test_units(ring15):
     assert ring15.element(4, 1).is_unit()
     assert ring15.element(4, 1).unit_inverse() == ring15.element(4, -1)
@@ -123,11 +114,22 @@ def test_ringctx_rejects_bad_d():
         RingCtx(45)
 
 
+def test_ringctx_radicand_cap(monkeypatch):
+    assert RingCtx(RADICAND_CAP - 1, allow_nonsquarefree=True).d == RADICAND_CAP - 1
+
+    def forbidden(n):
+        raise AssertionError("square-freeness tested before the radicand cap")
+
+    monkeypatch.setattr(quadtuple.quadring, "is_square_free", forbidden)
+    # 10**30 is a perfect square too: the cap is checked first
+    for d in (RADICAND_CAP, RADICAND_CAP + 15, 10**60 + 15):
+        with pytest.raises(ValueError, match="cap"):
+            RingCtx(d, allow_nonsquarefree=True)
+
+
 def test_ringctx_override_and_caches():
     ctx = RingCtx(45, allow_nonsquarefree=True)
     assert not ctx.square_free
-    ctx2 = RingCtx(735, allow_nonsquarefree=True)
-    assert (ctx2.d_mod4, ctx2.d_mod60) == (3, 15)
     assert RingCtx(15).square_free
 
 
@@ -233,14 +235,6 @@ def test_norm_multiplicative(x, y):
 def test_conjugation_is_homomorphism(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-
-
-@given(q=elements(RING15), y=elements(RING15))
-def test_exact_div_round_trip(q, y):
-    if y.is_zero():
-        return
-    x = q * y
-    assert exact_div(x, y) == q
 
 
 @settings(max_examples=40)

@@ -11,9 +11,9 @@ from quadtuple import (
     certificate_holds,
     certify_nonrepresentable,
     classify_n,
+    fundamental_unit,
     no_quadruple_if_T,
     search_repr,
-    unit_quadint,
 )
 from quadtuple.represent import BOUND_CAP, certificate_from_json, certificate_to_json
 
@@ -122,7 +122,7 @@ def test_certificate_holds_needs_every_hypothesis(cert):
 
 
 def test_certificate_closed_under_unit_squares(ring15):
-    u = unit_quadint(ring15)
+    u = fundamental_unit(ring15)
     n = ring15.element(2, 0)
     for _ in range(4):
         n = n * u * u
