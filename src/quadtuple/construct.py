@@ -236,15 +236,24 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
 
     The two routes are independent on purpose: a bad witness with a good
     root points at the construction, a good witness with no root points at
-    the square decision procedure.
+    the square decision procedure.  The root comes first.  A stored witness
+    w is then checked against it: Z[sqrt(d)] has no zero divisors, so
+    w^2 == root^2 exactly when w == +-root, and the big squaring is skipped.
+    Only when the target has no root is the witness squared, so that a
+    good witness with no root is still reported as witness_ok True.
     """
     pairs = []
     all_ok = True
     for i, j in PAIRS:
         target = quad.elements[i - 1] * quad.elements[j - 1] + quad.n
         witness = quad.witnesses.get((i, j)) if quad.witnesses else None
-        witness_ok = None if witness is None else witness * witness == target
         root = sqrt_in_ring(target)
+        if witness is None:
+            witness_ok = None
+        elif root is None:
+            witness_ok = witness * witness == target
+        else:
+            witness_ok = witness in (root, -root)
         ok = root is not None and witness_ok is not False
         all_ok = all_ok and ok
         pairs.append(PairStatus(i, j, target, witness_ok, root, ok))
@@ -296,9 +305,9 @@ def quadruple_from_json(doc: dict, ctx: RingCtx | None = None) -> Quadruple:
         ctx = RingCtx(d, allow_nonsquarefree=True)
     elif ctx.d != d:
         raise ValueError(f"document is for d = {doc['d']}, context has d = {ctx.d}")
+    if len(doc["elements"]) != 4:
+        raise ValueError(f"expected 4 elements, got {len(doc['elements'])}")
     elements = tuple(element_from_json(e, ctx) for e in doc["elements"])
-    if len(elements) != 4:
-        raise ValueError(f"expected 4 elements, got {len(elements)}")
     witnesses = None
     if "witnesses" in doc:
         witnesses = {

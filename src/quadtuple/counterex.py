@@ -186,9 +186,9 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     except Exception as exc:
         raise StageError("construct", str(exc)) from exc
     w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
-    u = w * w
-    n = 2 * u
     scaled = scale_quadruple(ctx, base, w)
+    n = scaled.n  # w^2 * 2, since the base quadruple has n = 2
+    u = QuadInt(n.a // 2, n.b // 2, ctx)
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
     verified = _report_holds(ctx, t, n, scaled, certificate)
     notes = (
@@ -221,18 +221,23 @@ def report_to_json(report: CounterexampleReport) -> dict:
 def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
-    Rebuilds the ring from d and parses n, the quadruple and the
-    certificate, accepting only decimal-string integers and the six witness
-    keys "12" ... "34".  True iff the report states "verified": true, t is a
-    JSON integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no
-    solver: the certificate carries its norm -6 witness.  Anything
-    malformed, including a certificate without minus6, is False.
+    Refuses a d that is not 15 mod 60 before its square-freeness is
+    decided, then rebuilds the ring from d and parses n, the quadruple and
+    the certificate, accepting only decimal-string integers and the six
+    witness keys "12" ... "34".  True iff the report states
+    "verified": true, t is a JSON integer in [0, T_CAP_DEFAULT], and
+    _report_holds, which runs no solver: the certificate carries its
+    norm -6 witness.  Anything malformed, including a certificate without
+    minus6, is False.
     """
     try:
         t, verified = doc["t"], doc["verified"]
         if verified is not True or type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
             return False
-        ctx = RingCtx(int_from_json(doc["d"]))
+        d = int_from_json(doc["d"])
+        if d % 60 != 15:  # certificate_holds requires it
+            return False
+        ctx = RingCtx(d)
         quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
         certificate = certificate_from_json(doc["certificate"], ctx)

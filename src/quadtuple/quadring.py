@@ -45,9 +45,17 @@ class MixedRingError(ValueError):
 # integer routines
 
 
+# _SQ64[r] is 1 iff r is a square mod 64 (12 of the 64 residues are)
+_SQ64 = bytes(1 if any(x * x % 64 == r for x in range(64)) else 0 for r in range(64))
+
+
 def is_perfect_square(n: int) -> int | None:
-    """Return the nonnegative integer square root of n, or None."""
-    if n < 0:
+    """Return the nonnegative integer square root of n, or None.
+
+    A square's low six bits are one of 12 residues mod 64, so the other 52
+    are refused before the isqrt (Cohen, Alg. 1.7.3, first stage).
+    """
+    if n < 0 or not _SQ64[n & 63]:
         return None
     r = isqrt(n)
     return r if r * r == n else None
@@ -279,8 +287,10 @@ class QuadInt:
             return QuadInt(self.a * other, self.b * other, self.ctx)
         if isinstance(other, QuadInt):
             self._same_ring(other)
+            # d * (b * e), not (d * b) * e: for x * x the big products are
+            # then squarings of one int, which CPython computes faster
             return QuadInt(
-                self.a * other.a + self.ctx.d * self.b * other.b,
+                self.a * other.a + self.ctx.d * (self.b * other.b),
                 self.a * other.b + self.b * other.a,
                 self.ctx,
             )
@@ -308,7 +318,7 @@ class QuadInt:
         return QuadInt(self.a, -self.b, self.ctx)
 
     def norm(self) -> int:
-        return self.a * self.a - self.ctx.d * self.b * self.b
+        return self.a * self.a - self.ctx.d * (self.b * self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -355,7 +365,7 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
         return None
     if B % 2:
         return None
-    s = is_perfect_square(A * A - d * B * B)
+    s = is_perfect_square(A * A - d * (B * B))
     if s is None:
         return None
     half = B // 2
@@ -365,10 +375,10 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
         x = is_perfect_square(doubled // 2)
         if not x:  # x == 0 cannot pair with B != 0
             continue
-        if half % x:
+        y, rem = divmod(half, x)
+        if rem:
             continue
-        y = half // x
-        if x * x + d * y * y == A:
+        if x * x + d * (y * y) == A:
             return QuadInt(x, y, ctx)
     return None
 

@@ -14,6 +14,9 @@ from quadtuple import RingCtx, is_perfect_square
 RING15 = RingCtx(15)
 RING735 = RingCtx(735, allow_nonsquarefree=True)
 RING3975 = RingCtx(3975, allow_nonsquarefree=True)
+# the square-free d = 15 (mod 60) up to 2000 where norm -6 is attained
+# (exactly those = 15 mod 360)
+MINUS6_D = [15, 1095, 1455]
 
 
 def brute_norm_solutions(ctx, N, ybound):

@@ -9,18 +9,21 @@ from quadtuple import (
     ParityError,
     Quadruple,
     RetryBudgetExceeded,
+    RingCtx,
+    build_report,
     construct_quadruple,
     degenerate_check,
     fundamental_unit,
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
+    sqrt_in_ring,
     verify_quadruple,
 )
 
 from quadtuple.construct import UNIT_INDEX_CAP
 from quadtuple.counterex import T_CAP_DEFAULT
-from support import RING15, RING735, RING3975
+from support import MINUS6_D, RING15, RING735, RING3975
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
 GOLDEN_WITNESSES = {
@@ -95,6 +98,74 @@ def test_verify_catches_bad_witness(ring15):
     bad = next(p for p in report.pairs if (p.i, p.j) == (1, 2))
     assert bad.witness_ok is False
     assert bad.root is not None  # the pair itself is fine; the witness lies
+
+
+# each stored witness kept, negated, replaced by a wrong element, or stripped
+WITNESS_VARIANTS = {
+    "kept": lambda w: w,
+    "negated": lambda w: -w,
+    "wrong": lambda w: w + w.ctx.one(),
+    "stripped": None,
+}
+
+
+def _with_witnesses(quad, variant):
+    if variant is None:
+        return Quadruple(quad.elements, quad.n, None)
+    return Quadruple(
+        quad.elements, quad.n, {pair: variant(w) for pair, w in quad.witnesses.items()}
+    )
+
+
+def _assert_matches_squaring(ctx, quad):
+    # the definition the fast path must agree with: a witness is good iff
+    # its square is the target, and a pair is ok iff the target has a root
+    # and no stored witness is bad
+    report = verify_quadruple(ctx, quad)
+    for p in report.pairs:
+        e = quad.elements
+        assert p.target == e[p.i - 1] * e[p.j - 1] + quad.n
+        w = quad.witnesses.get((p.i, p.j)) if quad.witnesses else None
+        assert p.witness_ok == (None if w is None else w * w == p.target)
+        assert p.root == sqrt_in_ring(p.target)
+        assert p.ok == (p.root is not None and p.witness_ok is not False)
+    assert report.ok == all(p.ok for p in report.pairs)
+    return report
+
+
+# small rings at t = 0 and 1, and the alpha = 250 family ring at the t cap
+REPORT_RINGS = [(d, t) for d in MINUS6_D for t in (0, 1)] + [(225090015, T_CAP_DEFAULT)]
+
+
+@pytest.mark.parametrize("d, t", REPORT_RINGS)
+@pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+def test_verify_witness_status_matches_squaring(d, t, variant):
+    ctx = RingCtx(d)
+    quad = _with_witnesses(build_report(ctx, t).quadruple, WITNESS_VARIANTS[variant])
+    report = _assert_matches_squaring(ctx, quad)
+    assert report.ok == (variant in ("kept", "negated", "stripped"))
+
+
+@pytest.mark.parametrize("variant", ["kept", "negated", "wrong"])
+def test_verify_squares_a_witness_whose_target_has_no_root(ring15, variant):
+    quad, _ = construct_quadruple(ring15, 0, 0)
+    quad = _with_witnesses(quad, WITNESS_VARIANTS[variant])
+    # negating a = 4 + sqrt(15) sends the (1, 2) target to 0, a square that
+    # its witness -2 does not match, and leaves (1, 3) and (1, 4) with no root
+    tampered = Quadruple((-quad.elements[0],) + quad.elements[1:], quad.n, quad.witnesses)
+    report = _assert_matches_squaring(ring15, tampered)
+    assert [p.root is None for p in report.pairs] == [False, True, True, False, False, False]
+    assert all(p.witness_ok is False for p in report.pairs[:3])
+
+
+def test_verify_reports_a_good_witness_with_no_root(ring15, monkeypatch):
+    # with the square decision procedure broken, the witnesses are squared
+    # and still pass, which points at the procedure, not the construction
+    quad, _ = construct_quadruple(ring15, 0, 0)
+    monkeypatch.setattr(quadtuple.construct, "sqrt_in_ring", lambda z: None)
+    report = verify_quadruple(ring15, quad)
+    assert not report.ok
+    assert all(p.witness_ok is True and p.root is None for p in report.pairs)
 
 
 def test_preconditions(ring15):
@@ -209,3 +280,13 @@ def test_quadruple_json_round_trip(ring15):
         bad["witnesses"][key] = bad["witnesses"].pop("12")
         with pytest.raises(ValueError, match="witness key"):
             quadruple_from_json(bad)
+
+
+def test_quadruple_from_json_counts_elements_before_parsing(ring15):
+    # unparseable entries would raise TypeError; the count refuses them first
+    quad, _ = construct_quadruple(ring15, 0, 0)
+    for elements in ([None] * 10**5, [None] * 3, []):
+        doc = quadruple_to_json(quad)
+        doc["elements"] = elements
+        with pytest.raises(ValueError, match="expected 4 elements"):
+            quadruple_from_json(doc)

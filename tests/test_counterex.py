@@ -133,6 +133,10 @@ def test_report_self_contained_reverification(ring15):
             1, doc["quadruple"]["elements"][0]
         ),
         lambda doc: doc["quadruple"].__setitem__("witnesses", []),
+        # the count is checked before any element is parsed
+        lambda doc: doc["quadruple"].__setitem__(
+            "elements", doc["quadruple"]["elements"] * 25_000
+        ),
         lambda doc: doc["certificate"].__setitem__("minus6", {"a": "4", "b": "1"}),
         lambda doc: doc["certificate"].pop("minus6"),
         lambda doc: doc["certificate"]["n"].__setitem__("a", "6"),
@@ -192,6 +196,19 @@ def test_reverification_refuses_a_radicand_over_the_cap(ring15):
     # refuse it before any test
     d = nextprime(10**20) * nextprime(2 * 10**20)
     assert len(str(d)) == 41
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
+    doc["d"] = doc["quadruple"]["d"] = str(d)
+    start = time.process_time()
+    assert not verify_report_doc(doc)
+    assert time.process_time() - start < 0.1
+
+
+def test_reverification_refuses_a_wrong_residue_radicand_before_factorising(ring15):
+    # 15*p*q has 30 digits, under the cap, and two 15-digit prime factors
+    # that take Brent's rho seconds to split; it is 45 mod 60, which the
+    # certificate refuses anyway, so the residue test answers first
+    d = 15 * nextprime(2 * 10**14) * nextprime(3 * 10**14)
+    assert len(str(d)) == 30 and d % 60 == 45
     doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
     doc["d"] = doc["quadruple"]["d"] = str(d)
     start = time.process_time()

@@ -22,12 +22,17 @@ from quadtuple import (
     unit_from_norm6,
 )
 
-from support import RING15, RING735, RING3975, brute_norm_solutions, enum_order_key
+from support import (
+    MINUS6_D,
+    RING15,
+    RING735,
+    RING3975,
+    brute_norm_solutions,
+    enum_order_key,
+)
 
 # all square-free d = 15 (mod 60) up to 2000
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
-# the members where norm -6 is attained (exactly those = 15 mod 360)
-MINUS6_D = [15, 1095, 1455]
 # the shape each factorization choice of the construction starts from
 CHOICE_SIGN_Y = {"first": 1, "second": -1}
 # rings whose sqrt(d) has an odd period, so the unit closes the second pass

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,13 @@ from quadtuple import (
     parse_element,
     sqrt_in_ring,
 )
-from quadtuple.quadring import RADICAND_CAP, element_from_json, element_to_json, int_from_json
+from quadtuple.quadring import (
+    _SQ64,
+    RADICAND_CAP,
+    element_from_json,
+    element_to_json,
+    int_from_json,
+)
 
 from support import RING15, RING735
 
@@ -30,6 +39,16 @@ def elements(ring=None):
     if ring is None:
         return st.builds(QuadInt, coords, coords, rings)
     return st.builds(QuadInt, coords, coords, st.just(ring))
+
+
+# the alpha = 250 family radicand 360*(10*250^2 + 250) + 15, a large_t ring
+RING_ALPHA250 = RingCtx(225090015)
+# coordinates from single digits up to 10**4000, both signs
+wide_coords = st.one_of(
+    st.integers(-100, 100),
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**4000), 10**4000),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +67,23 @@ def test_mul(ring15):
     assert ring15.element(7, -5) * ring15.one() == ring15.element(7, -5)
     assert ring15.element(4, 1) * ring15.element(4, -1) == ring15.one()
     assert 2 * ring15.element(3, -4) == ring15.element(6, -8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=wide_coords,
+    b=wide_coords,
+    c=wide_coords,
+    e=wide_coords,
+    ctx=st.sampled_from([RING15, RING735, RING_ALPHA250]),
+)
+def test_mul_matches_textbook_formula(a, b, c, e, ctx):
+    # the grouping d * (b * e) lets x * x square; the value must not change
+    d = ctx.d
+    x, y = QuadInt(a, b, ctx), QuadInt(c, e, ctx)
+    assert x * y == QuadInt(a * c + d * b * e, a * e + b * c, ctx)
+    assert x * x == QuadInt(a * a + d * b * b, 2 * a * b, ctx)
+    assert x.norm() == a * a - d * b * b
 
 
 def test_conjugate(ring15):
@@ -206,6 +242,22 @@ def _sqrt_by_divisor_pairs(z):
     return None
 
 
+@pytest.mark.parametrize("ctx", [RING15, RING735, RING_ALPHA250])
+def test_sqrt_of_big_squares_is_canonical(ctx):
+    # w with thousands of digits, of positive norm (long rational part) and
+    # of negative norm (long sqrt(d) part); 2*w^2 is never a square, as
+    # sqrt(2) is not in Q(sqrt(d))
+    rng = random.Random(ctx.d)
+    for _ in range(3):
+        long, short = rng.randrange(10**3000), rng.randrange(10**2990)
+        for a, b in ((long, short), (short, long)):
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                w = QuadInt(sa * a, sb * b, ctx)
+                assert (w.norm() > 0) == (a == long)
+                assert sqrt_in_ring(w * w) == QuadInt(*_canonical(w.a, w.b), ctx)
+                assert sqrt_in_ring(2 * (w * w)) is None
+
+
 def test_sqrt_matches_divisor_pair_enumeration(ring15):
     for a in range(-60, 61):
         for b in range(-60, 61):
@@ -259,6 +311,26 @@ def test_is_perfect_square():
     big = (10**30 + 7) ** 2
     assert is_perfect_square(big) == 10**30 + 7
     assert is_perfect_square(big + 1) is None
+
+
+def _square_root_by_isqrt(n):
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def test_is_perfect_square_matches_isqrt():
+    # the mod-64 pre-test may refuse only non-squares: 12 residues pass it
+    assert sum(_SQ64) == 12
+    for n in range(-256, 1 << 16):
+        assert is_perfect_square(n) == _square_root_by_isqrt(n), n
+    rng = random.Random(64)
+    for _ in range(3):
+        k = rng.randrange(10**9999, 10**10000)
+        for k in (k, k + 1):  # both parities
+            for n in (k * k - 1, k * k, k * k + 1, -k * k, 1 - k * k):
+                assert is_perfect_square(n) == _square_root_by_isqrt(n)
 
 
 def test_factorize():
