@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 from . import pellsolve
 from .construct import (
+    PAIRS,
     Quadruple,
     _construct_from_norm6,
     degenerate_check,
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
-    verify_quadruple,
 )
 from .quadring import (
     NotSquareFreeError,
@@ -32,6 +32,7 @@ from .quadring import (
     element_from_json,
     element_to_json,
     int_from_json,
+    sqrt_in_ring,
 )
 from .represent import (
     NonRepCertificate,
@@ -122,18 +123,22 @@ class CounterexampleReport:
     notes: tuple[str, ...]
 
 
-def _u_matches_t(certificate: NonRepCertificate, t: int) -> bool:
-    """u == (gamma^2/6)^(2t) for the norm -6 witness gamma, by arithmetic alone.
+def _unit_power(certificate: NonRepCertificate, t: int) -> QuadInt | None:
+    """w = (gamma^2/6)^t when u == w*w, for the norm -6 witness gamma; else None.
 
     The canonical gamma has gamma^2 = 6*unit, so this ties t to n with no
     solver.  gamma^2/6 has norm 1, and the first coordinate of its e-th
     power has at least e*(bits(a) - 1) bits, a its own first coordinate; a u
-    shorter than that is refused before the power is taken, so a long
-    witness cannot make the check build a number far beyond the document.
+    shorter than that for e = 2t is refused before the power is taken, so a
+    long witness cannot make the check build a number far beyond the
+    document.
     """
     unit = pellsolve.unit_from_norm6(certificate.minus6)
-    u, e = certificate.u, 2 * t
-    return e * (unit.a.bit_length() - 1) <= u.a.bit_length() and u == unit**e
+    u = certificate.u
+    if 2 * t * (unit.a.bit_length() - 1) > u.a.bit_length():
+        return None
+    w = unit**t
+    return w if w * w == u else None
 
 
 def _report_holds(
@@ -143,18 +148,42 @@ def _report_holds(
     verify_report_doc's verdict.
 
     The three copies of n agree, the elements are nonzero and distinct, the
-    certificate holds and matches t (_u_matches_t), and all six pairwise
-    products plus n are squares, matching any stored witnesses.
+    certificate holds and u = w^2 for w = unit^t (_unit_power), and all six
+    pairwise products plus n are squares, matching any stored witnesses.
     certificate_holds runs first: it guarantees the norm -6 shape that
     unit_from_norm6 would otherwise raise on.
+
+    The square tests run with w divided out.  w has norm 1, so each element
+    is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
+    e_i*e_j + n = w^2 * (f_i*f_j + 2).  That is a square exactly when
+    f_i*f_j + 2 = rho^2 is, and a witness squares to it exactly when it is
+    +-w*rho, as the ring has no zero divisors.  In build_report's reports
+    f_i is the base quadruple's element, so the square tests run on numbers
+    of its size, not of unit^(2t).
     """
-    return (
+    if not (
         quad.n == n == certificate.n
         and degenerate_check(quad.elements)
         and certificate_holds(certificate)
-        and _u_matches_t(certificate, t)
-        and verify_quadruple(ctx, quad).ok
-    )
+    ):
+        return False
+    w = _unit_power(certificate, t)
+    if w is None:
+        return False
+    w_bar = w.conjugate()
+    f = [e * w_bar for e in quad.elements]
+    two = QuadInt(2, 0, ctx)
+    witnesses = quad.witnesses or {}
+    for i, j in PAIRS:
+        rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)
+        if rho is None:
+            return False
+        witness = witnesses.get((i, j))
+        if witness is not None:
+            root = w * rho
+            if witness not in (root, -root):
+                return False
+    return True
 
 
 def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:

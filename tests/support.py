@@ -7,7 +7,14 @@ conftest.py would otherwise shadow this directory's.
 
 from __future__ import annotations
 
-from quadtuple import RingCtx, is_perfect_square
+from quadtuple import (
+    RingCtx,
+    certificate_holds,
+    degenerate_check,
+    is_perfect_square,
+    verify_quadruple,
+)
+from quadtuple.pellsolve import unit_from_norm6
 
 # rings the suite keeps coming back to; 735 and 3975 carry square factors
 # (3*5*7^2 and 3*5^2*53) so they need the explicit opt-in
@@ -36,3 +43,18 @@ def brute_norm_solutions(ctx, N, ybound):
 def enum_order_key(sol):
     """The toolkit's deterministic solution order, restated for comparisons."""
     return (abs(sol.b), abs(sol.a), sol.a <= 0, sol.b < 0)
+
+
+def report_holds_by_definition(ctx, t, n, quad, certificate):
+    """counterex._report_holds without its reduction by w = unit^t.
+
+    The same preconditions, u == unit^(2t) by the full power, and all six
+    square tests on the scaled quadruple as it stands (verify_quadruple).
+    """
+    return (
+        quad.n == n == certificate.n
+        and degenerate_check(quad.elements)
+        and certificate_holds(certificate)
+        and certificate.u == unit_from_norm6(certificate.minus6) ** (2 * t)
+        and verify_quadruple(ctx, quad).ok
+    )

@@ -12,6 +12,8 @@ from sympy import nextprime
 import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import (
+    QuadInt,
+    Quadruple,
     RingCtx,
     StageError,
     build_report,
@@ -22,6 +24,7 @@ from quadtuple import (
     verify_report_doc,
 )
 from quadtuple.quadring import element_to_json
+from support import report_holds_by_definition
 
 
 def test_family_d_examples():
@@ -121,61 +124,71 @@ def test_report_self_contained_reverification(ring15):
     assert verify_report_doc(doc)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda doc: doc["quadruple"]["elements"].__setitem__(0, {"a": "-4", "b": "-1"}),
-        lambda doc: doc["n"].__setitem__("a", "6"),
-        lambda doc: doc["quadruple"]["n"].__setitem__("a", "6"),
-        lambda doc: doc["certificate"]["u"].__setitem__("a", "3"),
-        lambda doc: doc.__setitem__("d", "3975"),
-        lambda doc: doc["quadruple"]["elements"].__setitem__(
-            1, doc["quadruple"]["elements"][0]
-        ),
-        lambda doc: doc["quadruple"].__setitem__("witnesses", []),
-        # the count is checked before any element is parsed
-        lambda doc: doc["quadruple"].__setitem__(
-            "elements", doc["quadruple"]["elements"] * 25_000
-        ),
-        lambda doc: doc["certificate"].__setitem__("minus6", {"a": "4", "b": "1"}),
-        lambda doc: doc["certificate"].pop("minus6"),
-        lambda doc: doc["certificate"]["n"].__setitem__("a", "6"),
-        # integers are decimal strings, never coerced from other forms
-        lambda doc: doc["quadruple"]["elements"][0].__setitem__("a", 4.5),
-        lambda doc: doc.__setitem__("d", 15.9),
-        lambda doc: doc["n"].__setitem__("a", "0_2"),
-        lambda doc: doc["n"].__setitem__("a", " 2 "),
-        lambda doc: doc["n"].__setitem__("a", 2),
-        # the stated t and verdict are read: n = 2*unit^(2t) must hold for t
-        lambda doc: doc.__setitem__("t", 7),
-        lambda doc: doc.__setitem__("t", -1),
-        lambda doc: doc.__setitem__("t", 1001),
-        lambda doc: doc.__setitem__("t", "0"),
-        lambda doc: doc.__setitem__("t", False),
-        lambda doc: doc.__setitem__("t", 0.0),
-        lambda doc: doc.pop("t"),
-        lambda doc: doc.__setitem__("verified", False),
-        lambda doc: doc.__setitem__("verified", "true"),
-        lambda doc: doc.pop("verified"),
-        # witness keys are exactly "12" ... "34"
-        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
-            "\u0661\u0662", doc["quadruple"]["witnesses"].pop("12")
-        ),
-        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
-            "123", doc["quadruple"]["witnesses"].pop("12")
-        ),
-        lambda doc: doc["quadruple"]["witnesses"].__setitem__(
-            "99", doc["quadruple"]["witnesses"]["12"]
-        ),
-    ],
-)
-def test_reverification_rejects_tampering(ring15, mutate):
-    doc = report_to_json(build_report(ring15, 0))
-    doc = json.loads(json.dumps(doc))
+# each makes a valid d = 15 report invalid, at any t
+TAMPERINGS = [
+    lambda doc: doc["quadruple"]["elements"].__setitem__(0, {"a": "-4", "b": "-1"}),
+    lambda doc: doc["n"].__setitem__("a", "6"),
+    lambda doc: doc["quadruple"]["n"].__setitem__("a", "6"),
+    lambda doc: doc["certificate"]["u"].__setitem__("a", "3"),
+    lambda doc: doc.__setitem__("d", "3975"),
+    lambda doc: doc["quadruple"]["elements"].__setitem__(
+        1, doc["quadruple"]["elements"][0]
+    ),
+    lambda doc: doc["quadruple"].__setitem__("witnesses", []),
+    # the count is checked before any element is parsed
+    lambda doc: doc["quadruple"].__setitem__(
+        "elements", doc["quadruple"]["elements"] * 25_000
+    ),
+    lambda doc: doc["certificate"].__setitem__("minus6", {"a": "4", "b": "1"}),
+    lambda doc: doc["certificate"].pop("minus6"),
+    lambda doc: doc["certificate"]["n"].__setitem__("a", "6"),
+    # integers are decimal strings, never coerced from other forms
+    lambda doc: doc["quadruple"]["elements"][0].__setitem__("a", 4.5),
+    lambda doc: doc.__setitem__("d", 15.9),
+    lambda doc: doc["n"].__setitem__("a", "0_2"),
+    lambda doc: doc["n"].__setitem__("a", " 2 "),
+    lambda doc: doc["n"].__setitem__("a", 2),
+    # the stated t and verdict are read: n = 2*unit^(2t) must hold for t
+    lambda doc: doc.__setitem__("t", 7),
+    lambda doc: doc.__setitem__("t", -1),
+    lambda doc: doc.__setitem__("t", 1001),
+    lambda doc: doc.__setitem__("t", "0"),
+    lambda doc: doc.__setitem__("t", False),
+    lambda doc: doc.__setitem__("t", 0.0),
+    lambda doc: doc.pop("t"),
+    lambda doc: doc.__setitem__("verified", False),
+    lambda doc: doc.__setitem__("verified", "true"),
+    lambda doc: doc.pop("verified"),
+    # witness keys are exactly "12" ... "34"
+    lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+        "\u0661\u0662", doc["quadruple"]["witnesses"].pop("12")
+    ),
+    lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+        "123", doc["quadruple"]["witnesses"].pop("12")
+    ),
+    lambda doc: doc["quadruple"]["witnesses"].__setitem__(
+        "99", doc["quadruple"]["witnesses"]["12"]
+    ),
+]
+
+
+def _tampered(ring15, t, mutate):
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, t))))
     mutate(doc)
     if doc["d"] != "15":
         doc["quadruple"]["d"] = doc["d"]
-    assert not verify_report_doc(doc)
+    return doc
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS)
+def test_reverification_rejects_tampering(ring15, mutate):
+    assert not verify_report_doc(_tampered(ring15, 0, mutate))
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS)
+def test_reverification_rejects_tampering_at_t3(ring15, mutate):
+    # at t = 0 the judge divides out w = 1, so only t > 0 tests the reduction
+    assert not verify_report_doc(_tampered(ring15, 3, mutate))
 
 
 def test_reverification_refuses_a_long_witness_before_its_power(ring15):
@@ -330,3 +343,75 @@ def test_n_matches_unit_power(ring15):
         report = build_report(ring15, t)
         assert report.n == 2 * u ** (2 * t)
         assert report.quadruple.n == report.n
+
+
+def _mutations(quad, eps):
+    """The quadruple itself, then 35 tamperings of its elements and witnesses."""
+    elements, witnesses = quad.elements, quad.witnesses
+
+    def with_element(i, e):
+        return Quadruple(elements[:i] + (e,) + elements[i + 1 :], quad.n, witnesses)
+
+    def with_witness(pair, x):
+        changed = {p: w for p, w in witnesses.items() if p != pair}
+        if x is not None:
+            changed[pair] = x
+        return Quadruple(elements, quad.n, changed)
+
+    yield quad
+    for i, e in enumerate(elements):
+        yield with_element(i, QuadInt(e.a + 1, e.b, e.ctx))
+        yield with_element(i, QuadInt(e.a, e.b + 1, e.ctx))
+        yield with_element(i, -e)
+        yield with_element(i, e * eps * eps)
+    for pair, x in witnesses.items():
+        yield with_witness(pair, -x)
+        yield with_witness(pair, x * eps)
+        yield with_witness(pair, None)
+    yield Quadruple(elements, quad.n, None)
+
+
+@pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])
+def test_report_holds_matches_its_unreduced_definition(alpha):
+    ctx = family_d(alpha).ctx
+    held = 0
+    for t in (0, 1, 2, 7):
+        report = build_report(ctx, t)
+        eps = quadtuple.pellsolve.unit_from_norm6(report.certificate.minus6)
+        for quad in _mutations(report.quadruple, eps):
+            for judged_t in (t, t + 1):
+                args = (ctx, judged_t, report.n, quad, report.certificate)
+                verdict = quadtuple.counterex._report_holds(*args)
+                assert verdict == report_holds_by_definition(*args), (t, judged_t, quad)
+                held += verdict
+    # per t, at that t: the report, each witness negated or dropped, none stored
+    assert held == 4 * (1 + 6 + 6 + 1)
+
+
+def test_report_holds_refuses_the_n_of_another_t(ring15):
+    # the t = 1 quadruple under the t = 2 report's n: divided by w = unit^1
+    # its elements are the base D(2) quadruple and its witnesses are w*rho,
+    # so only the tie u = w^2 refuses it
+    r1, r2 = build_report(ring15, 1), build_report(ring15, 2)
+    quad = Quadruple(r1.quadruple.elements, r2.n, r1.quadruple.witnesses)
+    for t in (1, 2):
+        args = (ring15, t, r2.n, quad, r2.certificate)
+        assert not quadtuple.counterex._report_holds(*args)
+        assert not report_holds_by_definition(*args)
+
+
+def test_square_tests_run_on_base_sized_numbers(monkeypatch):
+    # w = unit^1000 is divided out before any square test, so the six tests
+    # see the base quadruple's sizes, not the report's 10,000-bit elements
+    bits = []
+    original = quadtuple.counterex.sqrt_in_ring
+
+    def recorded(z):
+        bits.append(max(z.a.bit_length(), z.b.bit_length()))
+        return original(z)
+
+    monkeypatch.setattr(quadtuple.counterex, "sqrt_in_ring", recorded)
+    report = build_report(family_d(2).ctx, 1000)
+    assert report.verified
+    assert len(bits) == 6 and max(bits) < 128
+    assert min(e.a.bit_length() for e in report.quadruple.elements) > 10_000
