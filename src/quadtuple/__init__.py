@@ -30,13 +30,12 @@ from .counterex import (
     verify_report_doc,
 )
 from .pellsolve import (
-    Norm6Shape,
     NormEqClasses,
     ShapeViolation,
     check_pm2_unsolvable,
     enumerate_solutions,
     fundamental_unit,
-    norm6_shape,
+    norm6_sign_y,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
@@ -47,7 +46,6 @@ from .quadring import (
     QuadInt,
     RingCtx,
     factorize,
-    format_element,
     is_perfect_square,
     is_square_free,
     parse_element,
@@ -59,7 +57,6 @@ from .represent import (
     certificate_holds,
     certify_nonrepresentable,
     classify_n,
-    no_quadruple_if_T,
     search_repr,
 )
 

@@ -33,13 +33,7 @@ from .counterex import (
     report_to_json,
 )
 from .pellsolve import LIMIT_CAP, enumerate_solutions, solve_norm_eq
-from .quadring import (
-    NotSquareFreeError,
-    RingCtx,
-    element_to_json,
-    format_element,
-    parse_element,
-)
+from .quadring import NotSquareFreeError, RingCtx, element_to_json, parse_element
 from .represent import (
     BOUND_CAP,
     certificate_to_json,
@@ -83,18 +77,10 @@ def cmd_pell(args) -> int:
         "representatives": [element_to_json(r) for r in classes.representatives],
         "solutions": [element_to_json(s) for s in solutions],
     }
-    lines = [
-        f"d = {ctx.d}",
-        f"fundamental unit: {format_element(classes.unit)}",
-    ]
+    lines = [f"d = {ctx.d}", f"fundamental unit: {classes.unit}"]
     if solvable:
-        lines.append(
-            "representatives: " + " ".join(format_element(r) for r in classes.representatives)
-        )
-        lines.append(
-            f"first {len(solutions)} solutions: "
-            + " ".join(format_element(s) for s in solutions)
-        )
+        lines.append("representatives: " + " ".join(map(str, classes.representatives)))
+        lines.append(f"first {len(solutions)} solutions: " + " ".join(map(str, solutions)))
     else:
         lines.append(f"x^2 - {ctx.d}*y^2 = {args.norm} has no integer solutions")
     _emit(args, doc, lines)
@@ -124,10 +110,10 @@ def cmd_construct(args) -> int:
     doc["verified"] = True
     lines = [
         f"d = {ctx.d}",
-        f"n = {format_element(quad.n)}",
-        "elements: " + " ".join(format_element(e) for e in quad.elements),
+        f"n = {quad.n}",
+        "elements: " + " ".join(map(str, quad.elements)),
         "witnesses: "
-        + " ".join(f"{i}{j}={format_element(quad.witnesses[(i, j)])}" for (i, j) in sorted(quad.witnesses)),
+        + " ".join(f"{i}{j}={quad.witnesses[(i, j)]}" for (i, j) in sorted(quad.witnesses)),
         f"unit index used: {trace.unit_index}",
         "verified: all six pairwise products plus n are squares",
     ]
@@ -141,6 +127,8 @@ def _parse_witnesses(items, ctx):
         key, sep, value = item.partition("=")
         if not sep or key not in WITNESS_KEYS:
             raise ValueError(f"malformed witness {item!r}: expected e.g. 12=a,b")
+        if WITNESS_KEYS[key] in witnesses:
+            raise ValueError(f"witness {key} given more than once")
         witnesses[WITNESS_KEYS[key]] = parse_element(value, ctx)
     return witnesses
 
@@ -167,7 +155,7 @@ def cmd_verify(args) -> int:
     }
     lines = []
     for p in report.pairs:
-        root = format_element(p.root) if p.root is not None else "none"
+        root = p.root if p.root is not None else "none"
         wit = {None: "-", True: "ok", False: "BAD"}[p.witness_ok]
         lines.append(
             f"pair {p.i}{p.j}: {'pass' if p.ok else 'FAIL'}  root={root}  witness={wit}"
@@ -186,9 +174,9 @@ def cmd_checkrepr(args) -> int:
     if certificate is not None:
         doc = {"certified": True, "certificate": certificate_to_json(certificate)}
         lines = [
-            f"n = {format_element(n)} is certified not a difference of two squares",
-            f"u = {format_element(certificate.u)} has norm 1; d = {ctx.d} = 15 (mod 60); "
-            f"-6 = N({format_element(certificate.minus6)}); +-2 unattained",
+            f"n = {n} is certified not a difference of two squares",
+            f"u = {certificate.u} has norm 1; d = {ctx.d} = 15 (mod 60); "
+            f"-6 = N({certificate.minus6}); +-2 unattained",
         ]
         _emit(args, doc, lines)
         return EXIT_OK
@@ -200,9 +188,7 @@ def cmd_checkrepr(args) -> int:
             "found": {"p": element_to_json(p), "q": element_to_json(q)},
             "bound": args.bound,
         }
-        lines = [
-            f"n = {format_element(n)} = ({format_element(p)})^2 - ({format_element(q)})^2"
-        ]
+        lines = [f"n = {n} = ({p})^2 - ({q})^2"]
         _emit(args, doc, lines)
         return EXIT_FAIL
     doc = {"certified": False, "found": None, "bound": args.bound}

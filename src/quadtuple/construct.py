@@ -163,7 +163,7 @@ def _construct_from_norm6(
     """
     ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else -1
-    gd = gamma if pellsolve.norm6_shape(gamma).sign_y == want else gamma.conjugate()
+    gd = gamma if pellsolve.norm6_sign_y(gamma) == want else gamma.conjugate()
     n = QuadInt(4 * m + 2, 4 * k, ctx)
     alpha1 = QuadInt(-gd.a, gd.b, ctx)
     alpha2 = gd * QuadInt(2 * m + 1, 2 * k, ctx)

@@ -26,7 +26,6 @@ from .construct import (
     scale_quadruple,
 )
 from .quadring import (
-    NotSquareFreeError,
     QuadInt,
     RingCtx,
     element_from_json,
@@ -270,8 +269,6 @@ def verify_report_doc(doc: dict) -> bool:
         quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
         certificate = certificate_from_json(doc["certificate"], ctx)
-    except (
-        NotSquareFreeError, ValueError, KeyError, IndexError, TypeError, AttributeError
-    ):
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False
     return _report_holds(ctx, t, n, quad, certificate)

@@ -18,13 +18,13 @@ from .quadring import QuadInt, RingCtx, is_perfect_square
 __all__ = [
     "LIMIT_CAP",
     "NORM_CAP",
-    "Norm6Shape",
     "NormEqClasses",
+    "PERIOD_CAP",
     "ShapeViolation",
     "check_pm2_unsolvable",
     "enumerate_solutions",
     "fundamental_unit",
-    "norm6_shape",
+    "norm6_sign_y",
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
@@ -34,6 +34,9 @@ __all__ = [
 NORM_CAP = 10**6
 # largest limit enumerate_solutions accepts
 LIMIT_CAP = 1000
+# most continued-fraction steps fundamental_unit takes: no d <= 20000 needs
+# more than 562, d = 100000007 needs 6524
+PERIOD_CAP = 10**4
 
 
 class ShapeViolation(RuntimeError):
@@ -51,20 +54,28 @@ def fundamental_unit(ctx: RingCtx) -> QuadInt:
     One loop runs the (P, Q) recurrence of the continued fraction and the
     convergents h/k together, and stops at the first convergent of norm 1:
     the end of the first period when its length is even, of the second when
-    it is odd.
+    it is odd.  The norm of the n-th convergent is (-1)^(n+1) * Q_(n+1), so
+    the test reads the small Q and never squares h or k.  A walk longer
+    than PERIOD_CAP steps raises ValueError.
     """
     d = ctx.d
     a0 = isqrt(d)
     p, q, a = 0, 1, a0
     h0, h1 = 1, a0
     k0, k1 = 0, 1
-    while h1 * h1 - d * k1 * k1 != 1:
+    sign = -1  # h1^2 - d*k1^2 == sign * q once q is advanced
+    for _ in range(PERIOD_CAP):
         p = q * a - p
         q = (d - p * p) // q
+        if q == 1 and sign == 1:
+            return QuadInt(h1, k1, ctx)
         a = (a0 + p) // q
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
-    return QuadInt(h1, k1, ctx)
+        sign = -sign
+    raise ValueError(
+        f"the continued fraction of sqrt({d}) runs past the cap of {PERIOD_CAP} steps"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +198,12 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     return ctx.d % 5 == 0
 
 
-@dataclass(frozen=True)
-class Norm6Shape:
-    """Decomposition x = 6*alpha + 3, y = 6*beta + sign_y.
+def norm6_sign_y(sol: QuadInt) -> int:
+    """The s = +-1 with y = s (mod 6), for a norm -6 solution (x, y).
 
-    Negative x is absorbed into alpha and sign_y follows y mod 6, so the
-    decomposition is unique.
+    Every norm -6 solution has x = 3 (mod 6) and y = +-1 (mod 6); a
+    solution without that shape raises ShapeViolation.
     """
-
-    alpha: int
-    beta: int
-    sign_y: int
-
-
-def norm6_shape(sol: QuadInt) -> Norm6Shape:
-    """Shape of a norm -6 solution: x = 3 (mod 6) and y = +-1 (mod 6)."""
     if sol.norm() != -6:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
     x, y = sol.a, sol.b
@@ -209,12 +211,10 @@ def norm6_shape(sol: QuadInt) -> Norm6Shape:
         raise ShapeViolation(f"norm -6 solution with x = {x} not 3 mod 6")
     ymod = y % 6
     if ymod == 1:
-        sign_y, beta = 1, (y - 1) // 6
-    elif ymod == 5:
-        sign_y, beta = -1, (y + 1) // 6
-    else:
-        raise ShapeViolation(f"norm -6 solution with y = {y} not +-1 mod 6")
-    return Norm6Shape(alpha=(x - 3) // 6, beta=beta, sign_y=sign_y)
+        return 1
+    if ymod == 5:
+        return -1
+    raise ShapeViolation(f"norm -6 solution with y = {y} not +-1 mod 6")
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:

@@ -24,7 +24,6 @@ __all__ = [
     "element_from_json",
     "element_to_json",
     "factorize",
-    "format_element",
     "int_from_json",
     "is_perfect_square",
     "is_square_free",
@@ -250,12 +249,6 @@ class RingCtx:
     def element(self, a: int, b: int) -> QuadInt:
         return QuadInt(a, b, self)
 
-    def one(self) -> QuadInt:
-        return QuadInt(1, 0, self)
-
-    def zero(self) -> QuadInt:
-        return QuadInt(0, 0, self)
-
 
 @dataclass(frozen=True)
 class QuadInt:
@@ -323,19 +316,8 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
-    def unit_inverse(self) -> QuadInt:
-        """Inverse of a unit; for norm +1 that is the conjugate."""
-        nm = self.norm()
-        if nm == 1:
-            return self.conjugate()
-        if nm == -1:
-            return -self.conjugate()
-        raise ValueError(f"{self} has norm {nm}, not a unit")
-
     def __str__(self) -> str:
+        """The 'a,b' form (two signed decimals, no spaces) parse_element reads."""
         return f"{self.a},{self.b}"
 
 
@@ -389,11 +371,6 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
 _INT = r"[+-]?[0-9]+"
 _INT_RE = re.compile(_INT)
 _ELEMENT_RE = re.compile(f"({_INT}),({_INT})")
-
-
-def format_element(x: QuadInt) -> str:
-    """Render as 'a,b' (two signed decimals, no spaces)."""
-    return f"{x.a},{x.b}"
 
 
 def parse_element(text: str, ctx: RingCtx) -> QuadInt:

@@ -32,7 +32,6 @@ __all__ = [
     "certificate_to_json",
     "certify_nonrepresentable",
     "classify_n",
-    "no_quadruple_if_T",
     "search_repr",
 ]
 
@@ -71,13 +70,6 @@ def classify_n(n: QuadInt) -> NClass:
     if amod == 2 and bmod == 0:
         return NClass.TWO_MOD_FOUR
     return NClass.T  # a = 2, b = 2 (mod 4)
-
-
-def no_quadruple_if_T(n: QuadInt) -> bool:
-    """True asserts no D(n) quadruple exists; requires d = 3 (mod 4)."""
-    if n.ctx.d % 4 != 3:
-        raise ValueError(f"d = {n.ctx.d} is not 3 mod 4")
-    return classify_n(n) is NClass.T
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from quadtuple import (
     family_d,
     fundamental_unit,
     is_square_free,
-    norm6_shape,
+    norm6_sign_y,
     scale_quadruple,
     search_repr,
     solutions_within,
@@ -144,7 +144,7 @@ def test_criterion_8_solver_oracle_equivalence():
                     for s in sols:
                         assert s.a % 6 == 3, (d, s)  # x = +-3 mod 6
                         assert s.b % 6 in (1, 5), (d, s)  # y = +-1 mod 6
-                        norm6_shape(s)
+                        norm6_sign_y(s)
                 tested += 1
         assert tested == 16 * 5
 

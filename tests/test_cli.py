@@ -186,6 +186,16 @@ def test_verify_bad_witness_key(capsys):
     assert code == 2
 
 
+def test_verify_repeated_witness_key_exits_2(capsys):
+    # a second 12 would silently replace the correct first one
+    code, out, err = run(
+        capsys, "verify", "--d", "15", "--n", "2,0",
+        "--witness", "12=-2,0", "--witness", "12=5,5", *GOLDEN,
+    )
+    assert (code, out) == (2, "")
+    assert "12 given more than once" in err
+
+
 # ---------------------------------------------------------------------------
 # checkrepr
 
@@ -314,6 +324,13 @@ def test_counterexamples_alpha_span_cap_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "counterexamples", "--alpha", "0..100000000")
     assert (code, out) == (2, "")
     assert "over the cap 100000" in err
+
+
+def test_period_cap_exits_2(capsys):
+    # sqrt(10000000019) has a continued-fraction period far past PERIOD_CAP
+    code, out, err = run(capsys, "pell", "--d", "10000000019", "--norm", "1")
+    assert (code, out) == (2, "")
+    assert f"cap of {quadtuple.pellsolve.PERIOD_CAP} steps" in err
 
 
 def test_radicand_cap_exits_2(capsys):

@@ -104,7 +104,7 @@ def test_verify_catches_bad_witness(ring15):
 WITNESS_VARIANTS = {
     "kept": lambda w: w,
     "negated": lambda w: -w,
-    "wrong": lambda w: w + w.ctx.one(),
+    "wrong": lambda w: w + w.ctx.element(1, 0),
     "stripped": None,
 }
 
@@ -236,14 +236,14 @@ def test_unit_index_cap_is_reachable(ring15):
 
 def test_scale_identity_and_negation(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    same = scale_quadruple(ring15, quad, ring15.one())
+    same = scale_quadruple(ring15, quad, ring15.element(1, 0))
     assert same == quad
     negated = scale_quadruple(ring15, quad, ring15.element(-1, 0))
     assert negated.n == quad.n  # (-1)^2 * n
     assert _coords(negated) == tuple((-a, -b) for (a, b) in _coords(quad))
     assert verify_quadruple(ring15, negated).ok
     with pytest.raises(ValueError):
-        scale_quadruple(ring15, quad, ring15.zero())
+        scale_quadruple(ring15, quad, ring15.element(0, 0))
 
 
 def test_scale_by_unit_powers(ring15):
@@ -259,7 +259,7 @@ def test_scale_by_unit_powers(ring15):
 def test_degenerate_check(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
     assert degenerate_check(quad.elements)
-    assert not degenerate_check(quad.elements[:3] + (ring15.zero(),))
+    assert not degenerate_check(quad.elements[:3] + (ring15.element(0, 0),))
     assert not degenerate_check(quad.elements[:3] + (quad.elements[0],))
 
 

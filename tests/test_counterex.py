@@ -81,7 +81,7 @@ def test_build_report_base(ring15):
         (8, -1),
         (28, -7),
     )
-    assert report.certificate.u == ring15.one()
+    assert report.certificate.u == ring15.element(1, 0)
 
 
 def test_build_report_t1(ring15):

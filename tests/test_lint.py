@@ -1,0 +1,99 @@
+"""Static checks on the package source, with the standard library's ast.
+
+An import nothing reads, an __all__ entry the module does not define, and a
+re-export in __init__.py that its source module does not list are all dead
+surface; each test names the offending module and name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import quadtuple
+
+PACKAGE = Path(quadtuple.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of the import."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _all(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return None
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level: defs, classes, assignments and imports."""
+    out = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return out
+
+
+# __init__.py imports only to re-export; test_init_reexports_only_public_names
+# covers it
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(_all(tree) or ())
+    unused = {
+        name: line
+        for name, line in _imported(tree).items()
+        if name not in read and name not in exported
+    }
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    tree = _tree(path)
+    missing = set(_all(tree) or ()) - _defined(tree)
+    assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
+
+
+def test_init_reexports_only_public_names():
+    tree = _tree(PACKAGE / "__init__.py")
+    bad = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = _all(_tree(PACKAGE / f"{node.module}.py")) or []
+            bad += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert not bad, f"__init__.py re-exports names missing from __all__: {bad}"
+
+
+def test_lint_sees_a_planted_unused_import():
+    # the checks above are only as good as the helpers they share
+    tree = ast.parse("import os\nfrom math import gcd, isqrt\nx = isqrt(4)\n")
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert {n for n in _imported(tree) if n not in read} == {"os", "gcd"}
+    assert _defined(ast.parse("__all__ = ['f', 'g']\ndef f(): pass\n")) == {"__all__", "f"}

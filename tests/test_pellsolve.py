@@ -7,7 +7,6 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 import quadtuple.pellsolve
 from quadtuple import (
-    Norm6Shape,
     RingCtx,
     ShapeViolation,
     check_pm2_unsolvable,
@@ -16,20 +15,13 @@ from quadtuple import (
     family_d,
     fundamental_unit,
     is_square_free,
-    norm6_shape,
+    norm6_sign_y,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
 )
 
-from support import (
-    MINUS6_D,
-    RING15,
-    RING735,
-    RING3975,
-    brute_norm_solutions,
-    enum_order_key,
-)
+from support import MINUS6_D, brute_norm_solutions, enum_order_key
 
 # all square-free d = 15 (mod 60) up to 2000
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
@@ -110,7 +102,7 @@ def test_solve_norm_eq_examples(ring15, ring735):
     assert ring735.element(27, 1) in reps735
     assert solve_norm_eq(ring15, 2).representatives == ()
     assert solve_norm_eq(ring15, -2).representatives == ()
-    assert solve_norm_eq(ring15, 1).representatives == (ring15.one(),)
+    assert solve_norm_eq(ring15, 1).representatives == (ring15.element(1, 0),)
 
 
 def test_solve_norm_eq_guards(ring15, monkeypatch):
@@ -122,11 +114,23 @@ def test_solve_norm_eq_guards(ring15, monkeypatch):
     assert solve_norm_eq(ring15, 10**7).N == 10**7
 
 
+def test_fundamental_unit_period_cap(monkeypatch):
+    # sqrt(13) has period 5, so its unit closes the second pass at step 10;
+    # __wrapped__ bypasses the cache, which may already hold d = 13
+    ring13 = RingCtx(13)
+    walk = fundamental_unit.__wrapped__
+    monkeypatch.setattr(quadtuple.pellsolve, "PERIOD_CAP", 10)
+    assert walk(ring13) == ring13.element(649, 180)
+    monkeypatch.setattr(quadtuple.pellsolve, "PERIOD_CAP", 9)
+    with pytest.raises(ValueError, match="cap of 9 steps"):
+        walk(ring13)
+
+
 def test_enumerate_solutions(ring15):
     classes = solve_norm_eq(ring15, -6)
     first_two = enumerate_solutions(classes, 2)
     assert first_two == [ring15.element(3, 1), ring15.element(3, -1)]
-    assert enumerate_solutions(solve_norm_eq(ring15, 1), 1) == [ring15.one()]
+    assert enumerate_solutions(solve_norm_eq(ring15, 1), 1) == [ring15.element(1, 0)]
     empty = solve_norm_eq(ring15, 2)
     assert enumerate_solutions(empty, 5) == []
     with pytest.raises(ValueError):
@@ -149,7 +153,8 @@ def test_solver_matches_brute_force(d, N):
 def test_solutions_within_bound_below_every_representative(ring15):
     # the representative (3, 1) already has |y| above the bound: no walk starts
     assert solutions_within(solve_norm_eq(ring15, -6), 0) == []
-    assert solutions_within(solve_norm_eq(ring15, 1), 0) == [ring15.one(), -ring15.one()]
+    one = ring15.element(1, 0)
+    assert solutions_within(solve_norm_eq(ring15, 1), 0) == [one, -one]
 
 
 def test_norm6_times_unit_closure(ring15):
@@ -172,20 +177,23 @@ def test_pm2_certificates(ring15, ring735):
     assert solve_norm_eq(RingCtx(3), -2).representatives
 
 
-def test_norm6_shape_examples(ring15, ring735):
-    assert norm6_shape(ring15.element(3, 1)) == Norm6Shape(0, 0, 1)
-    assert norm6_shape(ring15.element(-3, 1)) == Norm6Shape(-1, 0, 1)
-    assert norm6_shape(ring15.element(3, -1)) == Norm6Shape(0, 0, -1)
-    assert norm6_shape(ring735.element(27, 1)) == Norm6Shape(4, 0, 1)
+def test_norm6_sign_y_examples(ring15, ring735):
+    assert norm6_sign_y(ring15.element(3, 1)) == 1
+    assert norm6_sign_y(ring15.element(-3, 1)) == 1
+    assert norm6_sign_y(ring15.element(3, -1)) == -1
+    assert norm6_sign_y(ring735.element(27, 1)) == 1
     with pytest.raises(ValueError):
-        norm6_shape(ring15.element(4, 1))
+        norm6_sign_y(ring15.element(4, 1))
 
 
-def test_norm6_shape_reconstructs(ring15):
-    for sol in enumerate_solutions(solve_norm_eq(ring15, -6), 20):
-        shape = norm6_shape(sol)
-        assert 6 * shape.alpha + 3 == sol.a
-        assert 6 * shape.beta + shape.sign_y == sol.b
+def test_norm6_without_the_shape_raises():
+    # 1 - 7 = -6, but x = 1 is not 3 (mod 6): 7 is not 15 (mod 60)
+    sol = RingCtx(7).element(1, 1)
+    assert sol.norm() == -6
+    with pytest.raises(ShapeViolation):
+        norm6_sign_y(sol)
+    with pytest.raises(ShapeViolation):
+        unit_from_norm6(sol)
 
 
 @pytest.mark.parametrize("d", MINUS6_D)
@@ -194,7 +202,7 @@ def test_every_norm6_solution_has_the_shape(d):
     for sol in enumerate_solutions(solve_norm_eq(ctx, -6), 24):
         assert sol.a % 6 == 3
         assert sol.b % 6 in (1, 5)
-        norm6_shape(sol)  # must not raise
+        assert sol.b % 6 == norm6_sign_y(sol) % 6
 
 
 @pytest.mark.parametrize("choice", CHOICE_SIGN_Y)
@@ -206,7 +214,7 @@ def test_construction_gamma_matches_enumeration(choice):
     for ctx in rings:
         classes = solve_norm_eq(ctx, -6)
         solutions = enumerate_solutions(classes, 8)
-        first = next(sol for sol in solutions if norm6_shape(sol).sign_y == CHOICE_SIGN_Y[choice])
+        first = next(sol for sol in solutions if norm6_sign_y(sol) == CHOICE_SIGN_Y[choice])
         _, trace = construct_quadruple(ctx, 0, 0, factorization_choice=choice)
         assert trace.gamma_delta == first, ctx.d
         # gamma^2 = 6 * unit: the construction and verify_report_doc read the unit off it

@@ -15,7 +15,6 @@ from quadtuple import (
     QuadInt,
     RingCtx,
     factorize,
-    format_element,
     is_perfect_square,
     is_square_free,
     parse_element,
@@ -64,8 +63,8 @@ def test_add_sub_neg(ring15):
 
 def test_mul(ring15):
     assert ring15.element(3, -1) * ring15.element(3, 1) == ring15.element(-6, 0)
-    assert ring15.element(7, -5) * ring15.one() == ring15.element(7, -5)
-    assert ring15.element(4, 1) * ring15.element(4, -1) == ring15.one()
+    assert ring15.element(7, -5) * ring15.element(1, 0) == ring15.element(7, -5)
+    assert ring15.element(4, 1) * ring15.element(4, -1) == ring15.element(1, 0)
     assert 2 * ring15.element(3, -4) == ring15.element(6, -8)
 
 
@@ -96,14 +95,14 @@ def test_conjugate(ring15):
 def test_norm(ring15):
     assert ring15.element(4, 1).norm() == 1
     assert ring15.element(3, 1).norm() == -6
-    assert ring15.zero().norm() == 0
+    assert ring15.element(0, 0).norm() == 0
 
 
 def test_pow(ring15):
     assert ring15.element(4, 1) ** 2 == ring15.element(31, 8)
-    assert ring15.element(9, -2) ** 0 == ring15.one()
+    assert ring15.element(9, -2) ** 0 == ring15.element(1, 0)
     assert ring15.element(9, -2) ** 1 == ring15.element(9, -2)
-    x, power = ring15.element(9, -2), ring15.one()
+    x, power = ring15.element(9, -2), ring15.element(1, 0)
     for e in range(70):
         assert x**e == power, e
         power = power * x
@@ -112,13 +111,14 @@ def test_pow(ring15):
 
 
 def test_units(ring15):
-    assert ring15.element(4, 1).is_unit()
-    assert ring15.element(4, 1).unit_inverse() == ring15.element(4, -1)
-    assert ring15.one().is_unit()
-    assert ring15.one().unit_inverse() == ring15.one()
-    assert not ring15.element(3, 1).is_unit()
-    with pytest.raises(ValueError):
-        ring15.element(3, 1).unit_inverse()
+    # a unit's inverse is its conjugate for norm 1 and minus it for norm -1
+    one = ring15.element(1, 0)
+    assert ring15.element(4, 1).norm() == 1
+    assert ring15.element(4, 1) * ring15.element(4, 1).conjugate() == one
+    assert ring15.element(3, 1).norm() == -6  # not a unit
+    ring2 = RingCtx(2)
+    assert ring2.element(1, 1).norm() == -1
+    assert ring2.element(1, 1) * -ring2.element(1, 1).conjugate() == ring2.element(1, 0)
 
 
 def test_mixed_rings_rejected(ring15, ring735):
@@ -178,7 +178,7 @@ def test_sqrt_examples(ring15):
     assert sqrt_in_ring(ring15.element(64, 16)) is None
     assert sqrt_in_ring(ring15.element(4, 0)) == ring15.element(2, 0)
     assert sqrt_in_ring(ring15.element(60, 0)) == ring15.element(0, 2)
-    assert sqrt_in_ring(ring15.zero()) == ring15.zero()
+    assert sqrt_in_ring(ring15.element(0, 0)) == ring15.element(0, 0)
     assert sqrt_in_ring(ring15.element(-4, 0)) is None
     assert sqrt_in_ring(ring15.element(31, 7)) is None  # odd sqrt(d) coordinate
 
@@ -391,8 +391,9 @@ def test_is_square_free_matches_factorint():
 
 
 def test_parse_format_round_trip(ring15):
+    # str(x) is the 'a,b' form the CLI prints and parse_element reads
     for text in ("4,1", "-3,0", "0,-17", "123456789012345678901,-9"):
-        assert format_element(parse_element(text, ring15)) == text
+        assert str(parse_element(text, ring15)) == text
 
 
 @pytest.mark.parametrize("bad", ["x,y", "4", "4,1,2", "4, 1", " 4,1", "4.0,1", "", "4,1\n"])

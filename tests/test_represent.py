@@ -12,7 +12,6 @@ from quadtuple import (
     certify_nonrepresentable,
     classify_n,
     fundamental_unit,
-    no_quadruple_if_T,
     search_repr,
 )
 from quadtuple.represent import BOUND_CAP, certificate_from_json, certificate_to_json
@@ -69,17 +68,10 @@ def test_classify_partitions_bulk():
         assert classify_n(RING15.element(a, b)) is _membership_oracle(a, b)
 
 
-def test_no_quadruple_if_T(ring15):
-    assert no_quadruple_if_T(ring15.element(2, 2)) is True
-    assert no_quadruple_if_T(ring15.element(2, 0)) is False
-    with pytest.raises(ValueError):
-        no_quadruple_if_T(RingCtx(13).element(2, 2))  # 13 = 1 (mod 4)
-
-
 def test_certify_examples(ring15):
     cert = certify_nonrepresentable(ring15.element(2, 0))
     assert cert is not None
-    assert cert.u == ring15.one()
+    assert cert.u == ring15.element(1, 0)
     assert cert.minus6 == ring15.element(3, 1)
     assert certificate_holds(cert)
 
