@@ -186,6 +186,15 @@ def test_norm6_sign_y_examples(ring15, ring735):
         norm6_sign_y(ring15.element(4, 1))
 
 
+def test_norm6_shape_reconstructs(ring15):
+    # x = 6 alpha + 3 and y = 6 beta + s for integers alpha, beta
+    for sol in enumerate_solutions(solve_norm_eq(ring15, -6), 20):
+        sign_y = norm6_sign_y(sol)
+        alpha, beta = (sol.a - 3) // 6, (sol.b - sign_y) // 6
+        assert 6 * alpha + 3 == sol.a
+        assert 6 * beta + sign_y == sol.b
+
+
 def test_norm6_without_the_shape_raises():
     # 1 - 7 = -6, but x = 1 is not 3 (mod 6): 7 is not 15 (mod 60)
     sol = RingCtx(7).element(1, 1)
