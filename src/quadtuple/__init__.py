@@ -52,11 +52,9 @@ from .quadring import (
     sqrt_in_ring,
 )
 from .represent import (
-    NClass,
     NonRepCertificate,
     certificate_holds,
     certify_nonrepresentable,
-    classify_n,
     search_repr,
 )
 

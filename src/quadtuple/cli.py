@@ -98,7 +98,7 @@ def cmd_construct(args) -> int:
     doc = quadruple_to_json(quad)
     doc["trace"] = {
         "gamma_delta": element_to_json(trace.gamma_delta),
-        "factorization_choice": trace.factorization_choice,
+        "factorization_choice": args.factorization,
         "alpha1": element_to_json(trace.alpha1),
         "alpha2": element_to_json(trace.alpha2),
         "unit_a": element_to_json(trace.unit_a),
@@ -205,6 +205,15 @@ def _open_archive(path: str):
         raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from exc
 
 
+def _write_archive(archive, path: str, docs: list[dict]) -> None:
+    """Write and close the --out archive; a failed write is a usage error too."""
+    try:
+        archive.writelines(json.dumps(doc) + "\n" for doc in docs)
+        archive.close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+
+
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
@@ -222,25 +231,25 @@ def cmd_counterexamples(args) -> int:
         lines = []
         eligible = ineligible = verified = 0
         for cand in candidates:
-            if not cand.square_free:
+            ctx = cand.ctx
+            if not ctx.square_free:
                 ineligible += 1
-                lines.append(f"alpha={cand.alpha} d={cand.d} ineligible (not square-free)")
+                lines.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
                 continue
             eligible += 1
             try:
-                report = build_report(cand.ctx, args.t)
+                report = build_report(ctx, args.t)
             except StageError as exc:
-                lines.append(f"alpha={cand.alpha} d={cand.d} FAILED: {exc}")
+                lines.append(f"alpha={cand.alpha} d={ctx.d} FAILED: {exc}")
                 continue
             reports.append(report_to_json(report))
             if report.verified:
                 verified += 1
-            lines.append(f"alpha={cand.alpha} d={cand.d} t={report.t} verified={report.verified}")
+            lines.append(f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}")
         summary = {"eligible": eligible, "ineligible": ineligible, "verified": verified}
         lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
         if archive is not None:
-            for doc in reports:
-                archive.write(json.dumps(doc) + "\n")
+            _write_archive(archive, args.out, reports)
     if args.format == "json":
         outdoc: dict = {"summary": summary}
         if args.out:

@@ -86,7 +86,6 @@ class ConstructionTrace:
     """Every intermediate of a successful construction, for audit."""
 
     gamma_delta: QuadInt
-    factorization_choice: str
     alpha1: QuadInt
     alpha2: QuadInt
     unit_a: QuadInt
@@ -198,7 +197,6 @@ def _construct_from_norm6(
         quad = Quadruple(elements, n, witnesses)
         trace = ConstructionTrace(
             gamma_delta=gd,
-            factorization_choice=factorization_choice,
             alpha1=alpha1,
             alpha2=alpha2,
             unit_a=a,
@@ -260,7 +258,7 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     return VerifyReport(tuple(pairs), all_ok)
 
 
-def scale_quadruple(ctx: RingCtx, quad: Quadruple, w: QuadInt) -> Quadruple:
+def scale_quadruple(quad: Quadruple, w: QuadInt) -> Quadruple:
     """{w*a_i} has property D(w^2 * n); witnesses scale along."""
     if w.is_zero():
         raise ValueError("scaling factor must be nonzero")

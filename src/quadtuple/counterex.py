@@ -77,14 +77,6 @@ class DCandidate:
     x: int
     ctx: RingCtx
 
-    @property
-    def d(self) -> int:
-        return self.ctx.d
-
-    @property
-    def square_free(self) -> bool:
-        return self.ctx.square_free
-
 
 def family_d(alpha: int) -> DCandidate:
     """d = 360*(10*alpha^2 + alpha) + 15 and x = 60*alpha + 3."""
@@ -214,14 +206,14 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     except Exception as exc:
         raise StageError("construct", str(exc)) from exc
     w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
-    scaled = scale_quadruple(ctx, base, w)
+    scaled = scale_quadruple(base, w)
     n = scaled.n  # w^2 * 2, since the base quadruple has n = 2
     u = QuadInt(n.a // 2, n.b // 2, ctx)
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
     verified = _report_holds(ctx, t, n, scaled, certificate)
     notes = (
         f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
-        f"factorization={trace.factorization_choice}",
+        "factorization=first",
     )
     return CounterexampleReport(
         d=ctx.d,

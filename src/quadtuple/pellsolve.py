@@ -201,31 +201,29 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
 def norm6_sign_y(sol: QuadInt) -> int:
     """The s = +-1 with y = s (mod 6), for a norm -6 solution (x, y).
 
-    Every norm -6 solution has x = 3 (mod 6) and y = +-1 (mod 6); a
-    solution without that shape raises ShapeViolation.
+    For d = 15 (mod 60) every norm -6 solution has x = 3 (mod 6); a
+    solution without it raises ShapeViolation.  y = +-1 (mod 6) then
+    follows: d*y^2 = x^2 + 6 is odd, so y is odd, and 3 | y would give
+    9 | x^2 + 6 with 9 | x^2, so 9 | 6.
     """
     if sol.norm() != -6:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
     x, y = sol.a, sol.b
     if x % 6 != 3:
         raise ShapeViolation(f"norm -6 solution with x = {x} not 3 mod 6")
-    ymod = y % 6
-    if ymod == 1:
-        return 1
-    if ymod == 5:
-        return -1
-    raise ShapeViolation(f"norm -6 solution with y = {y} not +-1 mod 6")
+    return 1 if y % 6 == 1 else -1
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
-    The element is (g, h)^2 / 6; 3 | g for every norm -6 solution, so the
-    division is exact, and the result always has an even first and odd
-    second coordinate.  For the canonical representative of
-    solve_norm_eq(ctx, -6) it is the fundamental unit: (g, h)^2 / 6 = unit^k
-    with k odd, since sqrt(6) is not in Q(sqrt(d)), and the least h > 0 in
-    the class, with g > 0, is where k = 1.
+    For d = 15 (mod 60), 3 | g and the element has an even first and odd
+    second coordinate; a solution without either raises ShapeViolation.
+    With 3 | g, (g, h)^2 = (2g^2 + 6, 2gh) makes the element (g, h)^2 / 6
+    exactly, so its norm is (-6)^2 / 36 = 1.  For the canonical
+    representative of solve_norm_eq(ctx, -6) it is the fundamental unit:
+    (g, h)^2 / 6 = unit^k with k odd, since sqrt(6) is not in Q(sqrt(d)),
+    and the least h > 0 in the class, with g > 0, is where k = 1.
     """
     if sol.norm() != -6:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
@@ -233,8 +231,6 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
     if g % 3:
         raise ShapeViolation(f"norm -6 solution with x = {g} not divisible by 3")
     u = QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)
-    if u.norm() != 1:
-        raise ShapeViolation(f"derived element {u} has norm {u.norm()}, expected 1")
     if u.a % 2 != 0 or u.b % 2 != 1:
         raise ShapeViolation(f"derived unit {u} missing even/odd coordinate parity")
     return u

@@ -1,17 +1,16 @@
 """Difference-of-two-squares questions for n in Z[sqrt(d)].
 
-Classifies n by the coordinate residues that govern quadruple existence for
-d = 3 (mod 4), certifies non-representability for n = 2u with norm(u) = 1 in
-rings with square-free d = 15 (mod 60) where -6 is a norm, and carries an
-exhaustive search that serves as the independent oracle for those
-certificates.  A certificate holds its one witness, an element of norm -6,
-so certificate_holds checks every hypothesis with arithmetic and no solver.
+Certifies non-representability for n = (4m+2) + 4k*sqrt(d) = 2u with
+norm(u) = 1 in rings with square-free d = 15 (mod 60) where -6 is a norm,
+and carries an exhaustive search that serves as the independent oracle for
+those certificates.  A certificate holds its one witness, an element of
+norm -6, so certificate_holds checks every hypothesis with arithmetic and no
+solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import pellsolve
 from .quadring import (
@@ -25,51 +24,16 @@ from .quadring import (
 
 __all__ = [
     "BOUND_CAP",
-    "NClass",
     "NonRepCertificate",
     "certificate_from_json",
     "certificate_holds",
     "certificate_to_json",
     "certify_nonrepresentable",
-    "classify_n",
     "search_repr",
 ]
 
 # largest coordinate bound search_repr accepts
 BOUND_CAP = 2000
-
-
-class NClass(Enum):
-    """The four residue shapes admitting quadruples, plus the complement T.
-
-    ODD                (2m+1) + 2k*sqrt(d)
-    FOUR_FOUR          4m + 4k*sqrt(d)
-    FOUR_FOUR_PLUS_TWO 4m + (4k+2)*sqrt(d)
-    TWO_MOD_FOUR       (4m+2) + 4k*sqrt(d)
-    """
-
-    ODD = "odd"
-    FOUR_FOUR = "four_four"
-    FOUR_FOUR_PLUS_TWO = "four_four_plus_two"
-    TWO_MOD_FOUR = "two_mod_four"
-    T = "T"
-
-
-def classify_n(n: QuadInt) -> NClass:
-    """Residue class of n; every n gets exactly one tag."""
-    a, b = n.a, n.b
-    if b % 2:
-        return NClass.T
-    if a % 2:
-        return NClass.ODD
-    amod, bmod = a % 4, b % 4
-    if amod == 0 and bmod == 0:
-        return NClass.FOUR_FOUR
-    if amod == 0 and bmod == 2:
-        return NClass.FOUR_FOUR_PLUS_TWO
-    if amod == 2 and bmod == 0:
-        return NClass.TWO_MOD_FOUR
-    return NClass.T  # a = 2, b = 2 (mod 4)
 
 
 @dataclass(frozen=True)
@@ -89,7 +53,8 @@ class NonRepCertificate:
 def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
     ctx = n.ctx
     return (
-        classify_n(n) is NClass.TWO_MOD_FOUR
+        n.a % 4 == 2
+        and n.b % 4 == 0
         and 2 * u == n
         and u.norm() == 1
         and ctx.square_free

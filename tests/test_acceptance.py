@@ -82,7 +82,7 @@ def test_criterion_4_scaling_family():
         u = fundamental_unit(RING15)
         for t in (1, 2, 5, 10, 50):
             w = u**t
-            scaled = scale_quadruple(RING15, base, w)
+            scaled = scale_quadruple(base, w)
             assert scaled.n == 2 * u ** (2 * t)
             assert verify_quadruple(RING15, scaled).ok
 
@@ -91,8 +91,8 @@ def test_criterion_5_family_identity():
     with criterion(5, "(60a+3)^2 - d(a) = -6 and d(a) = 15 mod 360, |a| <= 50", 0.1):
         for alpha in range(-50, 51):
             cand = family_d(alpha)
-            assert cand.x * cand.x - cand.d == -6
-            assert cand.d % 360 == 15
+            assert cand.x * cand.x - cand.ctx.d == -6
+            assert cand.ctx.d % 360 == 15
 
 
 def test_criterion_6_counterexample_pipeline():
@@ -100,12 +100,12 @@ def test_criterion_6_counterexample_pipeline():
         checked = 0
         for alpha in range(0, 6):
             cand = family_d(alpha)
-            if not cand.square_free:
+            if not cand.ctx.square_free:
                 continue
-            ctx = RingCtx(cand.d)
+            ctx = RingCtx(cand.ctx.d)
             for t in (0, 1):
                 report = build_report(ctx, t)
-                assert report.verified, (cand.d, t)
+                assert report.verified, (cand.ctx.d, t)
                 checked += 1
         assert checked == 10  # five square-free members, two exponents each
 

@@ -236,14 +236,14 @@ def test_unit_index_cap_is_reachable(ring15):
 
 def test_scale_identity_and_negation(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    same = scale_quadruple(ring15, quad, ring15.element(1, 0))
+    same = scale_quadruple(quad, ring15.element(1, 0))
     assert same == quad
-    negated = scale_quadruple(ring15, quad, ring15.element(-1, 0))
+    negated = scale_quadruple(quad, ring15.element(-1, 0))
     assert negated.n == quad.n  # (-1)^2 * n
     assert _coords(negated) == tuple((-a, -b) for (a, b) in _coords(quad))
     assert verify_quadruple(ring15, negated).ok
     with pytest.raises(ValueError):
-        scale_quadruple(ring15, quad, ring15.element(0, 0))
+        scale_quadruple(quad, ring15.element(0, 0))
 
 
 def test_scale_by_unit_powers(ring15):
@@ -251,7 +251,7 @@ def test_scale_by_unit_powers(ring15):
     u = fundamental_unit(ring15)
     for t in (1, 2, 3):
         w = u**t
-        scaled = scale_quadruple(ring15, quad, w)
+        scaled = scale_quadruple(quad, w)
         assert scaled.n == w * w * quad.n
         assert verify_quadruple(ring15, scaled).ok
 

@@ -29,24 +29,24 @@ from support import report_holds_by_definition
 
 def test_family_d_examples():
     c0 = family_d(0)
-    assert (c0.d, c0.x, c0.square_free) == (15, 3, True)
+    assert (c0.ctx.d, c0.x, c0.ctx.square_free) == (15, 3, True)
     c1 = family_d(1)
-    assert (c1.d, c1.x, c1.square_free) == (3975, 63, False)  # 3975 = 3 * 5^2 * 53
+    assert (c1.ctx.d, c1.x, c1.ctx.square_free) == (3975, 63, False)  # 3975 = 3 * 5^2 * 53
     cm1 = family_d(-1)
-    assert (cm1.d, cm1.x, cm1.square_free) == (3255, -57, True)
+    assert (cm1.ctx.d, cm1.x, cm1.ctx.square_free) == (3255, -57, True)
 
 
 @pytest.mark.parametrize("alpha", range(-50, 51))
 def test_family_identity_holds(alpha):
     cand = family_d(alpha)
-    assert cand.x * cand.x - cand.d == -6
-    assert cand.d % 360 == 15
+    assert cand.x * cand.x - cand.ctx.d == -6
+    assert cand.ctx.d % 360 == 15
 
 
 def test_enumerate_counterexample_rings():
     cands = enumerate_counterexample_rings(0, 3)
-    assert [c.d for c in cands] == [15, 3975, 15135, 33495]
-    assert [c.square_free for c in cands] == [True, False, True, True]
+    assert [c.ctx.d for c in cands] == [15, 3975, 15135, 33495]
+    assert [c.ctx.square_free for c in cands] == [True, False, True, True]
     assert enumerate_counterexample_rings(2, 2)[0].alpha == 2
     with pytest.raises(ValueError):
         enumerate_counterexample_rings(5, 1)
@@ -320,10 +320,10 @@ def test_verify_report_doc_never_raises_on_mutated_reports(junk, key):
 
 def test_reports_across_family_members():
     for cand in enumerate_counterexample_rings(0, 2):
-        if not cand.square_free:
+        if not cand.ctx.square_free:
             continue
         for t in (0, 1, 2):
-            report = build_report(RingCtx(cand.d), t)
+            report = build_report(RingCtx(cand.ctx.d), t)
             assert report.verified
             assert verify_report_doc(json.loads(json.dumps(report_to_json(report))))
 

@@ -2,12 +2,15 @@
 
 An import nothing reads, an __all__ entry the module does not define, and a
 re-export in __init__.py that its source module does not list are all dead
-surface; each test names the offending module and name.
+surface; each test names the offending module and name.  Every module-level
+*_CAP or *_CAP_DEFAULT constant is a stated cap, so README's "Caps" list
+names each one, with its module, and nothing else.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import quadtuple
 
 PACKAGE = Path(quadtuple.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -91,9 +95,50 @@ def test_init_reexports_only_public_names():
     assert not bad, f"__init__.py re-exports names missing from __all__: {bad}"
 
 
+def _caps_in_source() -> set[tuple[str, str]]:
+    out = set()
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(
+                    (t.id, path.stem)
+                    for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z_]+_CAP(_DEFAULT)?", t.id)
+                )
+    return out
+
+
+def _caps_in_readme(text: str) -> set[tuple[str, str]]:
+    """(name, module) for each bullet of the list that follows "Caps:"; a
+    bullet without a `(module)` gets the module ""."""
+    after = text[text.index("\nCaps:") :]
+    bullets = re.search(r"\n\n((?:- .*\n(?:  .*\n)*)+)", after).group(1)
+    return set(re.findall(r"^- `(\w+)`(?: \(`(\w+)`\))?", bullets, re.M))
+
+
+def test_readme_caps_match_the_source():
+    in_readme = _caps_in_readme(README.read_text(encoding="utf-8"))
+    in_source = _caps_in_source()
+    assert in_source, "no *_CAP constants found"
+    assert in_readme == in_source, (
+        f"README's Caps list misses {sorted(in_source - in_readme)} "
+        f"and names {sorted(in_readme - in_source)}, which the source does not define"
+    )
+
+
 def test_lint_sees_a_planted_unused_import():
     # the checks above are only as good as the helpers they share
     tree = ast.parse("import os\nfrom math import gcd, isqrt\nx = isqrt(4)\n")
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert {n for n in _imported(tree) if n not in read} == {"os", "gcd"}
     assert _defined(ast.parse("__all__ = ['f', 'g']\ndef f(): pass\n")) == {"__all__", "f"}
+
+
+def test_caps_lint_reads_only_the_caps_list():
+    text = (
+        "Intro.\n\nCaps: each cap\nis stated:\n\n"
+        "- `A_CAP` (`quadring`): one\n  continued\n- `B_CAP`: no module\n\n"
+        "Exit codes:\n\n- `C_CAP` (`cli`): another list\n"
+    )
+    assert _caps_in_readme(text) == {("A_CAP", "quadring"), ("B_CAP", "")}

@@ -186,13 +186,15 @@ def test_norm6_sign_y_examples(ring15, ring735):
         norm6_sign_y(ring15.element(4, 1))
 
 
-def test_norm6_shape_reconstructs(ring15):
-    # x = 6 alpha + 3 and y = 6 beta + s for integers alpha, beta
-    for sol in enumerate_solutions(solve_norm_eq(ring15, -6), 20):
-        sign_y = norm6_sign_y(sol)
-        alpha, beta = (sol.a - 3) // 6, (sol.b - sign_y) // 6
-        assert 6 * alpha + 3 == sol.a
-        assert 6 * beta + sign_y == sol.b
+def test_norm6_shape_reconstructs():
+    # x = 6 alpha + 3 and y = 6 beta + s for integers alpha, beta; norm6_sign_y
+    # reads s off y % 6 == 1 alone, so this is the check that y = +-1 (mod 6)
+    for d in MINUS6_D:
+        for sol in enumerate_solutions(solve_norm_eq(RingCtx(d), -6), 20):
+            sign_y = norm6_sign_y(sol)
+            alpha, beta = (sol.a - 3) // 6, (sol.b - sign_y) // 6
+            assert 6 * alpha + 3 == sol.a, (d, sol)
+            assert 6 * beta + sign_y == sol.b, (d, sol)
 
 
 def test_norm6_without_the_shape_raises():
@@ -202,6 +204,12 @@ def test_norm6_without_the_shape_raises():
     with pytest.raises(ShapeViolation):
         norm6_sign_y(sol)
     with pytest.raises(ShapeViolation):
+        unit_from_norm6(sol)
+    # 36 - 42 = -6 with 3 | x, so the division is exact, but (6, 1)^2/6 = (13, 2)
+    # lacks the even/odd parity: 42 is even
+    sol = RingCtx(42).element(6, 1)
+    assert sol.norm() == -6
+    with pytest.raises(ShapeViolation, match="parity"):
         unit_from_norm6(sol)
 
 

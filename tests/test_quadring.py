@@ -386,6 +386,25 @@ def test_is_square_free_matches_factorint():
         assert factorize(n) == factorint(n), n
 
 
+def test_is_square_free_above_the_miller_rabin_limit(monkeypatch):
+    """Cofactors past _MR_LIMIT (about 3.3 * 10**24), where _is_prime adds 20
+    random bases, still agree with sympy's factorint; RingCtx reaches them
+    for any d below RADICAND_CAP = 10**30."""
+    tested = []
+    is_prime = quadtuple.quadring._is_prime
+
+    def recording(n, rng):
+        tested.append(n)
+        return is_prime(n, rng)
+
+    monkeypatch.setattr(quadtuple.quadring, "_is_prime", recording)
+    p, q_big, q_mid = nextprime(2 * 10**7), nextprime(10**21), nextprime(3 * 10**14)
+    for n in (15 * nextprime(10**26), 15 * p * q_big, 15 * p * p * q_mid):
+        tested.clear()
+        assert is_square_free(n) == _oracle_square_free(n), n
+        assert max(tested) >= quadtuple.quadring._MR_LIMIT, n
+
+
 # ---------------------------------------------------------------------------
 # textual and JSON formats
 

@@ -1,71 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quadtuple import (
-    NClass,
     NonRepCertificate,
     RingCtx,
     certificate_holds,
     certify_nonrepresentable,
-    classify_n,
     fundamental_unit,
     search_repr,
 )
 from quadtuple.represent import BOUND_CAP, certificate_from_json, certificate_to_json
 
 from support import RING15, RING735, RING3975
-
-
-@pytest.mark.parametrize(
-    "a,b,tag",
-    [
-        (3, 0, NClass.ODD),
-        (7, -4, NClass.ODD),
-        (2, 0, NClass.TWO_MOD_FOUR),
-        (-2, 8, NClass.TWO_MOD_FOUR),
-        (4, 8, NClass.FOUR_FOUR),
-        (0, 0, NClass.FOUR_FOUR),
-        (4, 2, NClass.FOUR_FOUR_PLUS_TWO),
-        (-8, -6, NClass.FOUR_FOUR_PLUS_TWO),
-        (6, 4, NClass.TWO_MOD_FOUR),
-        (2, 2, NClass.T),
-        (3, 1, NClass.T),  # odd sqrt(d) coordinate never lands in the family
-        (2, -6, NClass.T),
-    ],
-)
-def test_classify_examples(ring15, a, b, tag):
-    assert classify_n(ring15.element(a, b)) is tag
-
-
-def _membership_oracle(a, b):
-    # solvability of the four defining parameterizations, spelled out
-    if (a - 1) % 2 == 0 and b % 2 == 0:
-        return NClass.ODD
-    if a % 4 == 0 and b % 4 == 0:
-        return NClass.FOUR_FOUR
-    if a % 4 == 0 and (b - 2) % 4 == 0:
-        return NClass.FOUR_FOUR_PLUS_TWO
-    if (a - 2) % 4 == 0 and b % 4 == 0:
-        return NClass.TWO_MOD_FOUR
-    return NClass.T
-
-
-@given(a=st.integers(-(10**9), 10**9), b=st.integers(-(10**9), 10**9))
-def test_classify_partitions(a, b):
-    assert classify_n(RING15.element(a, b)) is _membership_oracle(a, b)
-
-
-def test_classify_partitions_bulk():
-    import random
-
-    rng = random.Random(99)
-    for _ in range(10**4):
-        a = rng.randint(-(10**6), 10**6)
-        b = rng.randint(-(10**6), 10**6)
-        assert classify_n(RING15.element(a, b)) is _membership_oracle(a, b)
 
 
 def test_certify_examples(ring15):
@@ -121,6 +68,15 @@ def test_certificate_closed_under_unit_squares(ring15):
         cert = certify_nonrepresentable(n)
         assert cert is not None
         assert cert.u * ring15.element(2, 0) == n
+
+    # odd powers: eps^k has norm 1 but an even first and odd second
+    # coordinate, so n = 2 eps^k = 4m + (4k+2)sqrt(d) fails the residue
+    # test, the one hypothesis it misses
+    for w in (u, u**3, u.conjugate(), u.conjugate() ** 3):
+        n = 2 * w
+        assert w.norm() == 1 and (n.a % 4, n.b % 4) == (0, 2)
+        assert certify_nonrepresentable(n) is None
+        assert not certificate_holds(NonRepCertificate(n, w, ring15.element(3, 1)))
 
 
 def test_certificate_json(ring15):
