@@ -42,7 +42,6 @@ from .pellsolve import (
 )
 from .quadring import (
     MixedRingError,
-    NotSquareFreeError,
     QuadInt,
     RingCtx,
     factorize,

@@ -33,7 +33,7 @@ from .counterex import (
     report_to_json,
 )
 from .pellsolve import LIMIT_CAP, enumerate_solutions, solve_norm_eq
-from .quadring import NotSquareFreeError, RingCtx, element_to_json, parse_element
+from .quadring import RingCtx, element_to_json, parse_element
 from .represent import (
     BOUND_CAP,
     certificate_to_json,
@@ -50,6 +50,10 @@ EXIT_HYPOTHESIS = 5  # m + k odd
 EXIT_BUDGET = 6  # retry budget exhausted
 
 
+class NotSquareFreeError(ValueError):
+    """d has a square factor and --allow-nonsquarefree was not given."""
+
+
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(doc))
@@ -59,7 +63,10 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
 
 
 def _ring(args) -> RingCtx:
-    return RingCtx(args.d, allow_nonsquarefree=args.allow_nonsquarefree)
+    ctx = RingCtx(args.d)
+    if not (ctx.square_free or args.allow_nonsquarefree):
+        raise NotSquareFreeError(f"d = {ctx.d} is not square-free; pass --allow-nonsquarefree")
+    return ctx
 
 
 def cmd_pell(args) -> int:
@@ -137,7 +144,7 @@ def cmd_verify(args) -> int:
     ctx = _ring(args)
     n = parse_element(args.n, ctx)
     elements = tuple(parse_element(e, ctx) for e in args.elements)
-    witnesses = _parse_witnesses(args.witness, ctx) if args.witness else None
+    witnesses = _parse_witnesses(args.witness or [], ctx)
     report = verify_quadruple(ctx, Quadruple(elements, n, witnesses))
     doc = {
         "d": str(ctx.d),

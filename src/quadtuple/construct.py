@@ -72,13 +72,13 @@ class Quadruple:
     """Four elements, the target n, and square-root witnesses per pair.
 
     witnesses maps 1-based index pairs (i, j), i < j, to w with
-    elements[i-1] * elements[j-1] + n = w^2; it may be None (stripped),
-    in which case verification falls back on the square decision procedure.
+    elements[i-1] * elements[j-1] + n = w^2; it may be empty (stripped), and
+    a pair without a witness is checked by the square decision procedure.
     """
 
     elements: tuple[QuadInt, QuadInt, QuadInt, QuadInt]
     n: QuadInt
-    witnesses: Mapping[tuple[int, int], QuadInt] | None
+    witnesses: Mapping[tuple[int, int], QuadInt]
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,6 @@ def degenerate_check(elements) -> bool:
 
 
 def _halved(x: QuadInt) -> QuadInt:
-    if x.a % 2 or x.b % 2:
-        raise pellsolve.ShapeViolation(f"{x} is not divisible by 2 in the ring")
     return QuadInt(x.a // 2, x.b // 2, x.ctx)
 
 
@@ -159,6 +157,12 @@ def _construct_from_norm6(
 
     Degenerate element sets (a zero or a collision) advance the schedule;
     only finitely many indices can misbehave, so the budget is generous.
+
+    No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
+    (norm6_sign_y), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
+    2 * (-(m+1)x - dky, -kx - my) are even; s is (even, odd) when m + k is
+    even, and so is each a (norm 1): eps is (unit_from_norm6), eps^+-2 are
+    (odd, even), and (even, odd) * (odd, even) is (even, odd).  So s - a is even.
     """
     ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else -1
@@ -179,8 +183,6 @@ def _construct_from_norm6(
         j = _unit_exponent(index)
         step = eps2 if j >= 0 else eps2_inv
         a = base_unit * step ** abs(j)
-        if a.norm() != 1 or a.a % 2 != 0 or a.b % 2 != 1:
-            raise pellsolve.ShapeViolation(f"unit schedule produced {a}")
         r = _halved(s - a)
         b = (r * r - n) * a.conjugate()
         elements = (a, b, a + b + 2 * r, a + 4 * b + 4 * r)
@@ -217,7 +219,6 @@ class PairStatus:
 
     i: int
     j: int
-    target: QuadInt  # elements[i-1] * elements[j-1] + n
     witness_ok: bool | None  # None when no witness is stored for the pair
     root: QuadInt | None  # independent root from the square decision procedure
     ok: bool
@@ -244,7 +245,7 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     all_ok = True
     for i, j in PAIRS:
         target = quad.elements[i - 1] * quad.elements[j - 1] + quad.n
-        witness = quad.witnesses.get((i, j)) if quad.witnesses else None
+        witness = quad.witnesses.get((i, j))
         root = sqrt_in_ring(target)
         if witness is None:
             witness_ok = None
@@ -254,7 +255,7 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
             witness_ok = witness in (root, -root)
         ok = root is not None and witness_ok is not False
         all_ok = all_ok and ok
-        pairs.append(PairStatus(i, j, target, witness_ok, root, ok))
+        pairs.append(PairStatus(i, j, witness_ok, root, ok))
     return VerifyReport(tuple(pairs), all_ok)
 
 
@@ -263,9 +264,7 @@ def scale_quadruple(quad: Quadruple, w: QuadInt) -> Quadruple:
     if w.is_zero():
         raise ValueError("scaling factor must be nonzero")
     elements = tuple(w * e for e in quad.elements)
-    witnesses = None
-    if quad.witnesses is not None:
-        witnesses = {pair: w * x for pair, x in quad.witnesses.items()}
+    witnesses = {pair: w * x for pair, x in quad.witnesses.items()}
     return Quadruple(elements, w * w * quad.n, witnesses)
 
 
@@ -280,7 +279,7 @@ def quadruple_to_json(quad: Quadruple) -> dict:
         "n": element_to_json(quad.n),
         "elements": [element_to_json(e) for e in quad.elements],
     }
-    if quad.witnesses is not None:
+    if quad.witnesses:
         doc["witnesses"] = {
             key: element_to_json(quad.witnesses[pair])
             for key, pair in WITNESS_KEYS.items()
@@ -297,19 +296,14 @@ def _witness_pair(key: str) -> tuple[int, int]:
     return pair
 
 
-def quadruple_from_json(doc: dict, ctx: RingCtx | None = None) -> Quadruple:
-    d = int_from_json(doc["d"])
-    if ctx is None:
-        ctx = RingCtx(d, allow_nonsquarefree=True)
-    elif ctx.d != d:
-        raise ValueError(f"document is for d = {doc['d']}, context has d = {ctx.d}")
+def quadruple_from_json(doc: dict) -> Quadruple:
+    """Parse without judging, in the ring of the document's own d."""
+    ctx = RingCtx(int_from_json(doc["d"]))
     if len(doc["elements"]) != 4:
         raise ValueError(f"expected 4 elements, got {len(doc['elements'])}")
     elements = tuple(element_from_json(e, ctx) for e in doc["elements"])
-    witnesses = None
-    if "witnesses" in doc:
-        witnesses = {
-            _witness_pair(key): element_from_json(value, ctx)
-            for key, value in doc["witnesses"].items()
-        }
+    witnesses = {
+        _witness_pair(key): element_from_json(value, ctx)
+        for key, value in doc.get("witnesses", {}).items()
+    }
     return Quadruple(elements, element_from_json(doc["n"], ctx), witnesses)

@@ -67,11 +67,7 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DCandidate:
-    """One member of the d-family, with its built-in norm -6 solution x + sqrt(d).
-
-    ctx is built with allow_nonsquarefree=True, so every member has one and
-    square-freeness is decided once, when it is built.
-    """
+    """One member of the d-family, with its built-in norm -6 solution x + sqrt(d)."""
 
     alpha: int
     x: int
@@ -84,13 +80,13 @@ def family_d(alpha: int) -> DCandidate:
     x = 60 * alpha + 3
     if x * x - d != -6:
         raise StageError("family", f"x^2 - d = {x * x - d} at alpha = {alpha}")
-    return DCandidate(alpha=alpha, x=x, ctx=RingCtx(d, allow_nonsquarefree=True))
+    return DCandidate(alpha=alpha, x=x, ctx=RingCtx(d))
 
 
 def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> list[DCandidate]:
     """All candidates for alpha_lo <= alpha <= alpha_hi, in alpha order.
 
-    Non-square-free members are retained but flagged ineligible.  A span
+    Non-square-free members are retained, with ctx.square_free False.  A span
     over ALPHA_SPAN_CAP members is refused before any ring is built.
     """
     if alpha_lo > alpha_hi:
@@ -164,12 +160,11 @@ def _report_holds(
     w_bar = w.conjugate()
     f = [e * w_bar for e in quad.elements]
     two = QuadInt(2, 0, ctx)
-    witnesses = quad.witnesses or {}
     for i, j in PAIRS:
         rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)
         if rho is None:
             return False
-        witness = witnesses.get((i, j))
+        witness = quad.witnesses.get((i, j))
         if witness is not None:
             root = w * rho
             if witness not in (root, -root):
@@ -241,9 +236,9 @@ def report_to_json(report: CounterexampleReport) -> dict:
 def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
-    Refuses a d that is not 15 mod 60 before its square-freeness is
-    decided, then rebuilds the ring from d and parses n, the quadruple and
-    the certificate, accepting only decimal-string integers and the six
+    Parses the quadruple in the ring of its own d, refuses it unless that d
+    is the report's and 15 mod 60, then parses n and the certificate in the
+    same ring, accepting only decimal-string integers and the six
     witness keys "12" ... "34".  True iff the report states
     "verified": true, t is a JSON integer in [0, T_CAP_DEFAULT], and
     _report_holds, which runs no solver: the certificate carries its
@@ -255,10 +250,10 @@ def verify_report_doc(doc: dict) -> bool:
         if verified is not True or type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
             return False
         d = int_from_json(doc["d"])
-        if d % 60 != 15:  # certificate_holds requires it
+        quad = quadruple_from_json(doc["quadruple"])
+        ctx = quad.n.ctx
+        if ctx.d != d or d % 60 != 15:  # certificate_holds requires 15 mod 60
             return False
-        ctx = RingCtx(d)
-        quad = quadruple_from_json(doc["quadruple"], ctx)
         n = element_from_json(doc["n"], ctx)
         certificate = certificate_from_json(doc["certificate"], ctx)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):

@@ -42,8 +42,7 @@ PERIOD_CAP = 10**4
 class ShapeViolation(RuntimeError):
     """A value failed a congruence shape the theory guarantees.
 
-    Seeing this means a bug or a hypothesis violation (typically a
-    non-square-free radicand smuggled past the checks)."""
+    Seeing this means a bug or a hypothesis violation."""
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +90,6 @@ class NormEqClasses:
     solution is +-representative * unit^k for exactly one representative.
     """
 
-    N: int
     representatives: tuple[QuadInt, ...]
     unit: QuadInt
 
@@ -144,7 +142,7 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     for s in hits:
         if not any(_associated(s, r, N) for r in reps):
             reps.append(s)
-    return NormEqClasses(N, tuple(reps), unit)
+    return NormEqClasses(tuple(reps), unit)
 
 
 def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:

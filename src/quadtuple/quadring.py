@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import cycle
 from math import gcd, isqrt
 
 __all__ = [
     "MixedRingError",
-    "NotSquareFreeError",
     "QuadInt",
     "RADICAND_CAP",
     "RingCtx",
@@ -30,10 +29,6 @@ __all__ = [
     "parse_element",
     "sqrt_in_ring",
 ]
-
-
-class NotSquareFreeError(ValueError):
-    """The radicand has a square factor and the caller did not opt in."""
 
 
 class MixedRingError(ValueError):
@@ -223,15 +218,14 @@ RADICAND_CAP = 10**30
 class RingCtx:
     """Validated ring parameter d for Z[sqrt(d)], with its square-freeness.
 
-    Rejects d < 2, d >= RADICAND_CAP, perfect squares, and (unless
-    allow_nonsquarefree is set) radicands with a square factor.
+    Rejects d < 2, d >= RADICAND_CAP and perfect squares.  square_free is
+    decided at most once per ring, when first read, and refuses nothing.
     """
 
     d: int
-    square_free: bool = field(init=False)
-    allow_nonsquarefree: InitVar[bool] = False
+    _square_free: bool | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, allow_nonsquarefree: bool) -> None:
+    def __post_init__(self) -> None:
         d = self.d
         if d < 2:
             raise ValueError(f"ring radicand must be >= 2, got {d}")
@@ -239,12 +233,13 @@ class RingCtx:
             raise ValueError(f"ring radicand must be below the cap {RADICAND_CAP}")
         if is_perfect_square(d) is not None:
             raise ValueError(f"ring radicand must not be a perfect square, got {d}")
-        square_free = is_square_free(d)
-        if not square_free and not allow_nonsquarefree:
-            raise NotSquareFreeError(
-                f"d = {d} is not square-free; pass allow_nonsquarefree=True to override"
-            )
-        object.__setattr__(self, "square_free", square_free)
+
+    @property
+    def square_free(self) -> bool:
+        # not functools.cached_property: its __dict__ write slows every ctx.d read
+        if self._square_free is None:
+            object.__setattr__(self, "_square_free", is_square_free(self.d))
+        return self._square_free
 
     def element(self, a: int, b: int) -> QuadInt:
         return QuadInt(a, b, self)

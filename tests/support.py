@@ -17,10 +17,10 @@ from quadtuple import (
 from quadtuple.pellsolve import unit_from_norm6
 
 # rings the suite keeps coming back to; 735 and 3975 carry square factors
-# (3*5*7^2 and 3*5^2*53) so they need the explicit opt-in
+# (3*5*7^2 and 3*5^2*53), so no certificate holds in them
 RING15 = RingCtx(15)
-RING735 = RingCtx(735, allow_nonsquarefree=True)
-RING3975 = RingCtx(3975, allow_nonsquarefree=True)
+RING735 = RingCtx(735)
+RING3975 = RingCtx(3975)
 # the square-free d = 15 (mod 60) up to 2000 where norm -6 is attained
 # (exactly those = 15 mod 360)
 MINUS6_D = [15, 1095, 1455]

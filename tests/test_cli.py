@@ -44,11 +44,24 @@ def test_pell_perfect_square_usage_error(capsys):
     assert "perfect square" in err
 
 
-def test_pell_nonsquarefree_gate(capsys):
-    code, _, err = run(capsys, "pell", "--d", "45", "--norm", "1")
-    assert code == 4
-    code, out, _ = run(capsys, "pell", "--d", "45", "--norm", "1", "--allow-nonsquarefree")
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv, flagged_code",
+    [
+        pytest.param(["pell", "--d", "45", "--norm", "1"], 0, id="pell"),
+        # 45 is not 15 mod 60, a usage error once the ring is let through
+        pytest.param(["construct", "--d", "45", "--m", "0", "--k", "0"], 2, id="construct"),
+        pytest.param(
+            ["verify", "--d", "45", "--n", "2,0", "1,0", "2,0", "3,0", "4,0"], 1, id="verify"
+        ),
+        pytest.param(["checkrepr", "--d", "45", "--n", "2,0", "--bound", "20"], 3, id="checkrepr"),
+    ],
+)
+def test_pell_nonsquarefree_gate(capsys, argv, flagged_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "pass --allow-nonsquarefree" in err
+    code, _, _ = run(capsys, *argv, "--allow-nonsquarefree")
+    assert code == flagged_code
 
 
 def test_pell_bad_flags(capsys, monkeypatch):

@@ -70,12 +70,13 @@ def test_verify_passes_and_reports(ring15):
     for pair in report.pairs:
         assert pair.witness_ok is True
         assert pair.root is not None
-        assert pair.root * pair.root == pair.target
+        e = quad.elements
+        assert pair.root * pair.root == e[pair.i - 1] * e[pair.j - 1] + quad.n
 
 
 def test_verify_without_witnesses(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    stripped = Quadruple(quad.elements, quad.n, None)
+    stripped = Quadruple(quad.elements, quad.n, {})
     report = verify_quadruple(ring15, stripped)
     assert report.ok
     assert all(pair.witness_ok is None for pair in report.pairs)
@@ -84,7 +85,7 @@ def test_verify_without_witnesses(ring15):
 def test_verify_catches_tampering(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
     tampered = Quadruple(
-        (-quad.elements[0],) + quad.elements[1:], quad.n, None
+        (-quad.elements[0],) + quad.elements[1:], quad.n, {}
     )
     assert not verify_quadruple(ring15, tampered).ok
 
@@ -111,7 +112,7 @@ WITNESS_VARIANTS = {
 
 def _with_witnesses(quad, variant):
     if variant is None:
-        return Quadruple(quad.elements, quad.n, None)
+        return Quadruple(quad.elements, quad.n, {})
     return Quadruple(
         quad.elements, quad.n, {pair: variant(w) for pair, w in quad.witnesses.items()}
     )
@@ -124,10 +125,10 @@ def _assert_matches_squaring(ctx, quad):
     report = verify_quadruple(ctx, quad)
     for p in report.pairs:
         e = quad.elements
-        assert p.target == e[p.i - 1] * e[p.j - 1] + quad.n
-        w = quad.witnesses.get((p.i, p.j)) if quad.witnesses else None
-        assert p.witness_ok == (None if w is None else w * w == p.target)
-        assert p.root == sqrt_in_ring(p.target)
+        target = e[p.i - 1] * e[p.j - 1] + quad.n
+        w = quad.witnesses.get((p.i, p.j))
+        assert p.witness_ok == (None if w is None else w * w == target)
+        assert p.root == sqrt_in_ring(target)
         assert p.ok == (p.root is not None and p.witness_ok is not False)
     assert report.ok == all(p.ok for p in report.pairs)
     return report
@@ -215,6 +216,26 @@ def test_trace_invariants_random():
         assert verify_quadruple(ctx, quad).ok
 
 
+# (m, k) with m + k even, on both sides of zero
+CONSTRUCTION_GRID = [(0, 0), (1, 1), (2, 0), (-1, 1), (3, -1), (-2, -4)]
+
+
+@pytest.mark.parametrize("d", MINUS6_D + [735, 3975])
+@pytest.mark.parametrize("choice", ["first", "second"])
+def test_construction_shapes_hold_without_checks(d, choice):
+    # what _construct_from_norm6's docstring proves in place of a run-time
+    # check: every scheduled unit is a norm 1 (even, odd) element, and both
+    # halvings are exact
+    ctx = RingCtx(d)
+    for m, k in CONSTRUCTION_GRID:
+        for index in range(9):
+            _, trace = construct_quadruple(ctx, m, k, index, choice)
+            a = trace.unit_a
+            assert a.norm() == 1 and a.a % 2 == 0 and a.b % 2 == 1
+            assert trace.alpha1 + trace.alpha2 == 2 * (a + 2 * trace.r)
+            assert trace.alpha1 - trace.alpha2 == 2 * trace.alpha_sym
+
+
 def test_distinct_unit_indices_distinct_quadruples(ring15):
     seen = set()
     for index in range(10):
@@ -270,7 +291,7 @@ def test_quadruple_json_round_trip(ring15):
     assert set(doc["witnesses"]) == {"12", "13", "14", "23", "24", "34"}
     back = quadruple_from_json(doc)
     assert back == quad
-    stripped = Quadruple(quad.elements, quad.n, None)
+    stripped = Quadruple(quad.elements, quad.n, {})
     doc2 = quadruple_to_json(stripped)
     assert "witnesses" not in doc2
     assert quadruple_from_json(doc2) == stripped

@@ -97,7 +97,7 @@ def test_build_report_guards(ring15):
     with pytest.raises(ValueError):
         build_report(ring15, 1001)
     with pytest.raises(StageError, match="eligibility"):
-        build_report(RingCtx(3975, allow_nonsquarefree=True), 0)
+        build_report(RingCtx(3975), 0)
     with pytest.raises(StageError, match="eligibility"):
         build_report(RingCtx(195), 0)  # -6 not attained
     with pytest.raises(StageError, match="eligibility"):
@@ -169,6 +169,8 @@ TAMPERINGS = [
     lambda doc: doc["quadruple"]["witnesses"].__setitem__(
         "99", doc["quadruple"]["witnesses"]["12"]
     ),
+    # the quadruple is parsed in its own ring, which must be the report's
+    lambda doc: doc["quadruple"].__setitem__("d", "1095"),
 ]
 
 
@@ -189,6 +191,15 @@ def test_reverification_rejects_tampering(ring15, mutate):
 def test_reverification_rejects_tampering_at_t3(ring15, mutate):
     # at t = 0 the judge divides out w = 1, so only t > 0 tests the reduction
     assert not verify_report_doc(_tampered(ring15, 3, mutate))
+
+
+def test_reverification_rejects_a_report_d_its_quadruple_does_not_share(ring15):
+    # _tampered would copy the change into the quadruple; here only the
+    # report's d moves, and every other test would still pass in Z[sqrt(15)]
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 1))))
+    assert verify_report_doc(doc)
+    doc["d"] = "1095"
+    assert not verify_report_doc(doc)
 
 
 def test_reverification_refuses_a_long_witness_before_its_power(ring15):
@@ -368,7 +379,7 @@ def _mutations(quad, eps):
         yield with_witness(pair, -x)
         yield with_witness(pair, x * eps)
         yield with_witness(pair, None)
-    yield Quadruple(elements, quad.n, None)
+    yield Quadruple(elements, quad.n, {})
 
 
 @pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])

@@ -111,7 +111,8 @@ def test_solve_norm_eq_guards(ring15, monkeypatch):
     with pytest.raises(ValueError):
         solve_norm_eq(ring15, 10**7)
     monkeypatch.setattr(quadtuple.pellsolve, "NORM_CAP", 10**8)
-    assert solve_norm_eq(ring15, 10**7).N == 10**7
+    reps = solve_norm_eq(ring15, 10**7).representatives
+    assert [r.norm() for r in reps] == [10**7]
 
 
 def test_fundamental_unit_period_cap(monkeypatch):
@@ -144,7 +145,7 @@ def test_enumerate_solutions(ring15):
 @pytest.mark.parametrize("d", SOLVER_D)
 @pytest.mark.parametrize("N", [1, -1, 2, -2, -6])
 def test_solver_matches_brute_force(d, N):
-    ctx = RingCtx(d, allow_nonsquarefree=d in (735, 3975))
+    ctx = RingCtx(d)
     sols = solutions_within(solve_norm_eq(ctx, N), 500)
     assert sorted((s.a, s.b) for s in sols) == sorted(brute_norm_solutions(ctx, N, 500))
     assert [enum_order_key(s) for s in sols] == sorted(enum_order_key(s) for s in sols)
@@ -290,7 +291,7 @@ def test_d_congruence_check(ring735, ring3975):
 def test_pm2_agrees_with_brute_force_on_sampled_d():
     # 100 consecutive members of d = 15 (mod 60), square-free or not
     for d in range(15, 15 + 60 * 100, 60):
-        ctx = RingCtx(d, allow_nonsquarefree=True)
+        ctx = RingCtx(d)
         assert check_pm2_unsolvable(ctx)
         assert not brute_norm_solutions(ctx, 2, 1000)
         assert not brute_norm_solutions(ctx, -2, 1000)

@@ -11,13 +11,15 @@ from sympy import factorint, nextprime, prevprime
 import quadtuple.quadring
 from quadtuple import (
     MixedRingError,
-    NotSquareFreeError,
     QuadInt,
     RingCtx,
+    construct_quadruple,
     factorize,
     is_perfect_square,
     is_square_free,
     parse_element,
+    quadruple_from_json,
+    quadruple_to_json,
     sqrt_in_ring,
 )
 from quadtuple.quadring import (
@@ -146,12 +148,11 @@ def test_ringctx_rejects_bad_d():
         RingCtx(1)
     with pytest.raises(ValueError):
         RingCtx(0)
-    with pytest.raises(NotSquareFreeError):
-        RingCtx(45)
+    assert not RingCtx(45).square_free
 
 
 def test_ringctx_radicand_cap(monkeypatch):
-    assert RingCtx(RADICAND_CAP - 1, allow_nonsquarefree=True).d == RADICAND_CAP - 1
+    assert RingCtx(RADICAND_CAP - 1).d == RADICAND_CAP - 1
 
     def forbidden(n):
         raise AssertionError("square-freeness tested before the radicand cap")
@@ -160,13 +161,34 @@ def test_ringctx_radicand_cap(monkeypatch):
     # 10**30 is a perfect square too: the cap is checked first
     for d in (RADICAND_CAP, RADICAND_CAP + 15, 10**60 + 15):
         with pytest.raises(ValueError, match="cap"):
-            RingCtx(d, allow_nonsquarefree=True)
+            RingCtx(d)
 
 
 def test_ringctx_override_and_caches():
-    ctx = RingCtx(45, allow_nonsquarefree=True)
+    ctx = RingCtx(45)
     assert not ctx.square_free
     assert RingCtx(15).square_free
+
+
+def test_ringctx_decides_square_freeness_once_and_only_when_read(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("square-freeness decided before it was read")
+
+    monkeypatch.setattr(quadtuple.quadring, "is_square_free", forbidden)
+    RingCtx(45)
+    RingCtx(RADICAND_CAP - 1)
+    quadruple_from_json(quadruple_to_json(construct_quadruple(RING15, 0, 0)[0]))
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_square_free(n)
+
+    monkeypatch.setattr(quadtuple.quadring, "is_square_free", counted)
+    ctx = RingCtx(45)
+    assert (ctx.square_free, ctx.square_free) == (False, False)
+    assert calls == [45]
 
 
 # ---------------------------------------------------------------------------
