@@ -54,6 +54,16 @@ class NotSquareFreeError(ValueError):
     """d has a square factor and --allow-nonsquarefree was not given."""
 
 
+# most specific class first: NotSquareFreeError and ParityError are ValueErrors
+_FAILURES = {
+    NotSquareFreeError: EXIT_RING,
+    ParityError: EXIT_HYPOTHESIS,
+    RetryBudgetExceeded: EXIT_BUDGET,
+    StageError: EXIT_FAIL,
+    ValueError: EXIT_USAGE,
+}
+
+
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(doc))
@@ -203,24 +213,6 @@ def cmd_checkrepr(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _open_archive(path: str):
-    """The --out file, opened for writing; a path that cannot be opened is a
-    usage error."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from exc
-
-
-def _write_archive(archive, path: str, docs: list[dict]) -> None:
-    """Write and close the --out archive; a failed write is a usage error too."""
-    try:
-        archive.writelines(json.dumps(doc) + "\n" for doc in docs)
-        archive.close()
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from exc
-
-
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
@@ -232,41 +224,42 @@ def cmd_counterexamples(args) -> int:
     if not 0 <= args.t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {args.t}")
     candidates = enumerate_counterexample_rings(lo, hi)
-    # the archive is opened before any report is built, so a bad path costs nothing
-    with _open_archive(args.out) if args.out else nullcontext() as archive:
-        reports = []
-        lines = []
-        eligible = ineligible = verified = 0
-        for cand in candidates:
-            ctx = cand.ctx
-            if not ctx.square_free:
-                ineligible += 1
-                lines.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
-                continue
-            eligible += 1
-            try:
-                report = build_report(ctx, args.t)
-            except StageError as exc:
-                lines.append(f"alpha={cand.alpha} d={ctx.d} FAILED: {exc}")
-                continue
-            reports.append(report_to_json(report))
-            if report.verified:
-                verified += 1
-            lines.append(f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}")
-        summary = {"eligible": eligible, "ineligible": ineligible, "verified": verified}
-        lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
-        if archive is not None:
-            _write_archive(archive, args.out, reports)
-    if args.format == "json":
-        outdoc: dict = {"summary": summary}
-        if args.out:
-            outdoc["archive"] = args.out
-        else:
-            outdoc["reports"] = reports
-        print(json.dumps(outdoc))
+    reports, lines = [], []
+    eligible = ineligible = verified = 0
+    # opened before any report is built; the loop does no I/O, so any OSError is the archive's
+    try:
+        with (
+            nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8")
+        ) as archive:
+            for cand in candidates:
+                ctx = cand.ctx
+                if not ctx.square_free:
+                    ineligible += 1
+                    lines.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
+                    continue
+                eligible += 1
+                try:
+                    report = build_report(ctx, args.t)
+                except StageError as exc:
+                    lines.append(f"alpha={cand.alpha} d={ctx.d} FAILED: {exc}")
+                    continue
+                reports.append(report_to_json(report))
+                if report.verified:
+                    verified += 1
+                lines.append(
+                    f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}"
+                )
+            if archive is not None:
+                archive.writelines(json.dumps(r) + "\n" for r in reports)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+    lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
+    doc: dict = {"summary": {"eligible": eligible, "ineligible": ineligible, "verified": verified}}
+    if args.out is not None:
+        doc["archive"] = args.out
     else:
-        for line in lines:
-            print(line)
+        doc["reports"] = reports
+    _emit(args, doc, lines)
     return EXIT_OK if verified == eligible else EXIT_FAIL
 
 
@@ -282,41 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pell", help="solve x^2 - d*y^2 = N")
-    p.add_argument("--d", type=int, required=True)
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--d", type=int, required=True)
+    ring.add_argument("--allow-nonsquarefree", action="store_true")
+
+    p = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
     p.add_argument("--norm", type=int, required=True)
     p.add_argument("--limit", type=int, default=8)
-    p.add_argument("--allow-nonsquarefree", action="store_true")
     p.set_defaults(func=cmd_pell)
 
-    p = sub.add_parser("construct", help="build a verified D((4m+2)+4k*sqrt(d)) quadruple")
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser(
+        "construct", parents=[ring], help="build a verified D((4m+2)+4k*sqrt(d)) quadruple"
+    )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--unit-index", type=int, default=0)
     p.add_argument("--factorization", choices=("first", "second"), default="first")
-    p.add_argument("--allow-nonsquarefree", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser(
         "verify",
+        parents=[ring],
         help="check the six pairwise products of a quadruple",
         epilog="Elements with a leading minus need '--' first, e.g. "
         "verify --d 15 --n 2,0 -- -4,-1 8,-2 8,-1 28,-7; "
         "negative --n values need the '=' form (--n=-2,0).",
     )
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", required=True, help="target n as 'a,b'")
     p.add_argument("elements", nargs=4, metavar="a,b", help="the four elements")
     p.add_argument("--witness", action="append", metavar="IJ=a,b")
-    p.add_argument("--allow-nonsquarefree", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("checkrepr", help="difference-of-two-squares status of n")
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("checkrepr", parents=[ring], help="difference-of-two-squares status of n")
     p.add_argument("--n", required=True, help="target n as 'a,b'")
     p.add_argument("--bound", type=int, default=500)
-    p.add_argument("--allow-nonsquarefree", action="store_true")
     p.set_defaults(func=cmd_checkrepr)
 
     p = sub.add_parser("counterexamples", help="reports over the d-family")
@@ -334,21 +326,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except NotSquareFreeError as exc:
+    except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RING
-    except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except RetryBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _FAILURES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

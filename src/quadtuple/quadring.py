@@ -254,7 +254,7 @@ class QuadInt:
     ctx: RingCtx = field(repr=False)
 
     def _same_ring(self, other: QuadInt) -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx.d != other.ctx.d:
             raise MixedRingError(
                 f"mixing elements of Z[sqrt({self.ctx.d})] and Z[sqrt({other.ctx.d})]"
             )

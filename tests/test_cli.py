@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -365,17 +366,21 @@ def test_radicand_cap_exits_2(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "empty"])
 def test_counterexamples_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, where):
     def forbidden(ctx, t):
         raise AssertionError("a report was built before --out was opened")
 
     monkeypatch.setattr(quadtuple.cli, "build_report", forbidden)
-    path = tmp_path if where == "directory" else tmp_path / "missing" / "reports.jsonl"
-    code, out, err = run(capsys, "counterexamples", "--alpha", "0..3", "--out", str(path))
+    # an empty path is a path that cannot be opened, not a missing --out
+    path, errno_ = {
+        "directory": (str(tmp_path), errno.EISDIR),
+        "missing_parent": (str(tmp_path / "missing" / "reports.jsonl"), errno.ENOENT),
+        "empty": ("", errno.ENOENT),
+    }[where]
+    code, out, err = run(capsys, "counterexamples", "--alpha", "0..3", "--out", path)
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(path) in err
+    assert err == f"error: cannot write --out {path!r}: {os.strerror(errno_)}\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -441,3 +446,14 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 2
     code, _, _ = run(capsys, "pell", "--d", "15", "--norm", "-6")
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["pell", "construct", "verify", "checkrepr", "counterexamples"])
+def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    ring_flags = ("--d D", "--allow-nonsquarefree")
+    if command == "counterexamples":
+        assert not any(flag in out for flag in ring_flags)
+    else:
+        assert all(flag in out for flag in ring_flags)

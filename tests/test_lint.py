@@ -4,7 +4,8 @@ An import nothing reads, an __all__ entry the module does not define, and a
 re-export in __init__.py that its source module does not list are all dead
 surface; each test names the offending module and name.  Every module-level
 *_CAP or *_CAP_DEFAULT constant is a stated cap, so README's "Caps" list
-names each one, with its module, and nothing else.
+names each one, with its module, and nothing else; its "Exit codes" paragraph
+names each cli.EXIT_* value, and nothing else.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import quadtuple
+import quadtuple.cli
 
 PACKAGE = Path(quadtuple.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -127,6 +129,22 @@ def test_readme_caps_match_the_source():
     )
 
 
+def _exit_codes_in_readme(text: str) -> set[int]:
+    """Each backticked number in the paragraph that starts "Exit codes:"."""
+    paragraph = text[text.index("\nExit codes:") :].split("\n\n", 1)[0]
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
+def test_readme_exit_codes_match_the_cli():
+    in_readme = _exit_codes_in_readme(README.read_text(encoding="utf-8"))
+    in_source = {v for k, v in vars(quadtuple.cli).items() if k.startswith("EXIT_")}
+    assert in_readme == in_source, (
+        f"README's exit codes miss {sorted(in_source - in_readme)} "
+        f"and name {sorted(in_readme - in_source)}, which cli does not define"
+    )
+    assert set(quadtuple.cli._FAILURES.values()) <= in_source
+
+
 def test_lint_sees_a_planted_unused_import():
     # the checks above are only as good as the helpers they share
     tree = ast.parse("import os\nfrom math import gcd, isqrt\nx = isqrt(4)\n")
@@ -142,3 +160,11 @@ def test_caps_lint_reads_only_the_caps_list():
         "Exit codes:\n\n- `C_CAP` (`cli`): another list\n"
     )
     assert _caps_in_readme(text) == {("A_CAP", "quadring"), ("B_CAP", "")}
+
+
+def test_exit_codes_lint_reads_only_the_exit_codes_paragraph():
+    text = (
+        "Run `7` times.\n\nExit codes: `0` fine, `2` usage\n(including a `--out`\n"
+        "path), `12` other.\n\nCaps:\n\n- `9`: not an exit code\n"
+    )
+    assert _exit_codes_in_readme(text) == {0, 2, 12}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from math import isqrt
 
@@ -135,6 +136,19 @@ def test_equal_contexts_interoperate():
     a = RingCtx(15).element(2, 1)
     b = RingCtx(15).element(1, 1)
     assert a + b == RingCtx(15).element(3, 2)
+
+
+def test_mixing_check_compares_d_not_contexts(monkeypatch, ring735):
+    # the check reads d itself, never the generated RingCtx.__eq__
+    def forbidden(self, other):
+        raise AssertionError("RingCtx.__eq__ called")
+
+    monkeypatch.setattr(RingCtx, "__eq__", forbidden)
+    a, b = RingCtx(15).element(2, 1), RingCtx(15).element(1, 1)
+    assert [(x.a, x.b) for x in (a + b, a - b, a * b)] == [(3, 2), (1, 0), (17, 3)]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(MixedRingError):
+            op(a, ring735.element(1, 0))
 
 
 # ---------------------------------------------------------------------------
