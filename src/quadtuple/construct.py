@@ -132,7 +132,9 @@ def construct_quadruple(
     if not 0 <= unit_index <= UNIT_INDEX_CAP:
         raise ValueError(f"unit_index must be in [0, {UNIT_INDEX_CAP}], got {unit_index}")
     if factorization_choice not in ("first", "second"):
-        raise ValueError(f"factorization_choice must be 'first' or 'second'")
+        raise ValueError(
+            f"factorization_choice must be 'first' or 'second', got {factorization_choice!r}"
+        )
     reps = pellsolve.solve_norm_eq(ctx, -6).representatives
     if not reps:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")

@@ -346,9 +346,8 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
     if s is None:
         return None
     half = B // 2
+    # B even makes s^2 = A^2 - d*B^2 = A^2 (mod 2), so A + s and A - s are even
     for doubled in (A + s, A - s):
-        if doubled % 2:
-            continue
         x = is_perfect_square(doubled // 2)
         if not x:  # x == 0 cannot pair with B != 0
             continue

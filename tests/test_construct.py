@@ -179,7 +179,7 @@ def test_preconditions(ring15):
     for index in (UNIT_INDEX_CAP + 1, 10**9):
         with pytest.raises(ValueError):
             construct_quadruple(ring15, 0, 0, unit_index=index)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'third'"):
         construct_quadruple(ring15, 0, 0, factorization_choice="third")
     from quadtuple import RingCtx
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import time
 
 import pytest
@@ -92,10 +93,9 @@ def test_build_report_t1(ring15):
 
 
 def test_build_report_guards(ring15):
-    with pytest.raises(ValueError):
-        build_report(ring15, -1)
-    with pytest.raises(ValueError):
-        build_report(ring15, 1001)
+    for t in (-1, 1001):
+        with pytest.raises(ValueError, match=re.escape(f"t must be in [0, 1000], got {t}")):
+            build_report(ring15, t)
     with pytest.raises(StageError, match="eligibility"):
         build_report(RingCtx(3975), 0)
     with pytest.raises(StageError, match="eligibility"):

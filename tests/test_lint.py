@@ -1,8 +1,10 @@
 """Static checks on the package source, with the standard library's ast.
 
-An import nothing reads, an __all__ entry the module does not define, and a
-re-export in __init__.py that its source module does not list are all dead
-surface; each test names the offending module and name.  Every module-level
+An import nothing reads and an __all__ entry the module does not define are
+dead surface; each test names the offending module and name.  The package
+re-exports every module's __all__, so each name listed there must be the same
+object as the package attribute of that name.  An f-string with no
+placeholder is a message that forgot its value.  Every module-level
 *_CAP or *_CAP_DEFAULT constant is a stated cap, so README's "Caps" list
 names each one, with its module, and nothing else; its "Exit codes" paragraph
 names each cli.EXIT_* value, and nothing else.
@@ -11,6 +13,7 @@ names each cli.EXIT_* value, and nothing else.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -63,7 +66,7 @@ def _defined(tree: ast.Module) -> set[str]:
     return out
 
 
-# __init__.py imports only to re-export; test_init_reexports_only_public_names
+# __init__.py imports only to re-export; test_package_exports_each_modules_all
 # covers it
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
@@ -87,14 +90,33 @@ def test_all_names_are_defined(path):
     assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
 
 
-def test_init_reexports_only_public_names():
-    tree = _tree(PACKAGE / "__init__.py")
-    bad = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            public = _all(_tree(PACKAGE / f"{node.module}.py")) or []
-            bad += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
-    assert not bad, f"__init__.py re-exports names missing from __all__: {bad}"
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if _all(_tree(p)) is not None], ids=lambda p: p.name
+)
+def test_package_exports_each_modules_all(path):
+    # a name two modules both list would reach the package from only one
+    module = importlib.import_module(f"quadtuple.{path.stem}")
+    bad = [n for n in module.__all__ if getattr(quadtuple, n, None) is not getattr(module, n)]
+    assert not bad, f"quadtuple does not export {path.stem}'s {bad}"
+
+
+def _placeholderless_fstrings(tree: ast.Module) -> list[int]:
+    """The line of each f-string that holds no {...} placeholder; the format
+    spec after a colon, which ast also parses as an f-string, is not one."""
+    specs = {id(n.format_spec) for n in ast.walk(tree) if isinstance(n, ast.FormattedValue)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_fstring_has_a_placeholder(path):
+    lines = _placeholderless_fstrings(_tree(path))
+    assert not lines, f"{path.name} has f-strings with no placeholder at lines {lines}"
 
 
 def _caps_in_source() -> set[tuple[str, str]]:
@@ -151,6 +173,13 @@ def test_lint_sees_a_planted_unused_import():
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert {n for n in _imported(tree) if n not in read} == {"os", "gcd"}
     assert _defined(ast.parse("__all__ = ['f', 'g']\ndef f(): pass\n")) == {"__all__", "f"}
+
+
+def test_lint_sees_a_planted_placeholderless_fstring():
+    tree = ast.parse(
+        'a = f"none"\nb = f"one {a}"\nc = (f"x" f"{b}")\nd = f"{a:>10}"\ne = f"two"\n'
+    )
+    assert _placeholderless_fstrings(tree) == [1, 5]
 
 
 def test_caps_lint_reads_only_the_caps_list():
