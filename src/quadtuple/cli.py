@@ -19,7 +19,6 @@ from functools import cache
 from .construct import (
     ParityError,
     Quadruple,
-    RetryBudgetExceeded,
     WITNESS_KEYS,
     construct_quadruple,
     quadruple_to_json,
@@ -47,7 +46,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3  # also: norm equation unsolvable
 EXIT_RING = 4  # non-square-free d without the override flag
 EXIT_HYPOTHESIS = 5  # m + k odd
-EXIT_BUDGET = 6  # retry budget exhausted
 
 
 class NotSquareFreeError(ValueError):
@@ -58,8 +56,6 @@ class NotSquareFreeError(ValueError):
 _FAILURES = {
     NotSquareFreeError: EXIT_RING,
     ParityError: EXIT_HYPOTHESIS,
-    RetryBudgetExceeded: EXIT_BUDGET,
-    StageError: EXIT_FAIL,
     ValueError: EXIT_USAGE,
 }
 

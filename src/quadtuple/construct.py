@@ -15,6 +15,7 @@ identities behind the six stored square-root witnesses:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping
 
 from . import pellsolve
@@ -33,7 +34,6 @@ __all__ = [
     "PairStatus",
     "ParityError",
     "Quadruple",
-    "RetryBudgetExceeded",
     "UNIT_INDEX_CAP",
     "VerifyReport",
     "WITNESS_KEYS",
@@ -51,9 +51,6 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # the one spelling of each pair as a witness key, "12" for (1, 2), in PAIRS order
 WITNESS_KEYS = {f"{i}{j}": (i, j) for i, j in PAIRS}
 
-# unit choices construct_quadruple tries before giving up
-RETRY_BUDGET = 64
-
 # largest unit_index construct_quadruple accepts: 2 * counterex.T_CAP_DEFAULT,
 # so its elements never outgrow a capped report's unit^(2t)
 UNIT_INDEX_CAP = 2000
@@ -61,10 +58,6 @@ UNIT_INDEX_CAP = 2000
 
 class ParityError(ValueError):
     """m + k must be even for the construction to land in the ring."""
-
-
-class RetryBudgetExceeded(RuntimeError):
-    """Every tried unit choice produced a degenerate element set."""
 
 
 @dataclass(frozen=True)
@@ -157,14 +150,25 @@ def _construct_from_norm6(
     (gamma, delta)^2/6: eps itself, or its conjugate when delta flips
     gamma's y.
 
-    Degenerate element sets (a zero or a collision) advance the schedule;
-    only finitely many indices can misbehave, so the budget is generous.
-
     No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
     (norm6_sign_y), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
     2 * (-(m+1)x - dky, -kx - my) are even; s is (even, odd) when m + k is
     even, and so is each a (norm 1): eps is (unit_from_norm6), eps^+-2 are
     (odd, even), and (even, odd) * (odd, even) is (even, odd).  So s - a is even.
+
+    A degenerate set (a zero or a collision) advances the schedule.  At most
+    ten units give one, so the loop returns within 11 indices of unit_index.
+    s = a + 2r and n do not depend on a; c = b + s, e = 4b + 2s - a and
+    4ab = (s - a)^2 - 4n make each collision a quadratic in a with a nonzero
+    leading coefficient, so it has two roots at most among the distinct
+    scheduled units base * eps^(2j):
+        a = b: 3a^2 + 2sa = s^2 - 4n      a = c: 3a^2 - 2sa = s^2 - 4n
+        b = e: a^2 - 2sa = 3s^2 - 12n     c = e: a^2 + 2sa = 3s^2 - 12n
+        a = e: a^2 = s^2 - 4n
+    b = c needs s = 0, but s is (even, odd).  No element is zero: a is a
+    unit; b = 0 and c = 0 mean r^2 = n and (a + r)^2 = n, but n = (4m+2, 4k)
+    is no square, as x^2 + d*y^2 is never 2 mod 4 for d = 3 (mod 4); and
+    a*e = s^2 - 4n has an odd rational part, from s^2.
     """
     ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else -1
@@ -180,8 +184,7 @@ def _construct_from_norm6(
     eps2 = eps * eps
     eps2_inv = eps2.conjugate()  # norm 1, so the conjugate inverts it
 
-    for attempt in range(RETRY_BUDGET):
-        index = unit_index + attempt
+    for index in count(unit_index):
         j = _unit_exponent(index)
         step = eps2 if j >= 0 else eps2_inv
         a = base_unit * step ** abs(j)
@@ -210,9 +213,6 @@ def _construct_from_norm6(
             unit_index=index,
         )
         return quad, trace
-    raise RetryBudgetExceeded(
-        f"no nondegenerate quadruple within {RETRY_BUDGET} unit choices"
-    )
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,9 @@ ALPHA_SPAN_CAP = 10**5  # family members one enumeration may build
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; the stage name travels with the message."""
+    """A pipeline stage failed; the message starts with the stage's name."""
 
     def __init__(self, stage: str, message: str):
-        self.stage = stage
         super().__init__(f"[{stage}] {message}")
 
 
@@ -178,7 +177,8 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     scaled by w = unit^t to reach n = 2*w^2; the certificate applies because
     even unit powers have an odd first and even second coordinate, keeping
     n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
-    verify_report_doc gives on the report's JSON.
+    verify_report_doc gives on the report's JSON.  Nothing raises past the
+    eligibility checks (norm6_sign_y, unit_from_norm6, _construct_from_norm6).
     """
     if not 0 <= t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t}")
@@ -191,10 +191,7 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
         raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
     gamma = minus6[0]
 
-    try:
-        base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
-    except Exception as exc:
-        raise StageError("construct", str(exc)) from exc
+    base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
     w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
     scaled = scale_quadruple(base, w)
     n = scaled.n  # w^2 * 2, since the base quadruple has n = 2

@@ -241,9 +241,6 @@ class RingCtx:
             object.__setattr__(self, "_square_free", is_square_free(self.d))
         return self._square_free
 
-    def element(self, a: int, b: int) -> QuadInt:
-        return QuadInt(a, b, self)
-
 
 @dataclass(frozen=True)
 class QuadInt:

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 from quadtuple import (
+    QuadInt,
     RingCtx,
     build_report,
     certify_nonrepresentable,
@@ -51,7 +52,7 @@ def test_criterion_1_d15_fundamentals():
         fu = fundamental_unit(RING15)
         assert (fu.a, fu.b) == (4, 1)
         reps = solve_norm_eq(RING15, -6).representatives
-        assert RING15.element(3, 1) in reps
+        assert QuadInt(3, 1, RING15) in reps
 
 
 def test_criterion_2_d735_fundamentals():
@@ -59,21 +60,21 @@ def test_criterion_2_d735_fundamentals():
         fu = fundamental_unit(RING735)
         assert (fu.a, fu.b) == (244, 9)
         reps = solve_norm_eq(RING735, -6).representatives
-        assert RING735.element(27, 1) in reps
-        assert unit_from_norm6(RING735.element(27, 1)) == RING735.element(244, 9)
+        assert QuadInt(27, 1, RING735) in reps
+        assert unit_from_norm6(QuadInt(27, 1, RING735)) == QuadInt(244, 9, RING735)
 
 
 def test_criterion_3_base_quadruple():
     with criterion(3, "verified D(2) quadruple at d=15, m=k=0", 0.1):
         quad, _ = construct_quadruple(RING15, 0, 0)
         assert {(e.a, e.b) for e in quad.elements} == {(4, 1), (8, -2), (8, -1), (28, -7)}
-        assert quad.n == RING15.element(2, 0)
+        assert quad.n == QuadInt(2, 0, RING15)
         report = verify_quadruple(RING15, quad)
         assert report.ok
         assert all(p.witness_ok and p.root is not None for p in report.pairs)
         # the derived set carries (8, -2): with (8, +2) in its place the
         # first pair breaks, since (4,1)*(8,2) + 2 = (64,16) is not a square
-        assert sqrt_in_ring(RING15.element(4, 1) * RING15.element(8, 2) + quad.n) is None
+        assert sqrt_in_ring(QuadInt(4, 1, RING15) * QuadInt(8, 2, RING15) + quad.n) is None
 
 
 def test_criterion_4_scaling_family():
@@ -120,7 +121,7 @@ def test_criterion_7_nonrepresentability_concordance():
         odd_values = list(range(3, 82, 4))  # 20 odd integers inside [3, 99]
         assert len(odd_values) == 20 and all(v % 2 for v in odd_values)
         for value in odd_values:
-            n = RING15.element(value, 0)
+            n = QuadInt(value, 0, RING15)
             found = search_repr(n, (value + 1) // 2)
             assert found is not None
             p, q = found

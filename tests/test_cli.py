@@ -7,7 +7,6 @@ import os
 import pytest
 
 import quadtuple.cli
-import quadtuple.construct
 import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import StageError, verify_report_doc
@@ -147,11 +146,13 @@ def test_construct_unit_index_cap_exits_2(capsys, monkeypatch):
         assert f"unit_index must be in [0, 2000], got {index}" in err
 
 
-def test_construct_retry_budget_exits_6(capsys, monkeypatch):
-    monkeypatch.setattr(quadtuple.construct, "RETRY_BUDGET", 0)
-    code, out, err = run(capsys, "construct", "--d", "15", "--m", "0", "--k", "0")
-    assert (code, out) == (6, "")
-    assert err == "error: no nondegenerate quadruple within 0 unit choices\n"
+def test_construct_skips_a_degenerate_unit(capsys):
+    argv = ("--format", "json", "construct", "--d", "15", "--m", "4", "--k", "-2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["trace"]["unit_index"] == 1
+    assert doc["verified"] is True
 
 
 def test_construct_json_is_deterministic(capsys):
@@ -391,25 +392,15 @@ def test_counterexamples_failed_archive_write_exits_2(capsys):
     assert err == "error: cannot write --out '/dev/full': No space left on device\n"
 
 
-def test_counterexamples_stage_error_exits_1(capsys, monkeypatch):
-    def family_fails(lo, hi):
-        raise StageError("family", "x^2 - d = 1 at alpha = 0")
-
-    monkeypatch.setattr(quadtuple.cli, "enumerate_counterexample_rings", family_fails)
-    code, out, err = run(capsys, "counterexamples", "--alpha", "0..0")
-    assert (code, out) == (1, "")
-    assert err == "error: [family] x^2 - d = 1 at alpha = 0\n"
-
-
 def test_counterexamples_failed_candidate_exits_1(capsys, monkeypatch):
-    def construct_fails(ctx, t):
-        raise StageError("construct", f"no quadruple for d = {ctx.d}")
+    def eligibility_fails(ctx, t):
+        raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
 
-    monkeypatch.setattr(quadtuple.cli, "build_report", construct_fails)
+    monkeypatch.setattr(quadtuple.cli, "build_report", eligibility_fails)
     code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1")
     assert code == 1
     assert out.splitlines() == [
-        "alpha=0 d=15 FAILED: [construct] no quadruple for d = 15",
+        "alpha=0 d=15 FAILED: [eligibility] norm -6 is not attained for d = 15",
         "alpha=1 d=3975 ineligible (not square-free)",
         "eligible=1 ineligible=1 verified=0",
     ]

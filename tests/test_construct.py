@@ -7,8 +7,8 @@ import pytest
 import quadtuple.construct
 from quadtuple import (
     ParityError,
+    QuadInt,
     Quadruple,
-    RetryBudgetExceeded,
     RingCtx,
     build_report,
     construct_quadruple,
@@ -23,6 +23,7 @@ from quadtuple import (
 
 from quadtuple.construct import UNIT_INDEX_CAP
 from quadtuple.counterex import T_CAP_DEFAULT
+from quadtuple.pellsolve import unit_from_norm6
 from support import MINUS6_D, RING15, RING735, RING3975
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
@@ -43,21 +44,21 @@ def _coords(quad):
 def test_base_construction_golden(ring15):
     quad, trace = construct_quadruple(ring15, 0, 0)
     assert _coords(quad) == GOLDEN_ELEMENTS
-    assert quad.n == ring15.element(2, 0)
+    assert quad.n == QuadInt(2, 0, ring15)
     assert {k: (w.a, w.b) for k, w in quad.witnesses.items()} == GOLDEN_WITNESSES
-    assert trace.gamma_delta == ring15.element(3, 1)
-    assert trace.alpha1 == ring15.element(-3, 1)
-    assert trace.alpha2 == ring15.element(3, 1)
-    assert trace.unit_a == ring15.element(4, 1)
-    assert trace.r == ring15.element(-2, 0)
-    assert trace.b == ring15.element(8, -2)
-    assert trace.alpha_sym == ring15.element(-3, 0)
+    assert trace.gamma_delta == QuadInt(3, 1, ring15)
+    assert trace.alpha1 == QuadInt(-3, 1, ring15)
+    assert trace.alpha2 == QuadInt(3, 1, ring15)
+    assert trace.unit_a == QuadInt(4, 1, ring15)
+    assert trace.r == QuadInt(-2, 0, ring15)
+    assert trace.b == QuadInt(8, -2, ring15)
+    assert trace.alpha_sym == QuadInt(-3, 0, ring15)
     assert trace.unit_index == 0
 
 
 def test_second_factorization_gives_conjugates(ring15):
     quad, trace = construct_quadruple(ring15, 0, 0, factorization_choice="second")
-    assert trace.gamma_delta == ring15.element(3, -1)
+    assert trace.gamma_delta == QuadInt(3, -1, ring15)
     assert _coords(quad) == tuple((a, -b) for (a, b) in GOLDEN_ELEMENTS)
     assert verify_quadruple(ring15, quad).ok
 
@@ -93,7 +94,7 @@ def test_verify_catches_tampering(ring15):
 def test_verify_catches_bad_witness(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
     witnesses = dict(quad.witnesses)
-    witnesses[(1, 2)] = ring15.element(5, 5)
+    witnesses[(1, 2)] = QuadInt(5, 5, ring15)
     report = verify_quadruple(ring15, Quadruple(quad.elements, quad.n, witnesses))
     assert not report.ok
     bad = next(p for p in report.pairs if (p.i, p.j) == (1, 2))
@@ -105,7 +106,7 @@ def test_verify_catches_bad_witness(ring15):
 WITNESS_VARIANTS = {
     "kept": lambda w: w,
     "negated": lambda w: -w,
-    "wrong": lambda w: w + w.ctx.element(1, 0),
+    "wrong": lambda w: w + QuadInt(1, 0, w.ctx),
     "stripped": None,
 }
 
@@ -189,10 +190,62 @@ def test_preconditions(ring15):
         construct_quadruple(RingCtx(195), 0, 0)  # -6 not attained
 
 
-def test_retry_budget_zero(ring15, monkeypatch):
-    monkeypatch.setattr(quadtuple.construct, "RETRY_BUDGET", 0)
-    with pytest.raises(RetryBudgetExceeded):
-        construct_quadruple(ring15, 0, 0)
+@pytest.mark.parametrize(
+    "args, landed",
+    [((4, -2), 1), ((4, 2, 0, "second"), 1), ((7, -1), 1), ((-8, 2, 2), 3)],
+)
+def test_degenerate_units_are_skipped(args, landed):
+    # the start index gives a zero or repeated element, so the schedule moves on
+    quad, trace = construct_quadruple(RING15, *args)
+    assert trace.unit_index == landed
+    assert degenerate_check(quad.elements)
+    assert verify_quadruple(RING15, quad).ok
+
+
+# the five collisions of _construct_from_norm6's docstring, as quadratics in
+# the unit a with s = a + 2r and n fixed
+COLLISION_QUADRATICS = (
+    lambda a, s, n: 3 * a * a + 2 * s * a == s * s - 4 * n,  # a = b
+    lambda a, s, n: 3 * a * a - 2 * s * a == s * s - 4 * n,  # a = c
+    lambda a, s, n: a * a == s * s - 4 * n,  # a = e
+    lambda a, s, n: a * a - 2 * s * a == 3 * s * s - 12 * n,  # b = e
+    lambda a, s, n: a * a + 2 * s * a == 3 * s * s - 12 * n,  # c = e
+)
+
+
+def _scheduled_unit(eps, base, index):
+    # the schedule restated: base times eps^2 to the exponents 0, 1, -1, 2, -2, ...
+    j = (index + 1) // 2 if index % 2 else -(index // 2)
+    return base * (eps if j >= 0 else eps.conjugate()) ** (2 * abs(j))
+
+
+def test_degenerate_units_are_roots_of_the_collision_quadratics():
+    # what the unbounded unit loop rests on: s has an odd sqrt(d)-coordinate,
+    # so s != 0 and s^2 - 4n != 0; n is not a square, so b, c != 0; and
+    # every degenerate unit is a root of one of the five quadratics
+    skips = 0
+    for d in MINUS6_D:
+        ctx = RingCtx(d)
+        eps = fundamental_unit(ctx)
+        for m in range(-20, 21):
+            for k in range(-20 + m % 2, 21, 2):
+                for choice in ("first", "second"):
+                    quad, trace = construct_quadruple(ctx, m, k, 0, choice)
+                    n = quad.n
+                    s = trace.unit_a + 2 * trace.r
+                    assert s.b % 2 == 1
+                    assert sqrt_in_ring(n) is None
+                    base = unit_from_norm6(trace.gamma_delta)
+                    for index in range(6):
+                        a = _scheduled_unit(eps, base, index)
+                        r = QuadInt((s.a - a.a) // 2, (s.b - a.b) // 2, ctx)
+                        b = (r * r - n) * a.conjugate()
+                        if degenerate_check((a, b, a + b + 2 * r, a + 4 * b + 4 * r)):
+                            break
+                        assert any(q(a, s, n) for q in COLLISION_QUADRATICS)
+                        skips += 1
+                    assert (trace.unit_index, trace.unit_a) == (index, a)
+    assert skips  # the grid reaches the skip
 
 
 def test_trace_invariants_random():
@@ -205,7 +258,7 @@ def test_trace_invariants_random():
             k += 1
         quad, trace = construct_quadruple(ctx, m, k, unit_index=rng.randint(0, 4))
         n = quad.n
-        assert n == ctx.element(4 * m + 2, 4 * k)
+        assert n == QuadInt(4 * m + 2, 4 * k, ctx)
         a, r, b = trace.unit_a, trace.r, trace.b
         assert trace.alpha1 * trace.alpha2 == 3 * n
         assert trace.alpha1 + trace.alpha2 == 2 * a + 4 * r
@@ -257,14 +310,14 @@ def test_unit_index_cap_is_reachable(ring15):
 
 def test_scale_identity_and_negation(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    same = scale_quadruple(quad, ring15.element(1, 0))
+    same = scale_quadruple(quad, QuadInt(1, 0, ring15))
     assert same == quad
-    negated = scale_quadruple(quad, ring15.element(-1, 0))
+    negated = scale_quadruple(quad, QuadInt(-1, 0, ring15))
     assert negated.n == quad.n  # (-1)^2 * n
     assert _coords(negated) == tuple((-a, -b) for (a, b) in _coords(quad))
     assert verify_quadruple(ring15, negated).ok
     with pytest.raises(ValueError):
-        scale_quadruple(quad, ring15.element(0, 0))
+        scale_quadruple(quad, QuadInt(0, 0, ring15))
 
 
 def test_scale_by_unit_powers(ring15):
@@ -280,7 +333,7 @@ def test_scale_by_unit_powers(ring15):
 def test_degenerate_check(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
     assert degenerate_check(quad.elements)
-    assert not degenerate_check(quad.elements[:3] + (ring15.element(0, 0),))
+    assert not degenerate_check(quad.elements[:3] + (QuadInt(0, 0, ring15),))
     assert not degenerate_check(quad.elements[:3] + (quad.elements[0],))
 
 

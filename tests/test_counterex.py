@@ -75,21 +75,21 @@ def test_alpha_span_cap_is_checked_before_any_ring(monkeypatch):
 def test_build_report_base(ring15):
     report = build_report(ring15, 0)
     assert report.verified
-    assert report.n == ring15.element(2, 0)
+    assert report.n == QuadInt(2, 0, ring15)
     assert tuple((e.a, e.b) for e in report.quadruple.elements) == (
         (4, 1),
         (8, -2),
         (8, -1),
         (28, -7),
     )
-    assert report.certificate.u == ring15.element(1, 0)
+    assert report.certificate.u == QuadInt(1, 0, ring15)
 
 
 def test_build_report_t1(ring15):
     report = build_report(ring15, 1)
     assert report.verified
-    assert report.n == ring15.element(62, 16)  # 2 * (4,1)^2
-    assert report.certificate.u == ring15.element(31, 8)
+    assert report.n == QuadInt(62, 16, ring15)  # 2 * (4,1)^2
+    assert report.certificate.u == QuadInt(31, 8, ring15)
 
 
 def test_build_report_guards(ring15):
@@ -207,7 +207,7 @@ def test_reverification_refuses_a_long_witness_before_its_power(ring15):
     # raise its ~900-digit unit to the 2000th power; the short u refuses it first
     doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
     doc["t"] = 1000
-    long_witness = ring15.element(3, 1) * fundamental_unit(ring15) ** 500
+    long_witness = QuadInt(3, 1, ring15) * fundamental_unit(ring15) ** 500
     doc["certificate"]["minus6"] = element_to_json(long_witness)
     start = time.process_time()
     assert not verify_report_doc(doc)

@@ -4,7 +4,9 @@ An import nothing reads and an __all__ entry the module does not define are
 dead surface; each test names the offending module and name.  The package
 re-exports every module's __all__, so each name listed there must be the same
 object as the package attribute of that name.  An f-string with no
-placeholder is a message that forgot its value.  Every module-level
+placeholder is a message that forgot its value.  A bare except, or one
+that names Exception or BaseException, would relabel a bug or a
+MemoryError as an expected failure.  Every module-level
 *_CAP or *_CAP_DEFAULT constant is a stated cap, so README's "Caps" list
 names each one, with its module, and nothing else; its "Exit codes" paragraph
 names each cli.EXIT_* value, and nothing else.
@@ -119,6 +121,33 @@ def test_every_fstring_has_a_placeholder(path):
     assert not lines, f"{path.name} has f-strings with no placeholder at lines {lines}"
 
 
+_BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[int]:
+    """The line of each bare except and each one naming a broad class,
+    alone or in a tuple."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(
+            c is None
+            or (isinstance(c, ast.Name) and c.id in _BROAD)
+            or (isinstance(c, ast.Attribute) and c.attr in _BROAD)
+            for c in caught
+        ):
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    lines = _broad_handlers(_tree(path))
+    assert not lines, f"{path.name} catches every exception at lines {lines}"
+
+
 def _caps_in_source() -> set[tuple[str, str]]:
     out = set()
     for path in MODULES:
@@ -180,6 +209,17 @@ def test_lint_sees_a_planted_placeholderless_fstring():
         'a = f"none"\nb = f"one {a}"\nc = (f"x" f"{b}")\nd = f"{a:>10}"\ne = f"two"\n'
     )
     assert _placeholderless_fstrings(tree) == [1, 5]
+
+
+def test_lint_sees_planted_broad_handlers():
+    tree = ast.parse(
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept builtins.BaseException as exc:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, KeyError):\n    pass\n"
+        "try:\n    pass\nexcept ExceptionGroup:\n    pass\n"
+    )
+    assert _broad_handlers(tree) == [3, 7, 11]
 
 
 def test_caps_lint_reads_only_the_caps_list():

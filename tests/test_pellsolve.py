@@ -7,6 +7,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 import quadtuple.pellsolve
 from quadtuple import (
+    QuadInt,
     RingCtx,
     ShapeViolation,
     check_pm2_unsolvable,
@@ -35,12 +36,12 @@ SOLVER_D = MINUS6_D + [2, 3, 7, 13, 94, 735, 3975]
 
 def test_cf_examples(ring15):
     # sqrt(15) = [3; 1, 6] and sqrt(3) = [1; 1, 2]: one pass each
-    assert fundamental_unit(ring15) == ring15.element(4, 1)
+    assert fundamental_unit(ring15) == QuadInt(4, 1, ring15)
     ring3 = RingCtx(3)
-    assert fundamental_unit(ring3) == ring3.element(2, 1)
+    assert fundamental_unit(ring3) == QuadInt(2, 1, ring3)
     # sqrt(13) = [3; 1, 1, 1, 1, 6]: the first pass ends at 18^2 - 13*5^2 = -1
     ring13 = RingCtx(13)
-    assert fundamental_unit(ring13) == ring13.element(649, 180)
+    assert fundamental_unit(ring13) == QuadInt(649, 180, ring13)
     with pytest.raises(ValueError):
         RingCtx(4)  # perfect squares never reach the recurrence
 
@@ -68,7 +69,7 @@ def test_cf_period_ends_with_twice_a0(d):
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
     ctx = RingCtx(d)
-    assert fundamental_unit(ctx) == ctx.element(h0, k0)
+    assert fundamental_unit(ctx) == QuadInt(h0, k0, ctx)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_D + ODD_PERIOD_D)
@@ -76,13 +77,13 @@ def test_fundamental_unit_matches_diop_DN(d):
     # sympy's diop_DN(d, 1) gives the fundamental solution, found independently
     ((x, y),) = diop_DN(d, 1)
     ctx = RingCtx(d)
-    assert fundamental_unit(ctx) == ctx.element(x, y)
+    assert fundamental_unit(ctx) == QuadInt(x, y, ctx)
 
 
 def test_fundamental_unit_examples(ring15, ring735, ring3975):
-    assert fundamental_unit(ring15) == ring15.element(4, 1)
-    assert fundamental_unit(ring735) == ring735.element(244, 9)
-    assert fundamental_unit(ring3975) == ring3975.element(1324, 21)
+    assert fundamental_unit(ring15) == QuadInt(4, 1, ring15)
+    assert fundamental_unit(ring735) == QuadInt(244, 9, ring735)
+    assert fundamental_unit(ring3975) == QuadInt(1324, 21, ring3975)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_D)
@@ -97,12 +98,12 @@ def test_fundamental_unit_is_minimal(d):
 
 def test_solve_norm_eq_examples(ring15, ring735):
     reps15 = solve_norm_eq(ring15, -6).representatives
-    assert ring15.element(3, 1) in reps15
+    assert QuadInt(3, 1, ring15) in reps15
     reps735 = solve_norm_eq(ring735, -6).representatives
-    assert ring735.element(27, 1) in reps735
+    assert QuadInt(27, 1, ring735) in reps735
     assert solve_norm_eq(ring15, 2).representatives == ()
     assert solve_norm_eq(ring15, -2).representatives == ()
-    assert solve_norm_eq(ring15, 1).representatives == (ring15.element(1, 0),)
+    assert solve_norm_eq(ring15, 1).representatives == (QuadInt(1, 0, ring15),)
 
 
 def test_solve_norm_eq_guards(ring15, monkeypatch):
@@ -121,7 +122,7 @@ def test_fundamental_unit_period_cap(monkeypatch):
     ring13 = RingCtx(13)
     walk = fundamental_unit.__wrapped__
     monkeypatch.setattr(quadtuple.pellsolve, "PERIOD_CAP", 10)
-    assert walk(ring13) == ring13.element(649, 180)
+    assert walk(ring13) == QuadInt(649, 180, ring13)
     monkeypatch.setattr(quadtuple.pellsolve, "PERIOD_CAP", 9)
     with pytest.raises(ValueError, match="cap of 9 steps"):
         walk(ring13)
@@ -130,8 +131,8 @@ def test_fundamental_unit_period_cap(monkeypatch):
 def test_enumerate_solutions(ring15):
     classes = solve_norm_eq(ring15, -6)
     first_two = enumerate_solutions(classes, 2)
-    assert first_two == [ring15.element(3, 1), ring15.element(3, -1)]
-    assert enumerate_solutions(solve_norm_eq(ring15, 1), 1) == [ring15.element(1, 0)]
+    assert first_two == [QuadInt(3, 1, ring15), QuadInt(3, -1, ring15)]
+    assert enumerate_solutions(solve_norm_eq(ring15, 1), 1) == [QuadInt(1, 0, ring15)]
     empty = solve_norm_eq(ring15, 2)
     assert enumerate_solutions(empty, 5) == []
     with pytest.raises(ValueError):
@@ -154,7 +155,7 @@ def test_solver_matches_brute_force(d, N):
 def test_solutions_within_bound_below_every_representative(ring15):
     # the representative (3, 1) already has |y| above the bound: no walk starts
     assert solutions_within(solve_norm_eq(ring15, -6), 0) == []
-    one = ring15.element(1, 0)
+    one = QuadInt(1, 0, ring15)
     assert solutions_within(solve_norm_eq(ring15, 1), 0) == [one, -one]
 
 
@@ -179,12 +180,12 @@ def test_pm2_certificates(ring15, ring735):
 
 
 def test_norm6_sign_y_examples(ring15, ring735):
-    assert norm6_sign_y(ring15.element(3, 1)) == 1
-    assert norm6_sign_y(ring15.element(-3, 1)) == 1
-    assert norm6_sign_y(ring15.element(3, -1)) == -1
-    assert norm6_sign_y(ring735.element(27, 1)) == 1
+    assert norm6_sign_y(QuadInt(3, 1, ring15)) == 1
+    assert norm6_sign_y(QuadInt(-3, 1, ring15)) == 1
+    assert norm6_sign_y(QuadInt(3, -1, ring15)) == -1
+    assert norm6_sign_y(QuadInt(27, 1, ring735)) == 1
     with pytest.raises(ValueError):
-        norm6_sign_y(ring15.element(4, 1))
+        norm6_sign_y(QuadInt(4, 1, ring15))
 
 
 def test_norm6_shape_reconstructs():
@@ -200,7 +201,7 @@ def test_norm6_shape_reconstructs():
 
 def test_norm6_without_the_shape_raises():
     # 1 - 7 = -6, but x = 1 is not 3 (mod 6): 7 is not 15 (mod 60)
-    sol = RingCtx(7).element(1, 1)
+    sol = QuadInt(1, 1, RingCtx(7))
     assert sol.norm() == -6
     with pytest.raises(ShapeViolation):
         norm6_sign_y(sol)
@@ -208,7 +209,7 @@ def test_norm6_without_the_shape_raises():
         unit_from_norm6(sol)
     # 36 - 42 = -6 with 3 | x, so the division is exact, but (6, 1)^2/6 = (13, 2)
     # lacks the even/odd parity: 42 is even
-    sol = RingCtx(42).element(6, 1)
+    sol = QuadInt(6, 1, RingCtx(42))
     assert sol.norm() == -6
     with pytest.raises(ShapeViolation, match="parity"):
         unit_from_norm6(sol)
@@ -249,12 +250,12 @@ def test_construction_unit_is_gamma_delta_squared_over_6(d, choice):
 
 
 def test_unit_from_norm6(ring15, ring735, ring3975):
-    assert unit_from_norm6(ring15.element(3, 1)) == ring15.element(4, 1)
-    assert unit_from_norm6(ring735.element(27, 1)) == ring735.element(244, 9)
-    assert unit_from_norm6(ring3975.element(63, 1)) == ring3975.element(1324, 21)
-    assert ring3975.element(1324, 21).norm() == 1
+    assert unit_from_norm6(QuadInt(3, 1, ring15)) == QuadInt(4, 1, ring15)
+    assert unit_from_norm6(QuadInt(27, 1, ring735)) == QuadInt(244, 9, ring735)
+    assert unit_from_norm6(QuadInt(63, 1, ring3975)) == QuadInt(1324, 21, ring3975)
+    assert QuadInt(1324, 21, ring3975).norm() == 1
     with pytest.raises(ValueError):
-        unit_from_norm6(ring15.element(4, 1))
+        unit_from_norm6(QuadInt(4, 1, ring15))
 
 
 @pytest.mark.parametrize("d", MINUS6_D)

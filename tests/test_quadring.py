@@ -58,17 +58,17 @@ wide_coords = st.one_of(
 
 
 def test_add_sub_neg(ring15):
-    assert ring15.element(4, 1) + ring15.element(3, 1) == ring15.element(7, 2)
-    assert ring15.element(4, 1) + ring15.element(0, 0) == ring15.element(4, 1)
-    assert ring15.element(3, 1) - ring15.element(3, 1) == ring15.element(0, 0)
-    assert -ring15.element(3, -1) == ring15.element(-3, 1)
+    assert QuadInt(4, 1, ring15) + QuadInt(3, 1, ring15) == QuadInt(7, 2, ring15)
+    assert QuadInt(4, 1, ring15) + QuadInt(0, 0, ring15) == QuadInt(4, 1, ring15)
+    assert QuadInt(3, 1, ring15) - QuadInt(3, 1, ring15) == QuadInt(0, 0, ring15)
+    assert -QuadInt(3, -1, ring15) == QuadInt(-3, 1, ring15)
 
 
 def test_mul(ring15):
-    assert ring15.element(3, -1) * ring15.element(3, 1) == ring15.element(-6, 0)
-    assert ring15.element(7, -5) * ring15.element(1, 0) == ring15.element(7, -5)
-    assert ring15.element(4, 1) * ring15.element(4, -1) == ring15.element(1, 0)
-    assert 2 * ring15.element(3, -4) == ring15.element(6, -8)
+    assert QuadInt(3, -1, ring15) * QuadInt(3, 1, ring15) == QuadInt(-6, 0, ring15)
+    assert QuadInt(7, -5, ring15) * QuadInt(1, 0, ring15) == QuadInt(7, -5, ring15)
+    assert QuadInt(4, 1, ring15) * QuadInt(4, -1, ring15) == QuadInt(1, 0, ring15)
+    assert 2 * QuadInt(3, -4, ring15) == QuadInt(6, -8, ring15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,53 +89,53 @@ def test_mul_matches_textbook_formula(a, b, c, e, ctx):
 
 
 def test_conjugate(ring15):
-    assert ring15.element(3, 1).conjugate() == ring15.element(3, -1)
-    assert ring15.element(5, 0).conjugate() == ring15.element(5, 0)
-    x = ring15.element(-17, 12)
+    assert QuadInt(3, 1, ring15).conjugate() == QuadInt(3, -1, ring15)
+    assert QuadInt(5, 0, ring15).conjugate() == QuadInt(5, 0, ring15)
+    x = QuadInt(-17, 12, ring15)
     assert x.conjugate().conjugate() == x
 
 
 def test_norm(ring15):
-    assert ring15.element(4, 1).norm() == 1
-    assert ring15.element(3, 1).norm() == -6
-    assert ring15.element(0, 0).norm() == 0
+    assert QuadInt(4, 1, ring15).norm() == 1
+    assert QuadInt(3, 1, ring15).norm() == -6
+    assert QuadInt(0, 0, ring15).norm() == 0
 
 
 def test_pow(ring15):
-    assert ring15.element(4, 1) ** 2 == ring15.element(31, 8)
-    assert ring15.element(9, -2) ** 0 == ring15.element(1, 0)
-    assert ring15.element(9, -2) ** 1 == ring15.element(9, -2)
-    x, power = ring15.element(9, -2), ring15.element(1, 0)
+    assert QuadInt(4, 1, ring15) ** 2 == QuadInt(31, 8, ring15)
+    assert QuadInt(9, -2, ring15) ** 0 == QuadInt(1, 0, ring15)
+    assert QuadInt(9, -2, ring15) ** 1 == QuadInt(9, -2, ring15)
+    x, power = QuadInt(9, -2, ring15), QuadInt(1, 0, ring15)
     for e in range(70):
         assert x**e == power, e
         power = power * x
     with pytest.raises(ValueError):
-        ring15.element(4, 1) ** -1
+        QuadInt(4, 1, ring15) ** -1
 
 
 def test_units(ring15):
     # a unit's inverse is its conjugate for norm 1 and minus it for norm -1
-    one = ring15.element(1, 0)
-    assert ring15.element(4, 1).norm() == 1
-    assert ring15.element(4, 1) * ring15.element(4, 1).conjugate() == one
-    assert ring15.element(3, 1).norm() == -6  # not a unit
+    one = QuadInt(1, 0, ring15)
+    assert QuadInt(4, 1, ring15).norm() == 1
+    assert QuadInt(4, 1, ring15) * QuadInt(4, 1, ring15).conjugate() == one
+    assert QuadInt(3, 1, ring15).norm() == -6  # not a unit
     ring2 = RingCtx(2)
-    assert ring2.element(1, 1).norm() == -1
-    assert ring2.element(1, 1) * -ring2.element(1, 1).conjugate() == ring2.element(1, 0)
+    assert QuadInt(1, 1, ring2).norm() == -1
+    assert QuadInt(1, 1, ring2) * -QuadInt(1, 1, ring2).conjugate() == QuadInt(1, 0, ring2)
 
 
 def test_mixed_rings_rejected(ring15, ring735):
     with pytest.raises(MixedRingError):
-        ring15.element(1, 0) + ring735.element(1, 0)
+        QuadInt(1, 0, ring15) + QuadInt(1, 0, ring735)
     with pytest.raises(MixedRingError):
-        ring15.element(1, 0) * ring735.element(1, 0)
+        QuadInt(1, 0, ring15) * QuadInt(1, 0, ring735)
 
 
 def test_equal_contexts_interoperate():
     # two separately built contexts for the same d are the same ring
-    a = RingCtx(15).element(2, 1)
-    b = RingCtx(15).element(1, 1)
-    assert a + b == RingCtx(15).element(3, 2)
+    a = QuadInt(2, 1, RingCtx(15))
+    b = QuadInt(1, 1, RingCtx(15))
+    assert a + b == QuadInt(3, 2, RingCtx(15))
 
 
 def test_mixing_check_compares_d_not_contexts(monkeypatch, ring735):
@@ -144,11 +144,11 @@ def test_mixing_check_compares_d_not_contexts(monkeypatch, ring735):
         raise AssertionError("RingCtx.__eq__ called")
 
     monkeypatch.setattr(RingCtx, "__eq__", forbidden)
-    a, b = RingCtx(15).element(2, 1), RingCtx(15).element(1, 1)
+    a, b = QuadInt(2, 1, RingCtx(15)), QuadInt(1, 1, RingCtx(15))
     assert [(x.a, x.b) for x in (a + b, a - b, a * b)] == [(3, 2), (1, 0), (17, 3)]
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(MixedRingError):
-            op(a, ring735.element(1, 0))
+            op(a, QuadInt(1, 0, ring735))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +210,19 @@ def test_ringctx_decides_square_freeness_once_and_only_when_read(monkeypatch):
 
 
 def test_sqrt_examples(ring15):
-    assert sqrt_in_ring(ring15.element(19, 4)) == ring15.element(2, 1)
-    assert sqrt_in_ring(ring15.element(64, 16)) is None
-    assert sqrt_in_ring(ring15.element(4, 0)) == ring15.element(2, 0)
-    assert sqrt_in_ring(ring15.element(60, 0)) == ring15.element(0, 2)
-    assert sqrt_in_ring(ring15.element(0, 0)) == ring15.element(0, 0)
-    assert sqrt_in_ring(ring15.element(-4, 0)) is None
-    assert sqrt_in_ring(ring15.element(31, 7)) is None  # odd sqrt(d) coordinate
+    assert sqrt_in_ring(QuadInt(19, 4, ring15)) == QuadInt(2, 1, ring15)
+    assert sqrt_in_ring(QuadInt(64, 16, ring15)) is None
+    assert sqrt_in_ring(QuadInt(4, 0, ring15)) == QuadInt(2, 0, ring15)
+    assert sqrt_in_ring(QuadInt(60, 0, ring15)) == QuadInt(0, 2, ring15)
+    assert sqrt_in_ring(QuadInt(0, 0, ring15)) == QuadInt(0, 0, ring15)
+    assert sqrt_in_ring(QuadInt(-4, 0, ring15)) is None
+    assert sqrt_in_ring(QuadInt(31, 7, ring15)) is None  # odd sqrt(d) coordinate
 
 
 def test_sqrt_canonical_sign(ring15):
     # roots come in +- pairs; positive rational part wins
-    assert sqrt_in_ring(ring15.element(31, 8)) == ring15.element(4, 1)
-    assert sqrt_in_ring(ring15.element(31, -8)) == ring15.element(4, -1)
+    assert sqrt_in_ring(QuadInt(31, 8, ring15)) == QuadInt(4, 1, ring15)
+    assert sqrt_in_ring(QuadInt(31, -8, ring15)) == QuadInt(4, -1, ring15)
 
 
 def _canonical(x, y):
@@ -297,7 +297,7 @@ def test_sqrt_of_big_squares_is_canonical(ctx):
 def test_sqrt_matches_divisor_pair_enumeration(ring15):
     for a in range(-60, 61):
         for b in range(-60, 61):
-            z = ring15.element(a, b)
+            z = QuadInt(a, b, ring15)
             assert sqrt_in_ring(z) == _sqrt_by_divisor_pairs(z), (a, b)
 
 
@@ -458,7 +458,7 @@ def test_parse_rejects_malformed(ring15, bad):
 
 
 def test_element_json_round_trip(ring15):
-    x = ring15.element(-(10**40), 7)
+    x = QuadInt(-(10**40), 7, ring15)
     doc = element_to_json(x)
     assert doc == {"a": str(-(10**40)), "b": "7"}
     assert element_from_json(doc, ring15) == x
