@@ -25,7 +25,6 @@ from .construct import (
     verify_quadruple,
 )
 from .counterex import (
-    StageError,
     T_CAP_DEFAULT,
     build_report,
     enumerate_counterexample_rings,
@@ -234,11 +233,7 @@ def cmd_counterexamples(args) -> int:
                     lines.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
                     continue
                 eligible += 1
-                try:
-                    report = build_report(ctx, args.t)
-                except StageError as exc:
-                    lines.append(f"alpha={cand.alpha} d={ctx.d} FAILED: {exc}")
-                    continue
+                report = build_report(ctx, args.t)
                 reports.append(report_to_json(report))
                 if report.verified:
                     verified += 1

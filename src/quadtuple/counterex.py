@@ -44,7 +44,6 @@ __all__ = [
     "ALPHA_SPAN_CAP",
     "CounterexampleReport",
     "DCandidate",
-    "StageError",
     "T_CAP_DEFAULT",
     "build_report",
     "enumerate_counterexample_rings",
@@ -55,13 +54,6 @@ __all__ = [
 
 T_CAP_DEFAULT = 1000
 ALPHA_SPAN_CAP = 10**5  # family members one enumeration may build
-
-
-class StageError(RuntimeError):
-    """A pipeline stage failed; the message starts with the stage's name."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
 
 
 @dataclass(frozen=True)
@@ -177,18 +169,20 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     scaled by w = unit^t to reach n = 2*w^2; the certificate applies because
     even unit powers have an odd first and even second coordinate, keeping
     n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
-    verify_report_doc gives on the report's JSON.  Nothing raises past the
-    eligibility checks (norm6_sign_y, unit_from_norm6, _construct_from_norm6).
+    verify_report_doc gives on the report's JSON.  A t out of range or a
+    ring that is not 15 mod 60, not square-free or without a norm -6
+    element raises ValueError; a square-free family_d member passes, as
+    x + sqrt(d) has norm -6.  Nothing raises past those checks.
     """
     if not 0 <= t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t}")
-    if not ctx.square_free:
-        raise StageError("eligibility", f"d = {ctx.d} is not square-free")
     if ctx.d % 60 != 15:
-        raise StageError("eligibility", f"d = {ctx.d} is not 15 mod 60")
+        raise ValueError(f"d = {ctx.d} is not 15 mod 60")
+    if not ctx.square_free:
+        raise ValueError(f"d = {ctx.d} is not square-free")
     minus6 = pellsolve.solve_norm_eq(ctx, -6).representatives
     if not minus6:
-        raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
+        raise ValueError(f"norm -6 is not attained for d = {ctx.d}")
     gamma = minus6[0]
 
     base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
@@ -229,13 +223,13 @@ def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
     Parses the quadruple in the ring of its own d, refuses it unless that d
-    is the report's and 15 mod 60, then parses n and the certificate in the
-    same ring, accepting only decimal-string integers and the six
-    witness keys "12" ... "34".  True iff the report states
-    "verified": true, t is a JSON integer in [0, T_CAP_DEFAULT], and
-    _report_holds, which runs no solver: the certificate carries its
-    norm -6 witness.  Anything malformed, including a certificate without
-    minus6, is False.
+    is the report's, then parses n and the certificate in the same ring,
+    accepting only decimal-string integers and the six witness keys "12"
+    ... "34".  True iff the report states "verified": true, t is a JSON
+    integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
+    the certificate carries its norm -6 witness, and certificate_holds
+    tests d = 15 (mod 60) before square-freeness.  Anything malformed,
+    including a certificate without minus6, is False.
     """
     try:
         t, verified = doc["t"], doc["verified"]
@@ -244,7 +238,7 @@ def verify_report_doc(doc: dict) -> bool:
         d = int_from_json(doc["d"])
         quad = quadruple_from_json(doc["quadruple"])
         ctx = quad.n.ctx
-        if ctx.d != d or d % 60 != 15:  # certificate_holds requires 15 mod 60
+        if ctx.d != d:
             return False
         n = element_from_json(doc["n"], ctx)
         certificate = certificate_from_json(doc["certificate"], ctx)

@@ -20,7 +20,6 @@ __all__ = [
     "NORM_CAP",
     "NormEqClasses",
     "PERIOD_CAP",
-    "ShapeViolation",
     "check_pm2_unsolvable",
     "enumerate_solutions",
     "fundamental_unit",
@@ -37,12 +36,6 @@ LIMIT_CAP = 1000
 # most continued-fraction steps fundamental_unit takes: no d <= 20000 needs
 # more than 562, d = 100000007 needs 6524
 PERIOD_CAP = 10**4
-
-
-class ShapeViolation(RuntimeError):
-    """A value failed a congruence shape the theory guarantees.
-
-    Seeing this means a bug or a hypothesis violation."""
 
 
 @lru_cache(maxsize=None)
@@ -199,24 +192,26 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
 def norm6_sign_y(sol: QuadInt) -> int:
     """The s = +-1 with y = s (mod 6), for a norm -6 solution (x, y).
 
-    For d = 15 (mod 60) every norm -6 solution has x = 3 (mod 6); a
-    solution without it raises ShapeViolation.  y = +-1 (mod 6) then
-    follows: d*y^2 = x^2 + 6 is odd, so y is odd, and 3 | y would give
-    9 | x^2 + 6 with 9 | x^2, so 9 | 6.
+    For d = 15 (mod 60) every norm -6 solution has x = 3 (mod 6) and
+    y = +-1 (mod 6): an even y would give x^2 = -6 = 2 (mod 4), so y and
+    x^2 = d*y^2 - 6 are odd, and 3 | d gives 3 | x; 3 | y would give
+    9 | x^2 + 6 with 9 | x^2, so 9 | 6.  For another d the shape can fail,
+    and a solution without x = 3 (mod 6) raises ValueError.
     """
     if sol.norm() != -6:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
     x, y = sol.a, sol.b
     if x % 6 != 3:
-        raise ShapeViolation(f"norm -6 solution with x = {x} not 3 mod 6")
+        raise ValueError(f"norm -6 solution with x = {x} not 3 mod 6")
     return 1 if y % 6 == 1 else -1
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
-    For d = 15 (mod 60), 3 | g and the element has an even first and odd
-    second coordinate; a solution without either raises ShapeViolation.
+    For d = 15 (mod 60), g and h are odd and 3 | g (norm6_sign_y), so
+    the element (3(g/3)^2 + 1, (g/3)*h) has an even first and odd second
+    coordinate; for another d a solution without either raises ValueError.
     With 3 | g, (g, h)^2 = (2g^2 + 6, 2gh) makes the element (g, h)^2 / 6
     exactly, so its norm is (-6)^2 / 36 = 1.  For the canonical
     representative of solve_norm_eq(ctx, -6) it is the fundamental unit:
@@ -227,8 +222,8 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
         raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
     g, h = sol.a, sol.b
     if g % 3:
-        raise ShapeViolation(f"norm -6 solution with x = {g} not divisible by 3")
+        raise ValueError(f"norm -6 solution with x = {g} not divisible by 3")
     u = QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)
     if u.a % 2 != 0 or u.b % 2 != 1:
-        raise ShapeViolation(f"derived unit {u} missing even/odd coordinate parity")
+        raise ValueError(f"derived unit {u} missing even/odd coordinate parity")
     return u

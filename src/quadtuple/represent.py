@@ -51,14 +51,18 @@ class NonRepCertificate:
 
 
 def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
+    """The hypotheses on n, u and the ring, cheapest first.
+
+    n.b = 0 (mod 4) needs no test: 2u = n with n.a = 2 (mod 4) makes u.a
+    odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d = 15 (mod 60) is odd.
+    """
     ctx = n.ctx
     return (
         n.a % 4 == 2
-        and n.b % 4 == 0
+        and ctx.d % 60 == 15
         and 2 * u == n
         and u.norm() == 1
         and ctx.square_free
-        and ctx.d % 60 == 15
         and pellsolve.check_pm2_unsolvable(ctx)
     )
 

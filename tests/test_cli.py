@@ -9,7 +9,7 @@ import pytest
 import quadtuple.cli
 import quadtuple.counterex
 import quadtuple.pellsolve
-from quadtuple import StageError, verify_report_doc
+from quadtuple import verify_report_doc
 from quadtuple.cli import main
 
 
@@ -392,17 +392,15 @@ def test_counterexamples_failed_archive_write_exits_2(capsys):
     assert err == "error: cannot write --out '/dev/full': No space left on device\n"
 
 
-def test_counterexamples_failed_candidate_exits_1(capsys, monkeypatch):
-    def eligibility_fails(ctx, t):
-        raise StageError("eligibility", f"norm -6 is not attained for d = {ctx.d}")
-
-    monkeypatch.setattr(quadtuple.cli, "build_report", eligibility_fails)
-    code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1")
+def test_counterexamples_unverified_report_exits_1(capsys, monkeypatch):
+    # no report build_report writes fails its check, so only a broken check
+    # reaches exit 1
+    monkeypatch.setattr(quadtuple.counterex, "_report_holds", lambda *args: False)
+    code, out, _ = run(capsys, "counterexamples", "--alpha", "0..0")
     assert code == 1
     assert out.splitlines() == [
-        "alpha=0 d=15 FAILED: [eligibility] norm -6 is not attained for d = 15",
-        "alpha=1 d=3975 ineligible (not square-free)",
-        "eligible=1 ineligible=1 verified=0",
+        "alpha=0 d=15 t=0 verified=False",
+        "eligible=1 ineligible=0 verified=0",
     ]
 
 

@@ -16,7 +16,6 @@ from quadtuple import (
     QuadInt,
     Quadruple,
     RingCtx,
-    StageError,
     build_report,
     enumerate_counterexample_rings,
     family_d,
@@ -96,12 +95,15 @@ def test_build_report_guards(ring15):
     for t in (-1, 1001):
         with pytest.raises(ValueError, match=re.escape(f"t must be in [0, 1000], got {t}")):
             build_report(ring15, t)
-    with pytest.raises(StageError, match="eligibility"):
+    with pytest.raises(ValueError, match="^d = 3975 is not square-free$"):
         build_report(RingCtx(3975), 0)
-    with pytest.raises(StageError, match="eligibility"):
-        build_report(RingCtx(195), 0)  # -6 not attained
-    with pytest.raises(StageError, match="eligibility"):
-        build_report(RingCtx(19), 0)  # not 15 mod 60
+    with pytest.raises(ValueError, match="^norm -6 is not attained for d = 195$"):
+        build_report(RingCtx(195), 0)
+    with pytest.raises(ValueError, match="^d = 19 is not 15 mod 60$"):
+        build_report(RingCtx(19), 0)
+    # 12 = 2^2 * 3 fails both ring tests; the cheaper residue test speaks
+    with pytest.raises(ValueError, match="^d = 12 is not 15 mod 60$"):
+        build_report(RingCtx(12), 0)
 
 
 def test_report_json_shape(ring15):

@@ -6,10 +6,11 @@ re-exports every module's __all__, so each name listed there must be the same
 object as the package attribute of that name.  An f-string with no
 placeholder is a message that forgot its value.  A bare except, or one
 that names Exception or BaseException, would relabel a bug or a
-MemoryError as an expected failure.  Every module-level
-*_CAP or *_CAP_DEFAULT constant is a stated cap, so README's "Caps" list
-names each one, with its module, and nothing else; its "Exit codes" paragraph
-names each cli.EXIT_* value, and nothing else.
+MemoryError as an expected failure.  Every refusal the package makes is a
+ValueError, so each exception class it defines derives from ValueError.
+Every module-level *_CAP or *_CAP_DEFAULT constant is a stated cap, so
+README's "Caps" list names each one, with its module, and nothing else; its
+"Exit codes" paragraph names each cli.EXIT_* value, and nothing else.
 """
 
 from __future__ import annotations
@@ -146,6 +147,20 @@ def _broad_handlers(tree: ast.Module) -> list[int]:
 def test_no_broad_exception_handlers(path):
     lines = _broad_handlers(_tree(path))
     assert not lines, f"{path.name} catches every exception at lines {lines}"
+
+
+def test_every_exception_class_is_a_value_error():
+    defined = {
+        f"{cls.__module__}.{name}": cls
+        for path in MODULES
+        for name, cls in vars(importlib.import_module(f"quadtuple.{path.stem}")).items()
+        if isinstance(cls, type)
+        and issubclass(cls, BaseException)
+        and cls.__module__ == f"quadtuple.{path.stem}"
+    }
+    assert defined, "no exception classes found"
+    bad = sorted(name for name, cls in defined.items() if not issubclass(cls, ValueError))
+    assert not bad, f"exception classes that are not ValueErrors: {bad}"
 
 
 def _caps_in_source() -> set[tuple[str, str]]:

@@ -9,7 +9,6 @@ import quadtuple.pellsolve
 from quadtuple import (
     QuadInt,
     RingCtx,
-    ShapeViolation,
     check_pm2_unsolvable,
     construct_quadruple,
     enumerate_solutions,
@@ -203,15 +202,15 @@ def test_norm6_without_the_shape_raises():
     # 1 - 7 = -6, but x = 1 is not 3 (mod 6): 7 is not 15 (mod 60)
     sol = QuadInt(1, 1, RingCtx(7))
     assert sol.norm() == -6
-    with pytest.raises(ShapeViolation):
+    with pytest.raises(ValueError, match="not 3 mod 6"):
         norm6_sign_y(sol)
-    with pytest.raises(ShapeViolation):
+    with pytest.raises(ValueError, match="not divisible by 3"):
         unit_from_norm6(sol)
     # 36 - 42 = -6 with 3 | x, so the division is exact, but (6, 1)^2/6 = (13, 2)
     # lacks the even/odd parity: 42 is even
     sol = QuadInt(6, 1, RingCtx(42))
     assert sol.norm() == -6
-    with pytest.raises(ShapeViolation, match="parity"):
+    with pytest.raises(ValueError, match="parity"):
         unit_from_norm6(sol)
 
 

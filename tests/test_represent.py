@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from sympy import nextprime
 
 from quadtuple import (
     NonRepCertificate,
     QuadInt,
     RingCtx,
     certificate_holds,
+    check_pm2_unsolvable,
     certify_nonrepresentable,
     fundamental_unit,
     search_repr,
 )
-from quadtuple.represent import BOUND_CAP, certificate_from_json, certificate_to_json
+from quadtuple.represent import (
+    BOUND_CAP,
+    _n_and_ring_hold,
+    certificate_from_json,
+    certificate_to_json,
+)
 
 from support import RING15, RING735, RING3975
 
@@ -78,6 +87,52 @@ def test_certificate_closed_under_unit_squares(ring15):
         assert w.norm() == 1 and (n.a % 4, n.b % 4) == (0, 2)
         assert certify_nonrepresentable(n) is None
         assert not certificate_holds(NonRepCertificate(n, w, QuadInt(3, 1, ring15)))
+
+
+def _n_and_ring_hold_with_every_test(n, u):
+    # every hypothesis as the paper states it, n.b = 0 (mod 4) included, with
+    # square-freeness before the residue of d
+    ctx = n.ctx
+    return (
+        n.a % 4 == 2
+        and n.b % 4 == 0
+        and 2 * u == n
+        and u.norm() == 1
+        and ctx.square_free
+        and ctx.d % 60 == 15
+        and check_pm2_unsolvable(ctx)
+    )
+
+
+def test_n_and_ring_hold_needs_no_test_of_n_b_mod_4():
+    # 135 = 3^3*5, 375 = 3*5^3, 735 and 3975 are 15 mod 60 with a square
+    # factor; 19, 10 and 35 are square-free and not 15 mod 60
+    held = 0
+    for d in (15, 135, 375, 735, 1095, 1455, 3255, 3975, 19, 10, 35):
+        ctx = RingCtx(d)
+        eps = fundamental_unit(ctx)
+        units = [s * e**k for e in (eps, eps.conjugate()) for k in range(7) for s in (1, -1)]
+        box = [QuadInt(a, b, ctx) for a in range(-40, 41) for b in range(-12, 13)]
+        shifts = (QuadInt(0, 0, ctx), QuadInt(0, 2, ctx), QuadInt(4, 0, ctx))
+        for u in set(units + box):
+            for shift in shifts:
+                n = 2 * u + shift
+                expected = _n_and_ring_hold_with_every_test(n, u)
+                assert _n_and_ring_hold(n, u) == expected, (d, n, u)
+                held += expected
+    # n = 2u for u = +-1 and +-eps^k, +-conj(eps)^k, k = 2, 4, 6, in 15, 1095, 1455, 3255
+    assert held == 4 * 14
+
+
+def test_certify_tests_the_residue_of_d_before_square_freeness():
+    # a 30-digit d = 45 (mod 60) with two 15-digit prime factors: deciding its
+    # square-freeness takes Brent's rho seconds, the residue test none
+    d = 15 * nextprime(2 * 10**14) * nextprime(3 * 10**14)
+    assert len(str(d)) == 30 and d % 60 == 45
+    ctx = RingCtx(d)
+    start = time.process_time()
+    assert certify_nonrepresentable(QuadInt(2, 0, ctx)) is None
+    assert time.process_time() - start < 0.1
 
 
 def test_certificate_json(ring15):
