@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import cycle
 from math import gcd, isqrt
+from typing import NamedTuple
 
 __all__ = [
     "MixedRingError",
@@ -242,49 +243,97 @@ class RingCtx:
         return self._square_free
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """a + b*sqrt(d), immutable, with exact integer coordinates."""
+def _unordered(self, other):
+    raise TypeError("ring elements are not ordered")
+
+
+def _not_an_element(op: str, other: object) -> TypeError:
+    return TypeError(f"{op} combines a QuadInt only with a QuadInt, not {type(other).__name__!r}")
+
+
+def _mixed_rings(ctx: RingCtx, other: RingCtx) -> MixedRingError:
+    return MixedRingError(f"mixing elements of Z[sqrt({ctx.d})] and Z[sqrt({other.d})]")
+
+
+# builds a QuadInt without the Python-level __new__ that NamedTuple generates
+_new = tuple.__new__
+
+
+class QuadInt(NamedTuple):
+    """a + b*sqrt(d), immutable, with exact integer coordinates.
+
+    An (a, b, ctx) tuple, because a t = 1 report is mostly small products
+    and a tuple is about a quarter of the cost of a frozen dataclass to
+    build.  None of tuple's own operators survive: equality and hashing
+    mean the same coordinates in the same ring, elements are unordered,
+    and no operand reaches tuple concatenation or repetition.
+    """
 
     a: int
     b: int
-    ctx: RingCtx = field(repr=False)
+    ctx: RingCtx
 
-    def _same_ring(self, other: QuadInt) -> None:
-        if self.ctx is not other.ctx and self.ctx.d != other.ctx.d:
-            raise MixedRingError(
-                f"mixing elements of Z[sqrt({self.ctx.d})] and Z[sqrt({other.ctx.d})]"
-            )
+    def __repr__(self) -> str:
+        return f"QuadInt(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other: object) -> bool:
+        # False, not NotImplemented: tuple's == would then compare the fields
+        if type(other) is not QuadInt:
+            return False
+        a, b, ctx = self
+        oa, ob, octx = other
+        return a == oa and b == ob and (ctx is octx or ctx.d == octx.d)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    # hash((a, b, ctx)): RingCtx hashes by d, so this agrees with ==
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __add__(self, other: QuadInt) -> QuadInt:
-        self._same_ring(other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.ctx)
+        if type(other) is not QuadInt:
+            raise _not_an_element("+", other)
+        a, b, ctx = self
+        oa, ob, octx = other
+        if ctx is not octx and ctx.d != octx.d:
+            raise _mixed_rings(ctx, octx)
+        return _new(QuadInt, (a + oa, b + ob, ctx))
+
+    def __radd__(self, other: object):
+        # without it, (a, b, ctx) + x would concatenate the two tuples
+        raise _not_an_element("+", other)
 
     def __sub__(self, other: QuadInt) -> QuadInt:
-        self._same_ring(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.ctx)
+        if type(other) is not QuadInt:
+            raise _not_an_element("-", other)
+        a, b, ctx = self
+        oa, ob, octx = other
+        if ctx is not octx and ctx.d != octx.d:
+            raise _mixed_rings(ctx, octx)
+        return _new(QuadInt, (a - oa, b - ob, ctx))
 
     def __neg__(self) -> QuadInt:
-        return QuadInt(-self.a, -self.b, self.ctx)
+        a, b, ctx = self
+        return _new(QuadInt, (-a, -b, ctx))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other, self.ctx)
-        if isinstance(other, QuadInt):
-            self._same_ring(other)
+    def __mul__(self, other: QuadInt | int) -> QuadInt:
+        a, b, ctx = self
+        if type(other) is QuadInt:
+            oa, ob, octx = other
+            if ctx is not octx and ctx.d != octx.d:
+                raise _mixed_rings(ctx, octx)
             # d * (b * e), not (d * b) * e: for x * x the big products are
             # then squarings of one int, which CPython computes faster
-            return QuadInt(
-                self.a * other.a + self.ctx.d * (self.b * other.b),
-                self.a * other.b + self.b * other.a,
-                self.ctx,
-            )
-        return NotImplemented
+            return _new(QuadInt, (a * oa + ctx.d * (b * ob), a * ob + b * oa, ctx))
+        if isinstance(other, int):
+            return _new(QuadInt, (a * other, b * other, ctx))
+        raise _not_an_element("*", other)
 
-    def __rmul__(self, other):
+    def __rmul__(self, other: int) -> QuadInt:
         if isinstance(other, int):
             return self * other
-        return NotImplemented
+        raise _not_an_element("*", other)
 
     def __pow__(self, e: int) -> QuadInt:
         if not isinstance(e, int) or e < 0:
@@ -300,10 +349,12 @@ class QuadInt:
         return result
 
     def conjugate(self) -> QuadInt:
-        return QuadInt(self.a, -self.b, self.ctx)
+        a, b, ctx = self
+        return _new(QuadInt, (a, -b, ctx))
 
     def norm(self) -> int:
-        return self.a * self.a - self.ctx.d * (self.b * self.b)
+        a, b, ctx = self
+        return a * a - ctx.d * (b * b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import random
 from math import isqrt
 
@@ -88,6 +90,67 @@ def test_mul_matches_textbook_formula(a, b, c, e, ctx):
     assert x.norm() == a * a - d * b * b
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    a=wide_coords,
+    b=wide_coords,
+    c=wide_coords,
+    e=wide_coords,
+    k=wide_coords,
+    n=st.integers(0, 5),
+    ctx=st.sampled_from([RING15, RING735, RING_ALPHA250]),
+)
+def test_ring_operations_match_integer_formulas(a, b, c, e, k, n, ctx):
+    d = ctx.d
+    x, y = QuadInt(a, b, ctx), QuadInt(c, e, ctx)
+    assert x + y == QuadInt(a + c, b + e, ctx)
+    assert x - y == QuadInt(a - c, b - e, ctx)
+    assert -x == QuadInt(-a, -b, ctx)
+    assert x.conjugate() == QuadInt(a, -b, ctx)
+    assert x * k == k * x == QuadInt(a * k, b * k, ctx)
+    p, q = 1, 0
+    for _ in range(n):
+        p, q = p * a + d * q * b, p * b + q * a
+    assert x**n == QuadInt(p, q, ctx)
+
+
+def test_quadint_contract():
+    # an (a, b, ctx) tuple that keeps none of tuple's comparisons
+    x, y = QuadInt(4, 1, RingCtx(15)), QuadInt(4, 1, RingCtx(15))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != QuadInt(4, 1, RING735)
+    for plain in ((4, 1, x.ctx), (4, 1, y.ctx)):
+        assert not x == plain and not plain == x
+        assert x != plain and plain != x
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(x, (4, 1, x.ctx))
+    with pytest.raises(AttributeError):
+        x.a = 5
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert copied == x and type(copied) is QuadInt
+    assert repr(x) == "QuadInt(a=4, b=1)"
+    assert not hasattr(x, "__dict__")
+
+
+def test_foreign_operands_raise_type_error(ring15):
+    # no operand reaches tuple concatenation or repetition
+    x = QuadInt(4, 1, ring15)
+    for other in (1, 1.0, "1", (1, 0, ring15), [1, 0]):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    for other in (1.0, "2", (1, 2), [1, 2]):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+
+
 def test_conjugate(ring15):
     assert QuadInt(3, 1, ring15).conjugate() == QuadInt(3, -1, ring15)
     assert QuadInt(5, 0, ring15).conjugate() == QuadInt(5, 0, ring15)
@@ -139,12 +202,13 @@ def test_equal_contexts_interoperate():
 
 
 def test_mixing_check_compares_d_not_contexts(monkeypatch, ring735):
-    # the check reads d itself, never the generated RingCtx.__eq__
+    # the check and == read d itself, never the generated RingCtx.__eq__
     def forbidden(self, other):
         raise AssertionError("RingCtx.__eq__ called")
 
     monkeypatch.setattr(RingCtx, "__eq__", forbidden)
     a, b = QuadInt(2, 1, RingCtx(15)), QuadInt(1, 1, RingCtx(15))
+    assert a == QuadInt(2, 1, RingCtx(15)) and a != b
     assert [(x.a, x.b) for x in (a + b, a - b, a * b)] == [(3, 2), (1, 0), (17, 3)]
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(MixedRingError):
