@@ -43,17 +43,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1  # disproved / representation found / verification failed
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3  # also: norm equation unsolvable
-EXIT_RING = 4  # non-square-free d without the override flag
 EXIT_HYPOTHESIS = 5  # m + k odd
 
 
-class NotSquareFreeError(ValueError):
-    """d has a square factor and --allow-nonsquarefree was not given."""
-
-
-# most specific class first: NotSquareFreeError and ParityError are ValueErrors
+# most specific class first: ParityError is a ValueError
 _FAILURES = {
-    NotSquareFreeError: EXIT_RING,
     ParityError: EXIT_HYPOTHESIS,
     ValueError: EXIT_USAGE,
 }
@@ -67,17 +61,10 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _ring(args) -> RingCtx:
-    ctx = RingCtx(args.d)
-    if not (ctx.square_free or args.allow_nonsquarefree):
-        raise NotSquareFreeError(f"d = {ctx.d} is not square-free; pass --allow-nonsquarefree")
-    return ctx
-
-
 def cmd_pell(args) -> int:
     if not 1 <= args.limit <= LIMIT_CAP:
         raise ValueError(f"limit must be in [1, {LIMIT_CAP}], got {args.limit}")
-    ctx = _ring(args)
+    ctx = RingCtx(args.d)
     classes = solve_norm_eq(ctx, args.norm)
     solvable = bool(classes.representatives)
     solutions = enumerate_solutions(classes, args.limit) if solvable else []
@@ -100,7 +87,7 @@ def cmd_pell(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    ctx = _ring(args)
+    ctx = RingCtx(args.d)
     quad, trace = construct_quadruple(
         ctx, args.m, args.k, args.unit_index, args.factorization
     )
@@ -146,7 +133,7 @@ def _parse_witnesses(items, ctx):
 
 
 def cmd_verify(args) -> int:
-    ctx = _ring(args)
+    ctx = RingCtx(args.d)
     n = parse_element(args.n, ctx)
     elements = tuple(parse_element(e, ctx) for e in args.elements)
     witnesses = _parse_witnesses(args.witness or [], ctx)
@@ -163,6 +150,7 @@ def cmd_verify(args) -> int:
             }
             for p in report.pairs
         ],
+        "distinct": report.distinct,
         "ok": report.ok,
     }
     lines = []
@@ -172,6 +160,8 @@ def cmd_verify(args) -> int:
         lines.append(
             f"pair {p.i}{p.j}: {'pass' if p.ok else 'FAIL'}  root={root}  witness={wit}"
         )
+    if not report.distinct:
+        lines.append("elements are not nonzero and pairwise distinct")
     lines.append("all pairs pass" if report.ok else "verification failed")
     _emit(args, doc, lines)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -180,7 +170,7 @@ def cmd_verify(args) -> int:
 def cmd_checkrepr(args) -> int:
     if not 1 <= args.bound <= BOUND_CAP:
         raise ValueError(f"bound must be in [1, {BOUND_CAP}], got {args.bound}")
-    ctx = _ring(args)
+    ctx = RingCtx(args.d)
     n = parse_element(args.n, ctx)
     certificate = certify_nonrepresentable(n)
     if certificate is not None:
@@ -268,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ring = argparse.ArgumentParser(add_help=False)
     ring.add_argument("--d", type=int, required=True)
-    ring.add_argument("--allow-nonsquarefree", action="store_true")
 
     p = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
     p.add_argument("--norm", type=int, required=True)

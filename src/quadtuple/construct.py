@@ -229,11 +229,13 @@ class PairStatus:
 @dataclass(frozen=True)
 class VerifyReport:
     pairs: tuple[PairStatus, ...]
+    distinct: bool  # the four elements are nonzero and pairwise distinct
     ok: bool
 
 
 def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
-    """Check all six pairwise products against witnesses and the square test.
+    """Check all six pairwise products against witnesses and the square test,
+    and that the elements are nonzero and pairwise distinct.
 
     The two routes are independent on purpose: a bad witness with a good
     root points at the construction, a good witness with no root points at
@@ -244,7 +246,8 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     good witness with no root is still reported as witness_ok True.
     """
     pairs = []
-    all_ok = True
+    distinct = degenerate_check(quad.elements)
+    all_ok = distinct
     for i, j in PAIRS:
         target = quad.elements[i - 1] * quad.elements[j - 1] + quad.n
         witness = quad.witnesses.get((i, j))
@@ -258,7 +261,7 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
         ok = root is not None and witness_ok is not False
         all_ok = all_ok and ok
         pairs.append(PairStatus(i, j, witness_ok, root, ok))
-    return VerifyReport(tuple(pairs), all_ok)
+    return VerifyReport(tuple(pairs), distinct, all_ok)
 
 
 def scale_quadruple(quad: Quadruple, w: QuadInt) -> Quadruple:

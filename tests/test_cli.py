@@ -3,12 +3,16 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
+import time
 
 import pytest
 
 import quadtuple.cli
+import quadtuple.construct
 import quadtuple.counterex
 import quadtuple.pellsolve
+import quadtuple.quadring
 from quadtuple import verify_report_doc
 from quadtuple.cli import main
 
@@ -57,11 +61,44 @@ def test_pell_perfect_square_usage_error(capsys):
     ],
 )
 def test_pell_nonsquarefree_gate(capsys, argv, flagged_code):
+    # no gate: a d with a square factor runs like any other ring
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert "pass --allow-nonsquarefree" in err
-    code, _, _ = run(capsys, *argv, "--allow-nonsquarefree")
     assert code == flagged_code
+    if argv[0] == "construct":  # refused for its residue, not for its square factor
+        assert (out, err) == ("", "error: d = 45 is not 15 mod 60\n")
+    else:
+        assert out != ""
+    assert not re.search(r"^error: .*square-free", err, re.M)
+    code, out, err = run(capsys, *argv, "--allow-nonsquarefree")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --allow-nonsquarefree" in err
+
+
+# nextprime(3 * 10**14) * nextprime(2 * 10**15), 49 (mod 60): a 30-digit
+# semiprime whose square-free test needs Brent's rho for seconds
+SEMIPRIME_D = "600000000000184300000000001869"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(["pell", "--norm", "1"], (2, "cap of 10000 steps"), id="period_cap"),
+        pytest.param(["pell", "--norm", "10000000"], (2, "exceeds the search cap"), id="norm_cap"),
+        pytest.param(["verify", "--n", "2,0", "1,0", "2,0", "3,0", "4,0"], (1, ""), id="verify"),
+        pytest.param(["construct", "--m", "0", "--k", "0"], (2, "is not 15 mod 60"), id="construct"),
+        pytest.param(["checkrepr", "--n", "2,0", "--bound", "20"], (3, ""), id="checkrepr"),
+    ],
+)
+def test_ring_commands_do_not_test_square_freeness(capsys, monkeypatch, argv, expected):
+    def forbidden(n):
+        raise AssertionError(f"is_square_free({n}) called")
+
+    monkeypatch.setattr(quadtuple.quadring, "is_square_free", forbidden)
+    start = time.process_time()
+    code, _, err = run(capsys, argv[0], "--d", SEMIPRIME_D, *argv[1:])
+    assert time.process_time() - start < 0.5
+    assert code == expected[0]
+    assert expected[1] in err
 
 
 def test_pell_bad_flags(capsys, monkeypatch):
@@ -86,7 +123,7 @@ def test_pell_735_example(capsys):
     code, out, _ = run(
         capsys,
         "--format", "json",
-        "pell", "--d", "735", "--norm", "-6", "--allow-nonsquarefree",
+        "pell", "--d", "735", "--norm", "-6",
     )
     assert code == 0
     doc = json.loads(out)
@@ -131,6 +168,16 @@ def test_construct_odd_parity_exits_5(capsys):
     code, _, err = run(capsys, "construct", "--d", "15", "--m", "1", "--k", "0")
     assert code == 5
     assert "odd" in err
+
+
+def test_construct_self_check_failure_exits_1(capsys, monkeypatch):
+    # no quadruple the construction builds fails its check, so only a broken
+    # check reaches this exit
+    failed = quadtuple.construct.VerifyReport(pairs=(), distinct=True, ok=False)
+    monkeypatch.setattr(quadtuple.cli, "verify_quadruple", lambda ctx, quad: failed)
+    code, out, err = run(capsys, "construct", "--d", "15", "--m", "0", "--k", "0")
+    assert (code, out) == (1, "")
+    assert err == "internal error: constructed quadruple failed verification\n"
 
 
 def test_construct_unit_index_cap_exits_2(capsys, monkeypatch):
@@ -197,6 +244,31 @@ def test_verify_negated_element_exits_1(capsys):
     assert "verification failed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--n", "1,0", "0,0", "0,0", "0,0", "0,0"], id="zero"),
+        pytest.param(["--n", "0,0", "1,0", "1,0", "4,0", "9,0"], id="repeated"),
+    ],
+)
+def test_verify_degenerate_set_exits_1(capsys, argv):
+    # every product plus n is a square, but a D(n) quadruple needs four
+    # nonzero, pairwise distinct elements
+    code, out, _ = run(capsys, "verify", "--d", "15", *argv)
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "elements are not nonzero and pairwise distinct",
+        "verification failed",
+    ]
+    assert all(line.startswith("pair") and " pass " in line for line in out.splitlines()[:6])
+    code, out, _ = run(capsys, "--format", "json", "verify", "--d", "15", *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert all(p["ok"] for p in doc["pairs"])
+    assert list(doc)[-2:] == ["distinct", "ok"]
+    assert (doc["distinct"], doc["ok"]) == (False, False)
+
+
 def test_verify_malformed_element_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--d", "15", "--n", "2,0", "x,y", *GOLDEN[1:])
     assert code == 2
@@ -237,8 +309,7 @@ def test_checkrepr_certified(capsys):
 def test_checkrepr_nonsquarefree_not_certified(capsys, d):
     # -6 is a norm in both rings, but d has a square factor
     code, out, _ = run(
-        capsys, "--format", "json", "checkrepr", "--d", d, "--n", "2,0",
-        "--allow-nonsquarefree", "--bound", "20",
+        capsys, "--format", "json", "checkrepr", "--d", d, "--n", "2,0", "--bound", "20",
     )
     assert code == 3
     assert json.loads(out)["certified"] is False
@@ -441,8 +512,9 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == 0
-    ring_flags = ("--d D", "--allow-nonsquarefree")
+    ring_flags = ("--d D",)
     if command == "counterexamples":
         assert not any(flag in out for flag in ring_flags)
     else:
         assert all(flag in out for flag in ring_flags)
+    assert "--allow-nonsquarefree" not in out

@@ -10,11 +10,14 @@ MemoryError as an expected failure.  Every refusal the package makes is a
 ValueError, so each exception class it defines derives from ValueError.
 Every module-level *_CAP or *_CAP_DEFAULT constant is a stated cap, so
 README's "Caps" list names each one, with its module, and nothing else; its
-"Exit codes" paragraph names each cli.EXIT_* value, and nothing else.
+"Exit codes" paragraph names each cli.EXIT_* value, and nothing else, and
+its "Command line" section names each long option of the parser, and no
+other.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import re
@@ -211,6 +214,33 @@ def test_readme_exit_codes_match_the_cli():
     assert set(quadtuple.cli._FAILURES.values()) <= in_source
 
 
+def _flags_in_readme(text: str) -> set[str]:
+    """Each --flag in the "## Command line" section, up to the next heading
+    of its level; a bare "--" is not a flag."""
+    section = text[text.index("\n## Command line\n") :].split("\n## ", 2)[1]
+    return set(re.findall(r"--[a-z][a-z-]*", section))
+
+
+def _flags_in_parser(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options of the parser and of each of its subparsers."""
+    out = set()
+    for action in parser._actions:
+        out.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _flags_in_parser(sub)
+    return out - {"--help"}
+
+
+def test_readme_flags_match_the_parser():
+    in_readme = _flags_in_readme(README.read_text(encoding="utf-8"))
+    in_parser = _flags_in_parser(quadtuple.cli.build_parser())
+    assert in_readme == in_parser, (
+        f"README's Command line section misses {sorted(in_parser - in_readme)} "
+        f"and names {sorted(in_readme - in_parser)}, which the parser does not define"
+    )
+
+
 def test_lint_sees_a_planted_unused_import():
     # the checks above are only as good as the helpers they share
     tree = ast.parse("import os\nfrom math import gcd, isqrt\nx = isqrt(4)\n")
@@ -252,3 +282,12 @@ def test_exit_codes_lint_reads_only_the_exit_codes_paragraph():
         "path), `12` other.\n\nCaps:\n\n- `9`: not an exit code\n"
     )
     assert _exit_codes_in_readme(text) == {0, 2, 12}
+
+
+def test_flags_lint_reads_only_the_command_line_section():
+    text = (
+        "# tool\n\nRun with `--before`.\n\n## Command line\n\n"
+        "Pass `--d` and\n`--n=-2,0`, then `--` and `-x`.\n\n### Sub\n\n"
+        "```sh\ntool --unit-index 3\n```\n\n## Library\n\n`--after`\n"
+    )
+    assert _flags_in_readme(text) == {"--d", "--n", "--unit-index"}
