@@ -116,6 +116,34 @@ def _unit_power(certificate: NonRepCertificate, t: int) -> QuadInt | None:
     return w if w * w == u else None
 
 
+# a w of at least this many bits is divided out by a checked guess
+_GUESS_BITS = 1024
+
+
+def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
+    """e * conj(w) for w of norm 1, by a checked low-bits guess if w is long.
+
+    The guess g is e*conj(w) mod 2^k from the low k bits of e and w, lifted
+    to least absolute value, and is kept only if w*g == e: four products of
+    w by k-bit numbers.  N(w) = w*conj(w) = 1 makes w*g == e force
+    g = e*conj(w), so k sets only how often the guess holds.  _report_holds'
+    w = unit^t has norm 1: unit_from_norm6 gives ((x^2 + 3)/3, x*y/3) for
+    x^2 - d*y^2 = -6, of norm ((x^2 + 3)^2 - x^2*(x^2 + 6))/9 = 1.
+    """
+    wa, wb, ctx = w
+    if wa.bit_length() >= _GUESS_BITS:
+        ea, eb, _ = e
+        k = max(ea.bit_length() - wa.bit_length(), 0) + ctx.d.bit_length() + 64
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        ea, eb, wa, wb = ea & mask, eb & mask, wa & mask, wb & mask
+        ga = ((ea * wa - ctx.d * (eb * wb) + half) & mask) - half
+        gb = ((eb * wa - ea * wb + half) & mask) - half
+        g = QuadInt(ga, gb, ctx)
+        if w * g == e:
+            return g
+    return e * w.conjugate()
+
+
 def _report_holds(
     ctx: RingCtx, t: int, n: QuadInt, quad: Quadruple, certificate: NonRepCertificate
 ) -> bool:
@@ -134,7 +162,8 @@ def _report_holds(
     f_i*f_j + 2 = rho^2 is, and a witness squares to it exactly when it is
     +-w*rho, as the ring has no zero divisors.  In build_report's reports
     f_i is the base quadruple's element, so the square tests run on numbers
-    of its size, not of unit^(2t).
+    of its size, not of unit^(2t).  For a long w, f_i is a low-bits guess
+    kept only if w * f_i == e_i (_divided), which keeps it exact.
     """
     if not (
         quad.n == n == certificate.n
@@ -145,8 +174,7 @@ def _report_holds(
     w = _unit_power(certificate, t)
     if w is None:
         return False
-    w_bar = w.conjugate()
-    f = [e * w_bar for e in quad.elements]
+    f = [_divided(e, w) for e in quad.elements]
     two = QuadInt(2, 0, ctx)
     for i, j in PAIRS:
         rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)

@@ -319,12 +319,13 @@ class QuadInt(NamedTuple):
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
         a, b, ctx = self
+        if other is self:
+            # (a^2 + d*b^2, 2ab): three big products, two of them squarings
+            return _new(QuadInt, (a * a + ctx.d * (b * b), 2 * (a * b), ctx))
         if type(other) is QuadInt:
             oa, ob, octx = other
             if ctx is not octx and ctx.d != octx.d:
                 raise _mixed_rings(ctx, octx)
-            # d * (b * e), not (d * b) * e: for x * x the big products are
-            # then squarings of one int, which CPython computes faster
             return _new(QuadInt, (a * oa + ctx.d * (b * ob), a * ob + b * oa, ctx))
         if isinstance(other, int):
             return _new(QuadInt, (a * other, b * other, ctx))

@@ -195,6 +195,13 @@ def test_reverification_rejects_tampering_at_t3(ring15, mutate):
     assert not verify_report_doc(_tampered(ring15, 3, mutate))
 
 
+@pytest.mark.parametrize("mutate", TAMPERINGS)
+def test_reverification_rejects_tampering_at_t400(ring15, mutate):
+    # w = unit^400 has over _GUESS_BITS bits, so the judge divides it out by
+    # checked guesses
+    assert not verify_report_doc(_tampered(ring15, 400, mutate))
+
+
 def test_reverification_rejects_a_report_d_its_quadruple_does_not_share(ring15):
     # _tampered would copy the change into the quadruple; here only the
     # report's d moves, and every other test would still pass in Z[sqrt(15)]
@@ -388,9 +395,11 @@ def _mutations(quad, eps):
 def test_report_holds_matches_its_unreduced_definition(alpha):
     ctx = family_d(alpha).ctx
     held = 0
-    for t in (0, 1, 2, 7):
+    for t in (0, 1, 2, 7, 400):
         report = build_report(ctx, t)
         eps = quadtuple.pellsolve.unit_from_norm6(report.certificate.minus6)
+        if t == 400:  # the judge divides this w out by checked guesses
+            assert (eps**t).a.bit_length() >= quadtuple.counterex._GUESS_BITS
         for quad in _mutations(report.quadruple, eps):
             for judged_t in (t, t + 1):
                 args = (ctx, judged_t, report.n, quad, report.certificate)
@@ -398,7 +407,7 @@ def test_report_holds_matches_its_unreduced_definition(alpha):
                 assert verdict == report_holds_by_definition(*args), (t, judged_t, quad)
                 held += verdict
     # per t, at that t: the report, each witness negated or dropped, none stored
-    assert held == 4 * (1 + 6 + 6 + 1)
+    assert held == 5 * (1 + 6 + 6 + 1)
 
 
 def test_report_holds_refuses_the_n_of_another_t(ring15):
@@ -428,3 +437,78 @@ def test_square_tests_run_on_base_sized_numbers(monkeypatch):
     assert report.verified
     assert len(bits) == 6 and max(bits) < 128
     assert min(e.a.bit_length() for e in report.quadruple.elements) > 10_000
+
+
+def _unit(alpha):
+    """The family's norm 1 element built from x + sqrt(d), and its ring."""
+    cand = family_d(alpha)
+    return quadtuple.pellsolve.unit_from_norm6(QuadInt(cand.x, 1, cand.ctx)), cand.ctx
+
+
+def _guess_cutoff(unit):
+    """The least t with unit^t at least _GUESS_BITS long."""
+    t, w = 0, QuadInt(1, 0, unit.ctx)
+    while w.a.bit_length() < quadtuple.counterex._GUESS_BITS:
+        t, w = t + 1, w * unit
+    return t
+
+
+SQUARE_FREE_ALPHAS = [a for a in range(-50, 51) if family_d(a).ctx.square_free]
+small = st.integers(-(2**60), 2**60)
+huge = st.integers(-(2**4000), 2**4000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.sampled_from(SQUARE_FREE_ALPHAS),
+    offset=st.integers(-40, 40),
+    kind=st.sampled_from(["w*g", "g*conj(w)^j", "arbitrary"]),
+    j=st.integers(0, 2),
+    data=st.data(),
+)
+def test_divided_matches_the_full_product(alpha, offset, kind, j, data):
+    # t straddles the cut-off; e = w*g takes the guess, g*conj(w)^j has a
+    # huge f and falls back, and arbitrary coordinates may do either
+    unit, ctx = _unit(alpha)
+    w = unit ** max(_guess_cutoff(unit) + offset, 0)
+    if kind == "arbitrary":
+        e = QuadInt(data.draw(huge), data.draw(huge), ctx)
+    else:
+        g = QuadInt(data.draw(small), data.draw(small), ctx)
+        e = w * g if kind == "w*g" else g * w.conjugate() ** j
+    assert quadtuple.counterex._divided(e, w) == e * w.conjugate()
+
+
+def test_division_by_w_takes_checked_guesses(monkeypatch):
+    # at t = 1000 every element e = w*f is divided by a guess of f from low
+    # bits, checked by w*f == e: no QuadInt product while dividing has two
+    # operands over 10,000 bits, as the full e*conj(w) would
+    divided, multiply = quadtuple.counterex._divided, QuadInt.__mul__
+    results, long_products = [], []
+    dividing = False
+
+    def bits(x):
+        return max(x.a.bit_length(), x.b.bit_length())
+
+    def recorded_mul(x, y):
+        if dividing and type(y) is QuadInt and min(bits(x), bits(y)) > 10_000:
+            long_products.append((bits(x), bits(y)))
+        return multiply(x, y)
+
+    def recorded_divided(e, w):
+        nonlocal dividing
+        dividing = True
+        f = divided(e, w)
+        dividing = False
+        results.append((e, w, f))
+        return f
+
+    monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
+    monkeypatch.setattr(quadtuple.counterex, "_divided", recorded_divided)
+    ctx = family_d(2).ctx
+    report = build_report(ctx, 1000)
+    assert report.verified and len(results) == 4 and not long_products
+    for e, w, f in results:
+        assert bits(w) > 10_000 and bits(e) > 10_000
+        assert multiply(w, f) == e
+    assert [f for _, _, f in results] == list(build_report(ctx, 0).quadruple.elements)
