@@ -20,10 +20,10 @@ from .construct import (
     PAIRS,
     Quadruple,
     _construct_from_norm6,
+    _scaled,
     degenerate_check,
     quadruple_from_json,
     quadruple_to_json,
-    scale_quadruple,
 )
 from .quadring import (
     QuadInt,
@@ -35,8 +35,8 @@ from .quadring import (
 )
 from .represent import (
     NonRepCertificate,
+    _certificate_holds_but_norm_u,
     certificate_from_json,
-    certificate_holds,
     certificate_to_json,
 )
 
@@ -98,22 +98,22 @@ class CounterexampleReport:
     notes: tuple[str, ...]
 
 
-def _unit_power(certificate: NonRepCertificate, t: int) -> QuadInt | None:
-    """w = (gamma^2/6)^t when u == w*w, for the norm -6 witness gamma; else None.
+def _unit_power(certificate: NonRepCertificate, t: int) -> tuple[QuadInt, QuadInt] | None:
+    """(w, w*w) for w = (gamma^2/6)^t and the norm -6 witness gamma; None
+    when u is too short to be w*w.
 
-    The canonical gamma has gamma^2 = 6*unit, so this ties t to n with no
-    solver.  gamma^2/6 has norm 1, and the first coordinate of its e-th
+    The canonical gamma has gamma^2 = 6*unit, so u == w*w ties t to n with
+    no solver.  gamma^2/6 has norm 1, and the first coordinate of its e-th
     power has at least e*(bits(a) - 1) bits, a its own first coordinate; a u
     shorter than that for e = 2t is refused before the power is taken, so a
     long witness cannot make the check build a number far beyond the
     document.
     """
     unit = pellsolve.unit_from_norm6(certificate.minus6)
-    u = certificate.u
-    if 2 * t * (unit.a.bit_length() - 1) > u.a.bit_length():
+    if 2 * t * (unit.a.bit_length() - 1) > certificate.u.a.bit_length():
         return None
     w = unit**t
-    return w if w * w == u else None
+    return w, w * w
 
 
 # a w of at least this many bits is divided out by a checked guess
@@ -145,16 +145,25 @@ def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
 
 
 def _report_holds(
-    ctx: RingCtx, t: int, n: QuadInt, quad: Quadruple, certificate: NonRepCertificate
+    ctx: RingCtx,
+    t: int,
+    n: QuadInt,
+    quad: Quadruple,
+    certificate: NonRepCertificate,
+    power: tuple[QuadInt, QuadInt] | None = None,
 ) -> bool:
     """The one definition of a valid report: build_report's verified flag and
     verify_report_doc's verdict.
 
     The three copies of n agree, the elements are nonzero and distinct, the
-    certificate holds and u = w^2 for w = unit^t (_unit_power), and all six
-    pairwise products plus n are squares, matching any stored witnesses.
-    certificate_holds runs first: it guarantees the norm -6 shape that
-    unit_from_norm6 would otherwise raise on.
+    certificate holds, u = w^2 for w = unit^t, and all six pairwise products
+    plus n are squares, matching any stored witnesses.  The certificate is
+    checked first, N(gamma) = -6 included, which guarantees the shape that
+    unit_from_norm6 would otherwise raise on; then w and w^2 are taken and
+    u == w^2 is tested.  N(u) = 1 is not computed: u = w^2 and N(w) = 1
+    (_divided) give N(u) = N(w)^2 = 1.  power is (w, w^2) when the caller
+    already holds them, built from gamma and t as build_report builds them;
+    without it they are taken here (_unit_power), behind a bit guard.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -168,12 +177,13 @@ def _report_holds(
     if not (
         quad.n == n == certificate.n
         and degenerate_check(quad.elements)
-        and certificate_holds(certificate)
+        and _certificate_holds_but_norm_u(certificate)
     ):
         return False
-    w = _unit_power(certificate, t)
-    if w is None:
+    power = power or _unit_power(certificate, t)
+    if power is None or power[1] != certificate.u:
         return False
+    w = power[0]
     f = [_divided(e, w) for e in quad.elements]
     two = QuadInt(2, 0, ctx)
     for i, j in PAIRS:
@@ -194,13 +204,15 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     One norm -6 solve: its canonical representative gamma is the
     certificate's witness, the start of the base D(2) quadruple at
     m = k = 0, and the source of the unit, gamma^2/6.  The quadruple is
-    scaled by w = unit^t to reach n = 2*w^2; the certificate applies because
-    even unit powers have an odd first and even second coordinate, keeping
-    n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
-    verify_report_doc gives on the report's JSON.  A t out of range or a
-    ring that is not 15 mod 60, not square-free or without a norm -6
-    element raises ValueError; a square-free family_d member passes, as
-    x + sqrt(d) has norm -6.  Nothing raises past those checks.
+    scaled by w = unit^t to reach n = 2*w^2, with w and w^2 each taken once:
+    u = w^2, and the judge gets both (_report_holds' power), so it neither
+    takes them again nor reads them off the document it judges.  The
+    certificate applies because even unit powers have an odd first and even
+    second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.  verified
+    is the verdict verify_report_doc gives on the report's JSON.  A t out of
+    range or a ring that is not 15 mod 60, not square-free or without a
+    norm -6 element raises ValueError; a square-free family_d member passes,
+    as x + sqrt(d) has norm -6.  Nothing raises past those checks.
     """
     if not 0 <= t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t}")
@@ -215,11 +227,11 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
     base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
     w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
-    scaled = scale_quadruple(base, w)
-    n = scaled.n  # w^2 * 2, since the base quadruple has n = 2
-    u = QuadInt(n.a // 2, n.b // 2, ctx)
+    u = w * w
+    scaled = _scaled(base, w, u)
+    n = scaled.n  # u * 2, since the base quadruple has n = 2
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
-    verified = _report_holds(ctx, t, n, scaled, certificate)
+    verified = _report_holds(ctx, t, n, scaled, certificate, (w, u))
     notes = (
         f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
         "factorization=first",

@@ -5,7 +5,8 @@ norm(u) = 1 in rings with square-free d = 15 (mod 60) where -6 is a norm,
 and carries an exhaustive search that serves as the independent oracle for
 those certificates.  A certificate holds its one witness, an element of
 norm -6, so certificate_holds checks every hypothesis with arithmetic and no
-solver.
+solver.  A report's judge checks all of them but N(u) = 1, which its tie
+u = w^2 to a w of norm 1 implies (_certificate_holds_but_norm_u).
 """
 
 from __future__ import annotations
@@ -50,30 +51,45 @@ class NonRepCertificate:
     minus6: QuadInt
 
 
-def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
-    """The hypotheses on n, u and the ring, cheapest first.
-
-    n.b = 0 (mod 4) needs no test: 2u = n with n.a = 2 (mod 4) makes u.a
-    odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d = 15 (mod 60) is odd.
-    """
+def _n_and_ring_hold_but_norm_u(n: QuadInt, u: QuadInt) -> bool:
+    """The hypotheses on n, u and the ring but N(u) = 1, cheapest first."""
     ctx = n.ctx
     return (
         n.a % 4 == 2
         and ctx.d % 60 == 15
         and 2 * u == n
-        and u.norm() == 1
         and ctx.square_free
         and pellsolve.check_pm2_unsolvable(ctx)
     )
 
 
-def certificate_holds(cert: NonRepCertificate) -> bool:
-    """True iff the certificate meets every hypothesis, by arithmetic alone."""
+def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
+    """Every hypothesis on n, u and the ring; N(u) = 1 first, as a small u's
+    norm costs less than deciding d's square-freeness.
+
+    n.b = 0 (mod 4) needs no test: 2u = n with n.a = 2 (mod 4) makes u.a
+    odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d = 15 (mod 60) is odd.
+    """
+    return u.norm() == 1 and _n_and_ring_hold_but_norm_u(n, u)
+
+
+def _certificate_holds_but_norm_u(cert: NonRepCertificate) -> bool:
+    """Every hypothesis but N(u) = 1: the report judge's (counterex).
+
+    The judge ties u = w^2 to a w of norm 1, so N(u) = N(w)^2 = 1 follows,
+    and with it n.b = 0 (mod 4) (_n_and_ring_hold); a u of 58,000 bits at
+    t = 1000 makes its norm the dearest test of all.
+    """
     return (
-        _n_and_ring_hold(cert.n, cert.u)
+        _n_and_ring_hold_but_norm_u(cert.n, cert.u)
         and cert.minus6.ctx == cert.n.ctx
         and cert.minus6.norm() == -6
     )
+
+
+def certificate_holds(cert: NonRepCertificate) -> bool:
+    """True iff the certificate meets every hypothesis, by arithmetic alone."""
+    return _certificate_holds_but_norm_u(cert) and cert.u.norm() == 1
 
 
 def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:

@@ -13,6 +13,7 @@ from sympy import nextprime
 import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import (
+    NonRepCertificate,
     QuadInt,
     Quadruple,
     RingCtx,
@@ -422,6 +423,45 @@ def test_report_holds_refuses_the_n_of_another_t(ring15):
         assert not report_holds_by_definition(*args)
 
 
+@pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])
+def test_report_holds_given_build_reports_power_matches_its_definition(alpha, monkeypatch):
+    # build_report hands the judge its own (w, w^2), so the judge never takes
+    # N(u); with them, every mutation of the quadruple, under the report's u
+    # and under each u that keeps n = 2u and every hypothesis but the tie
+    # u == w^2, gets the unreduced definition's verdict, and the handed values
+    # accept nothing the judge's own w would not
+    judge, handed = quadtuple.counterex._report_holds, {}
+
+    def recorded(ctx, t, n, quad, certificate, power=None):
+        handed[t] = power
+        return judge(ctx, t, n, quad, certificate, power)
+
+    monkeypatch.setattr(quadtuple.counterex, "_report_holds", recorded)
+    ctx = family_d(alpha).ctx
+    ts = (0, 1, 2, 7, 400)
+    reports = {t: build_report(ctx, t) for t in ts}
+    held = 0
+    for t, other_t in zip(ts, ts[-1:] + ts[:-1]):
+        report = reports[t]
+        u, minus6 = report.certificate.u, report.certificate.minus6
+        eps = quadtuple.pellsolve.unit_from_norm6(minus6)
+        assert handed[t] == (eps**t, u)
+        # at t = 0, conj(u) = u, which dict.fromkeys drops
+        tied = [u, u.conjugate(), -u, u * eps * eps, reports[other_t].certificate.u]
+        for tied_u in dict.fromkeys(tied):
+            n = 2 * tied_u
+            certificate = NonRepCertificate(n=n, u=tied_u, minus6=minus6)
+            for quad in _mutations(report.quadruple, eps):
+                args = (ctx, t, n, Quadruple(quad.elements, n, quad.witnesses), certificate)
+                verdict = judge(*args, handed[t])
+                assert verdict == report_holds_by_definition(*args), (t, tied_u, quad)
+                assert verdict == judge(*args), (t, tied_u, quad)
+                held += verdict
+    # per t, under the report's u only: the report, each witness negated or
+    # dropped, none stored
+    assert held == 5 * (1 + 6 + 6 + 1)
+
+
 def test_square_tests_run_on_base_sized_numbers(monkeypatch):
     # w = unit^1000 is divided out before any square test, so the six tests
     # see the base quadruple's sizes, not the report's 10,000-bit elements
@@ -512,3 +552,39 @@ def test_division_by_w_takes_checked_guesses(monkeypatch):
         assert bits(w) > 10_000 and bits(e) > 10_000
         assert multiply(w, f) == e
     assert [f for _, _, f in results] == list(build_report(ctx, 0).quadruple.elements)
+
+
+def test_build_report_takes_one_power_one_square_and_no_full_size_norm(monkeypatch):
+    # at t = 1000 build_report takes w = unit^t once and w^2 once and hands
+    # both to the judge, which has N(u) = 1 from u = w^2 and N(w) = 1: no
+    # second power or square, and no norm of the 26,000-bit u
+    power, multiply, norm = QuadInt.__pow__, QuadInt.__mul__, QuadInt.norm
+    long_powers, long_squares, long_norms = [], [], []
+
+    def bits(x):
+        return max(x.a.bit_length(), x.b.bit_length())
+
+    def recorded_pow(x, e):
+        result = power(x, e)
+        if bits(result) > 10_000:
+            long_powers.append((e, bits(result)))
+        return result
+
+    def recorded_mul(x, y):
+        if x is y and bits(x) > 10_000:
+            long_squares.append(bits(x))
+        return multiply(x, y)
+
+    def recorded_norm(x):
+        if bits(x) > 10_000:
+            long_norms.append(bits(x))
+        return norm(x)
+
+    monkeypatch.setattr(QuadInt, "__pow__", recorded_pow)
+    monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
+    monkeypatch.setattr(QuadInt, "norm", recorded_norm)
+    report = build_report(family_d(2).ctx, 1000)
+    assert report.verified and bits(report.certificate.u) > 20_000
+    assert len(long_powers) == 1 and long_powers[0][0] == 1000
+    assert long_squares == [long_powers[0][1]]
+    assert long_norms == []
