@@ -265,17 +265,12 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
 
 
 def scale_quadruple(quad: Quadruple, w: QuadInt) -> Quadruple:
-    """{w*a_i} has property D(w^2 * n); witnesses scale along."""
+    """{w*a_i} has property D(w^2 * n); witnesses scale along; w is squared once."""
     if w.is_zero():
         raise ValueError("scaling factor must be nonzero")
-    return _scaled(quad, w, w * w)
-
-
-def _scaled(quad: Quadruple, w: QuadInt, w2: QuadInt) -> Quadruple:
-    """scale_quadruple by a nonzero w whose square w2 = w*w the caller holds."""
     elements = tuple(w * e for e in quad.elements)
     witnesses = {pair: w * x for pair, x in quad.witnesses.items()}
-    return Quadruple(elements, w2 * quad.n, witnesses)
+    return Quadruple(elements, w * w * quad.n, witnesses)
 
 
 # ---------------------------------------------------------------------------

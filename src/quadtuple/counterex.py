@@ -20,10 +20,10 @@ from .construct import (
     PAIRS,
     Quadruple,
     _construct_from_norm6,
-    _scaled,
     degenerate_check,
     quadruple_from_json,
     quadruple_to_json,
+    scale_quadruple,
 )
 from .quadring import (
     QuadInt,
@@ -158,11 +158,12 @@ def _report_holds(
     The three copies of n agree, the elements are nonzero and distinct, the
     certificate holds, u = w^2 for w = unit^t, and all six pairwise products
     plus n are squares, matching any stored witnesses.  The certificate is
-    checked first, N(gamma) = -6 included, which guarantees the shape that
-    unit_from_norm6 would otherwise raise on; then w and w^2 are taken and
-    u == w^2 is tested.  N(u) = 1 is not computed: u = w^2 and N(w) = 1
-    (_divided) give N(u) = N(w)^2 = 1.  power is (w, w^2) when the caller
-    already holds them, built from gamma and t as build_report builds them;
+    checked first, N(gamma) = -6 before the tests on n and d, which gives
+    with d = 15 (mod 60) the shape unit_from_norm6 would otherwise raise on;
+    then w and w^2 are taken and u == w^2 is tested.  N(u) = 1 is not
+    computed: u = w^2 and N(w) = 1 (_divided) give N(u) = N(w)^2 = 1.
+    power is (w, w^2) when the caller already holds them, built from gamma
+    and t as build_report builds them (w^2 halved off the scaled n = 2w^2);
     without it they are taken here (_unit_power), behind a bit guard.
 
     The square tests run with w divided out.  w has norm 1, so each element
@@ -204,9 +205,10 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     One norm -6 solve: its canonical representative gamma is the
     certificate's witness, the start of the base D(2) quadruple at
     m = k = 0, and the source of the unit, gamma^2/6.  The quadruple is
-    scaled by w = unit^t to reach n = 2*w^2, with w and w^2 each taken once:
-    u = w^2, and the judge gets both (_report_holds' power), so it neither
-    takes them again nor reads them off the document it judges.  The
+    scaled by w = unit^t to reach n = 2*w^2 (scale_quadruple, which squares
+    w once), and u = w^2 is read off n by halving it.  The judge gets w and
+    u (_report_holds' power), built from gamma and t, so it neither takes
+    them again nor reads them off the document it judges.  The
     certificate applies because even unit powers have an odd first and even
     second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.  verified
     is the verdict verify_report_doc gives on the report's JSON.  A t out of
@@ -227,9 +229,9 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
     base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
     w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
-    u = w * w
-    scaled = _scaled(base, w, u)
-    n = scaled.n  # u * 2, since the base quadruple has n = 2
+    scaled = scale_quadruple(base, w)
+    n = scaled.n  # 2 * w^2, since the base quadruple has n = 2
+    u = QuadInt(n.a // 2, n.b // 2, ctx)
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
     verified = _report_holds(ctx, t, n, scaled, certificate, (w, u))
     notes = (
@@ -267,9 +269,11 @@ def verify_report_doc(doc: dict) -> bool:
     accepting only decimal-string integers and the six witness keys "12"
     ... "34".  True iff the report states "verified": true, t is a JSON
     integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
-    the certificate carries its norm -6 witness, and certificate_holds
-    tests d = 15 (mod 60) before square-freeness.  Anything malformed,
-    including a certificate without minus6, is False.
+    the certificate carries its norm -6 witness, and the certificate check
+    (represent._certificate_holds_but_norm_u) tests that witness's norm,
+    then n and d = 15 (mod 60), and d's square-freeness last, so a document
+    with a wrong witness or residue never pays for factoring d.  Anything
+    malformed, including a certificate without minus6, is False.
     """
     try:
         t, verified = doc["t"], doc["verified"]

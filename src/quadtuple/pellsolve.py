@@ -184,7 +184,8 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     """True when 5 | d, which proves x^2 - d*y^2 = +-2 unsolvable.
 
     Reducing mod 5 leaves x^2 = +-2, and both are quadratic non-residues
-    mod 5.  False makes no claim either way.
+    mod 5.  False makes no claim either way.  The certificate does not call
+    this: it reads 5 | d off d = 15 (mod 60).
     """
     return ctx.d % 5 == 0
 
@@ -209,21 +210,18 @@ def norm6_sign_y(sol: QuadInt) -> int:
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
-    For d = 15 (mod 60), g and h are odd and 3 | g (norm6_sign_y), so
-    the element (3(g/3)^2 + 1, (g/3)*h) has an even first and odd second
-    coordinate; for another d a solution without either raises ValueError.
-    With 3 | g, (g, h)^2 = (2g^2 + 6, 2gh) makes the element (g, h)^2 / 6
-    exactly, so its norm is (-6)^2 / 36 = 1.  For the canonical
-    representative of solve_norm_eq(ctx, -6) it is the fundamental unit:
-    (g, h)^2 / 6 = unit^k with k odd, since sqrt(6) is not in Q(sqrt(d)),
-    and the least h > 0 in the class, with g > 0, is where k = 1.
+    norm6_sign_y refuses, with ValueError, a solution without g = 3 (mod 6),
+    which every norm -6 solution has for d = 15 (mod 60).  That one test is
+    the whole shape: N(g, h) = -6 forces h odd, as an even h gives
+    g^2 = 2 (mod 4), and with 3 | g the element (3(g/3)^2 + 1, (g/3)*h) has
+    an even first and odd second coordinate iff g/3 is odd; so norm -6,
+    3 | g and that parity all hold iff g = 3 (mod 6).  With 3 | g,
+    (g, h)^2 = (2g^2 + 6, 2gh) makes the element (g, h)^2 / 6 exactly, so
+    its norm is 1.  For the canonical representative of
+    solve_norm_eq(ctx, -6) it is the fundamental unit: (g, h)^2 / 6 = unit^k
+    with k odd, since sqrt(6) is not in Q(sqrt(d)), and the least h > 0 in
+    the class, with g > 0, is where k = 1.
     """
-    if sol.norm() != -6:
-        raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
+    norm6_sign_y(sol)
     g, h = sol.a, sol.b
-    if g % 3:
-        raise ValueError(f"norm -6 solution with x = {g} not divisible by 3")
-    u = QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)
-    if u.a % 2 != 0 or u.b % 2 != 1:
-        raise ValueError(f"derived unit {u} missing even/odd coordinate parity")
-    return u
+    return QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)

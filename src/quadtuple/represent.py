@@ -6,7 +6,9 @@ and carries an exhaustive search that serves as the independent oracle for
 those certificates.  A certificate holds its one witness, an element of
 norm -6, so certificate_holds checks every hypothesis with arithmetic and no
 solver.  A report's judge checks all of them but N(u) = 1, which its tie
-u = w^2 to a w of norm 1 implies (_certificate_holds_but_norm_u).
+u = w^2 to a w of norm 1 implies (_certificate_holds_but_norm_u).  Every
+path tests the witness before n and d, and d's square-freeness, the one
+test that may search, last.
 """
 
 from __future__ import annotations
@@ -51,26 +53,16 @@ class NonRepCertificate:
     minus6: QuadInt
 
 
-def _n_and_ring_hold_but_norm_u(n: QuadInt, u: QuadInt) -> bool:
-    """The hypotheses on n, u and the ring but N(u) = 1, cheapest first."""
-    ctx = n.ctx
-    return (
-        n.a % 4 == 2
-        and ctx.d % 60 == 15
-        and 2 * u == n
-        and ctx.square_free
-        and pellsolve.check_pm2_unsolvable(ctx)
-    )
-
-
 def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
-    """Every hypothesis on n, u and the ring; N(u) = 1 first, as a small u's
-    norm costs less than deciding d's square-freeness.
+    """Every hypothesis on n, u and the ring but N(u) = 1, square-freeness last.
 
-    n.b = 0 (mod 4) needs no test: 2u = n with n.a = 2 (mod 4) makes u.a
-    odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d = 15 (mod 60) is odd.
+    n.b = 0 (mod 4) needs no test once N(u) = 1: 2u = n with n.a = 2 (mod 4)
+    makes u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d is odd.
+    Nor does 5 | d, which makes +-2 non-norms (both are non-residues mod 5):
+    d = 15 (mod 60) gives it.
     """
-    return u.norm() == 1 and _n_and_ring_hold_but_norm_u(n, u)
+    ctx = n.ctx
+    return n.a % 4 == 2 and ctx.d % 60 == 15 and 2 * u == n and ctx.square_free
 
 
 def _certificate_holds_but_norm_u(cert: NonRepCertificate) -> bool:
@@ -81,15 +73,15 @@ def _certificate_holds_but_norm_u(cert: NonRepCertificate) -> bool:
     t = 1000 makes its norm the dearest test of all.
     """
     return (
-        _n_and_ring_hold_but_norm_u(cert.n, cert.u)
-        and cert.minus6.ctx == cert.n.ctx
+        cert.minus6.ctx == cert.n.ctx
         and cert.minus6.norm() == -6
+        and _n_and_ring_hold(cert.n, cert.u)
     )
 
 
 def certificate_holds(cert: NonRepCertificate) -> bool:
     """True iff the certificate meets every hypothesis, by arithmetic alone."""
-    return _certificate_holds_but_norm_u(cert) and cert.u.norm() == 1
+    return cert.u.norm() == 1 and _certificate_holds_but_norm_u(cert)
 
 
 def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
@@ -99,7 +91,7 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
     pays for the one norm -6 solve that finds the witness.
     """
     u = QuadInt(n.a // 2, n.b // 2, n.ctx)
-    if not _n_and_ring_hold(n, u):
+    if not (u.norm() == 1 and _n_and_ring_hold(n, u)):
         return None
     reps = pellsolve.solve_norm_eq(n.ctx, -6).representatives
     if not reps:

@@ -12,6 +12,7 @@ from sympy import nextprime
 
 import quadtuple.counterex
 import quadtuple.pellsolve
+import quadtuple.quadring
 from quadtuple import (
     NonRepCertificate,
     QuadInt,
@@ -24,7 +25,7 @@ from quadtuple import (
     report_to_json,
     verify_report_doc,
 )
-from quadtuple.quadring import element_to_json
+from quadtuple.quadring import element_to_json, is_square_free
 from support import report_holds_by_definition
 
 
@@ -248,6 +249,47 @@ def test_reverification_refuses_a_wrong_residue_radicand_before_factorising(ring
     start = time.process_time()
     assert not verify_report_doc(doc)
     assert time.process_time() - start < 0.1
+
+
+def test_reverification_refuses_a_wrong_witness_before_factorising(ring15, monkeypatch):
+    # 15*p*q is 15 mod 60 with two 15-digit prime factors, so every test on
+    # n and d passes and deciding its square-freeness takes Brent's rho
+    # seconds; the witness (3, 1) has norm 9 - d there, which refuses the
+    # document first, while the untampered one still tests square-freeness
+    p, q = nextprime(10**14), nextprime(2 * 10**14)
+    while p * q % 4 != 1:
+        q = nextprime(q)
+    d = 15 * p * q
+    assert len(str(d)) == 30 and d % 60 == 15
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 1))))
+    tampered = copy.deepcopy(doc)
+    tampered["d"] = tampered["quadruple"]["d"] = str(d)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_square_free(m)
+
+    monkeypatch.setattr(quadtuple.quadring, "is_square_free", counted)
+    start = time.process_time()
+    assert not verify_report_doc(tampered)
+    assert time.process_time() - start < 0.01
+    assert calls == []
+    assert verify_report_doc(doc)
+    assert calls == [15]
+
+
+@pytest.mark.parametrize("t", [0, 1, 1000])
+def test_build_report_scales_through_scale_quadruple(ring15, monkeypatch, t):
+    scale, calls = quadtuple.counterex.scale_quadruple, []
+
+    def counted(quad, w):
+        calls.append(w)
+        return scale(quad, w)
+
+    monkeypatch.setattr(quadtuple.counterex, "scale_quadruple", counted)
+    assert build_report(ring15, t).verified
+    assert calls == [fundamental_unit(ring15) ** t]
 
 
 def test_build_report_solves_once(ring15, monkeypatch):

@@ -204,14 +204,44 @@ def test_norm6_without_the_shape_raises():
     assert sol.norm() == -6
     with pytest.raises(ValueError, match="not 3 mod 6"):
         norm6_sign_y(sol)
-    with pytest.raises(ValueError, match="not divisible by 3"):
+    with pytest.raises(ValueError, match="not 3 mod 6"):
         unit_from_norm6(sol)
     # 36 - 42 = -6 with 3 | x, so the division is exact, but (6, 1)^2/6 = (13, 2)
     # lacks the even/odd parity: 42 is even
     sol = QuadInt(6, 1, RingCtx(42))
     assert sol.norm() == -6
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match="not 3 mod 6"):
         unit_from_norm6(sol)
+
+
+def _raises_value_error(f, sol):
+    try:
+        f(sol)
+    except ValueError:
+        return True
+    return False
+
+
+def test_unit_from_norm6_raises_exactly_when_norm6_sign_y_does():
+    # the unit's own shape tests (norm -6, 3 | x, an even/odd unit) hold
+    # exactly when x = 3 (mod 6), the one test norm6_sign_y makes; the
+    # rings not 15 (mod 60) give solutions without that shape
+    rings = [RingCtx(d) for d in (7, 10, 19, 42, 15, 735, 1095, 1455)]
+    rings += [family_d(alpha).ctx for alpha in range(-20, 20)]
+    outcomes = set()
+    for ctx in rings:
+        for x in range(-60, 61):
+            for y in range(-60, 61):
+                if x * x - ctx.d * y * y != -6:
+                    continue
+                sol = QuadInt(x, y, ctx)
+                raised = _raises_value_error(norm6_sign_y, sol)
+                assert _raises_value_error(unit_from_norm6, sol) == raised, sol
+                if not raised:
+                    u = unit_from_norm6(sol)
+                    assert (u.norm(), u.a % 2, u.b % 2) == (1, 0, 1), sol
+                outcomes.add(raised)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("d", MINUS6_D)
