@@ -35,7 +35,7 @@ from .quadring import (
 )
 from .represent import (
     NonRepCertificate,
-    _certificate_holds_but_norm_u,
+    _n_and_ring_hold,
     certificate_from_json,
     certificate_to_json,
 )
@@ -99,15 +99,16 @@ class CounterexampleReport:
 
 
 def _unit_power(certificate: NonRepCertificate, t: int) -> tuple[QuadInt, QuadInt] | None:
-    """(w, w*w) for w = (gamma^2/6)^t and the norm -6 witness gamma; None
-    when u is too short to be w*w.
+    """The judge's power (w, w*w) for w = (gamma^2/6)^t and the norm -6
+    witness gamma; None when u is too short to be w*w.
 
-    The canonical gamma has gamma^2 = 6*unit, so u == w*w ties t to n with
-    no solver.  gamma^2/6 has norm 1, and the first coordinate of its e-th
-    power has at least e*(bits(a) - 1) bits, a its own first coordinate; a u
-    shorter than that for e = 2t is refused before the power is taken, so a
-    long witness cannot make the check build a number far beyond the
-    document.
+    unit_from_norm6 raises ValueError on a gamma without norm -6 and its
+    shape: the report path's one test of the witness.  The canonical gamma
+    has gamma^2 = 6*unit, so u == w*w ties t to n with no solver.
+    gamma^2/6 has norm 1, and the first coordinate of its e-th power has at
+    least e*(bits(a) - 1) bits, a its own first coordinate; a u shorter than
+    that for e = 2t is refused before the power is taken, so a long witness
+    cannot make the check build a number far beyond the document.
     """
     unit = pellsolve.unit_from_norm6(certificate.minus6)
     if 2 * t * (unit.a.bit_length() - 1) > certificate.u.a.bit_length():
@@ -145,26 +146,22 @@ def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
 
 
 def _report_holds(
-    ctx: RingCtx,
-    t: int,
     n: QuadInt,
     quad: Quadruple,
     certificate: NonRepCertificate,
-    power: tuple[QuadInt, QuadInt] | None = None,
+    power: tuple[QuadInt, QuadInt],
 ) -> bool:
     """The one definition of a valid report: build_report's verified flag and
     verify_report_doc's verdict.
 
-    The three copies of n agree, the elements are nonzero and distinct, the
-    certificate holds, u = w^2 for w = unit^t, and all six pairwise products
-    plus n are squares, matching any stored witnesses.  The certificate is
-    checked first, N(gamma) = -6 before the tests on n and d, which gives
-    with d = 15 (mod 60) the shape unit_from_norm6 would otherwise raise on;
-    then w and w^2 are taken and u == w^2 is tested.  N(u) = 1 is not
-    computed: u = w^2 and N(w) = 1 (_divided) give N(u) = N(w)^2 = 1.
-    power is (w, w^2) when the caller already holds them, built from gamma
-    and t as build_report builds them (w^2 halved off the scaled n = 2w^2);
-    without it they are taken here (_unit_power), behind a bit guard.
+    power is (w, w^2) for w = unit_from_norm6(certificate.minus6)^t, which
+    the caller took, testing the witness there.  Checked in order: the three
+    copies of n agree; u == w^2, which also puts the witness in n's ring, as
+    equality compares d; the elements are nonzero and distinct; the
+    hypotheses on n, u and the ring (_n_and_ring_hold, square-freeness
+    last); then all six pairwise products plus n are squares, matching any
+    stored witnesses.  N(u) = 1 is not computed: u = w^2 and N(w) = 1
+    (_divided) give N(u) = N(w)^2 = 1.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -175,18 +172,16 @@ def _report_holds(
     of its size, not of unit^(2t).  For a long w, f_i is a low-bits guess
     kept only if w * f_i == e_i (_divided), which keeps it exact.
     """
+    w, w2 = power
     if not (
         quad.n == n == certificate.n
+        and certificate.u == w2
         and degenerate_check(quad.elements)
-        and _certificate_holds_but_norm_u(certificate)
+        and _n_and_ring_hold(n, certificate.u)
     ):
         return False
-    power = power or _unit_power(certificate, t)
-    if power is None or power[1] != certificate.u:
-        return False
-    w = power[0]
     f = [_divided(e, w) for e in quad.elements]
-    two = QuadInt(2, 0, ctx)
+    two = QuadInt(2, 0, n.ctx)
     for i, j in PAIRS:
         rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)
         if rho is None:
@@ -206,9 +201,9 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     certificate's witness, the start of the base D(2) quadruple at
     m = k = 0, and the source of the unit, gamma^2/6.  The quadruple is
     scaled by w = unit^t to reach n = 2*w^2 (scale_quadruple, which squares
-    w once), and u = w^2 is read off n by halving it.  The judge gets w and
-    u (_report_holds' power), built from gamma and t, so it neither takes
-    them again nor reads them off the document it judges.  The
+    w once), and u = w^2 is read off n by halving it.  The judge gets (w, u)
+    as its power, built from gamma and t, so it neither takes them again nor
+    reads them off the document it judges; unit_from_norm6 tested gamma.  The
     certificate applies because even unit powers have an odd first and even
     second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.  verified
     is the verdict verify_report_doc gives on the report's JSON.  A t out of
@@ -233,7 +228,7 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     n = scaled.n  # 2 * w^2, since the base quadruple has n = 2
     u = QuadInt(n.a // 2, n.b // 2, ctx)
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
-    verified = _report_holds(ctx, t, n, scaled, certificate, (w, u))
+    verified = _report_holds(n, scaled, certificate, (w, u))
     notes = (
         f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
         "factorization=first",
@@ -269,10 +264,10 @@ def verify_report_doc(doc: dict) -> bool:
     accepting only decimal-string integers and the six witness keys "12"
     ... "34".  True iff the report states "verified": true, t is a JSON
     integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
-    the certificate carries its norm -6 witness, and the certificate check
-    (represent._certificate_holds_but_norm_u) tests that witness's norm,
-    then n and d = 15 (mod 60), and d's square-freeness last, so a document
-    with a wrong witness or residue never pays for factoring d.  Anything
+    the certificate carries its norm -6 witness, whose norm and shape
+    _unit_power tests as it takes the judge's power, and the judge tests n
+    and d = 15 (mod 60), and d's square-freeness last, so a document with a
+    wrong witness or residue never pays for factoring d.  Anything
     malformed, including a certificate without minus6, is False.
     """
     try:
@@ -286,6 +281,7 @@ def verify_report_doc(doc: dict) -> bool:
             return False
         n = element_from_json(doc["n"], ctx)
         certificate = certificate_from_json(doc["certificate"], ctx)
+        power = _unit_power(certificate, t)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False
-    return _report_holds(ctx, t, n, quad, certificate)
+    return power is not None and _report_holds(n, quad, certificate, power)

@@ -5,10 +5,9 @@ norm(u) = 1 in rings with square-free d = 15 (mod 60) where -6 is a norm,
 and carries an exhaustive search that serves as the independent oracle for
 those certificates.  A certificate holds its one witness, an element of
 norm -6, so certificate_holds checks every hypothesis with arithmetic and no
-solver.  A report's judge checks all of them but N(u) = 1, which its tie
-u = w^2 to a w of norm 1 implies (_certificate_holds_but_norm_u).  Every
-path tests the witness before n and d, and d's square-freeness, the one
-test that may search, last.
+solver.  A report's judge (counterex) tests the witness where it takes the
+unit, and here only _n_and_ring_hold.  Every path tests the witness before
+n and d, and d's square-freeness, the one test that may search, last.
 """
 
 from __future__ import annotations
@@ -59,29 +58,22 @@ def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
     n.b = 0 (mod 4) needs no test once N(u) = 1: 2u = n with n.a = 2 (mod 4)
     makes u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d is odd.
     Nor does 5 | d, which makes +-2 non-norms (both are non-residues mod 5):
-    d = 15 (mod 60) gives it.
+    d = 15 (mod 60) gives it.  The report judge (counterex) has N(u) = 1
+    from its tie u = w^2 to a w of norm 1, and calls this alone.
     """
     ctx = n.ctx
     return n.a % 4 == 2 and ctx.d % 60 == 15 and 2 * u == n and ctx.square_free
 
 
-def _certificate_holds_but_norm_u(cert: NonRepCertificate) -> bool:
-    """Every hypothesis but N(u) = 1: the report judge's (counterex).
-
-    The judge ties u = w^2 to a w of norm 1, so N(u) = N(w)^2 = 1 follows,
-    and with it n.b = 0 (mod 4) (_n_and_ring_hold); a u of 58,000 bits at
-    t = 1000 makes its norm the dearest test of all.
-    """
+def certificate_holds(cert: NonRepCertificate) -> bool:
+    """True iff the certificate meets every hypothesis, by arithmetic alone:
+    N(u) = 1, the witness in n's ring with N(minus6) = -6, then the rest."""
     return (
-        cert.minus6.ctx == cert.n.ctx
+        cert.u.norm() == 1
+        and cert.minus6.ctx == cert.n.ctx
         and cert.minus6.norm() == -6
         and _n_and_ring_hold(cert.n, cert.u)
     )
-
-
-def certificate_holds(cert: NonRepCertificate) -> bool:
-    """True iff the certificate meets every hypothesis, by arithmetic alone."""
-    return cert.u.norm() == 1 and _certificate_holds_but_norm_u(cert)
 
 
 def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:

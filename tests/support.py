@@ -46,9 +46,11 @@ def enum_order_key(sol):
 
 
 def report_holds_by_definition(ctx, t, n, quad, certificate):
-    """counterex._report_holds without its reduction by w = unit^t.
+    """counterex._report_holds, given the power (w, w^2) for w = unit^t,
+    without its reduction by w.
 
-    The same preconditions, u == unit^(2t) by the full power, and all six
+    The same preconditions with the whole certificate check (N(u) = 1 and
+    N(minus6) = -6 included), u == unit^(2t) by the full power, and all six
     square tests on the scaled quadruple as it stands (verify_quadruple).
     """
     return (

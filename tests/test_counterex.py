@@ -241,7 +241,8 @@ def test_reverification_refuses_a_radicand_over_the_cap(ring15):
 def test_reverification_refuses_a_wrong_residue_radicand_before_factorising(ring15):
     # 15*p*q has 30 digits, under the cap, and two 15-digit prime factors
     # that take Brent's rho seconds to split; it is 45 mod 60, which the
-    # certificate refuses anyway, so the residue test answers first
+    # certificate refuses anyway, and the witness (3, 1) has norm 9 - d
+    # there, so the witness test answers first
     d = 15 * nextprime(2 * 10**14) * nextprime(3 * 10**14)
     assert len(str(d)) == 30 and d % 60 == 45
     doc = json.loads(json.dumps(report_to_json(build_report(ring15, 0))))
@@ -277,6 +278,58 @@ def test_reverification_refuses_a_wrong_witness_before_factorising(ring15, monke
     assert calls == []
     assert verify_report_doc(doc)
     assert calls == [15]
+
+
+def test_the_report_path_takes_the_witness_norm_once(monkeypatch):
+    # the witness's norm is tested where the unit is taken from it
+    # (unit_from_norm6), and not again by the judge: once in
+    # verify_report_doc, and never in build_report's call of the judge,
+    # whose witness the construction has already tested
+    report = build_report(family_d(2).ctx, 1)
+    witness, doc = report.certificate.minus6, report_to_json(report)
+    norm, judge, calls = QuadInt.norm, quadtuple.counterex._report_holds, []
+    judging = False
+
+    def counted_norm(x):
+        if x == witness:
+            calls.append(judging)
+        return norm(x)
+
+    def flagged(*args):
+        nonlocal judging
+        judging = True
+        try:
+            return judge(*args)
+        finally:
+            judging = False
+
+    monkeypatch.setattr(QuadInt, "norm", counted_norm)
+    assert verify_report_doc(doc)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(quadtuple.counterex, "_report_holds", flagged)
+    assert build_report(family_d(2).ctx, 1).verified
+    assert True not in calls
+
+
+def test_the_tie_refuses_a_witness_from_another_ring(ring15):
+    # (33, 1) has norm 1089 - 1095 = -6 in Z[sqrt(1095)], and 1095 is
+    # 15 mod 60, so its unit passes every test of its own; at t = 0 the bit
+    # guard passes it, and u == w^2 = 1 fails only on the ring, which must
+    # refuse it before _divided would mix the rings and raise
+    report = build_report(ring15, 0)
+    foreign = QuadInt(33, 1, RingCtx(1095))
+    certificate = NonRepCertificate(report.n, report.certificate.u, foreign)
+    power = quadtuple.counterex._unit_power(certificate, 0)
+    assert power is not None and power[1] == QuadInt(1, 0, RingCtx(1095))
+    assert not quadtuple.counterex._report_holds(report.n, report.quadruple, certificate, power)
+    # at t = 1 the bit guard refuses it first: the foreign unit (364, 11) is
+    # longer than 15's own (4, 1), whose square is the t = 1 report's u
+    assert quadtuple.counterex._unit_power(certificate, 1) is None
+    own = build_report(ring15, 1).certificate
+    assert quadtuple.counterex._unit_power(own, 1) is not None
+    longer = NonRepCertificate(own.n, own.u, foreign)
+    assert quadtuple.counterex._unit_power(longer, 1) is None
 
 
 @pytest.mark.parametrize("t", [0, 1, 1000])
@@ -434,6 +487,12 @@ def _mutations(quad, eps):
     yield Quadruple(elements, quad.n, {})
 
 
+def _judged(ctx, t, n, quad, certificate):
+    """The judge's verdict with the power verify_report_doc would hand it."""
+    power = quadtuple.counterex._unit_power(certificate, t)
+    return power is not None and quadtuple.counterex._report_holds(n, quad, certificate, power)
+
+
 @pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])
 def test_report_holds_matches_its_unreduced_definition(alpha):
     ctx = family_d(alpha).ctx
@@ -446,7 +505,7 @@ def test_report_holds_matches_its_unreduced_definition(alpha):
         for quad in _mutations(report.quadruple, eps):
             for judged_t in (t, t + 1):
                 args = (ctx, judged_t, report.n, quad, report.certificate)
-                verdict = quadtuple.counterex._report_holds(*args)
+                verdict = _judged(*args)
                 assert verdict == report_holds_by_definition(*args), (t, judged_t, quad)
                 held += verdict
     # per t, at that t: the report, each witness negated or dropped, none stored
@@ -461,7 +520,7 @@ def test_report_holds_refuses_the_n_of_another_t(ring15):
     quad = Quadruple(r1.quadruple.elements, r2.n, r1.quadruple.witnesses)
     for t in (1, 2):
         args = (ring15, t, r2.n, quad, r2.certificate)
-        assert not quadtuple.counterex._report_holds(*args)
+        assert not _judged(*args)
         assert not report_holds_by_definition(*args)
 
 
@@ -472,16 +531,18 @@ def test_report_holds_given_build_reports_power_matches_its_definition(alpha, mo
     # and under each u that keeps n = 2u and every hypothesis but the tie
     # u == w^2, gets the unreduced definition's verdict, and the handed values
     # accept nothing the judge's own w would not
-    judge, handed = quadtuple.counterex._report_holds, {}
+    judge, powers = quadtuple.counterex._report_holds, []
 
-    def recorded(ctx, t, n, quad, certificate, power=None):
-        handed[t] = power
-        return judge(ctx, t, n, quad, certificate, power)
+    def recorded(n, quad, certificate, power):
+        powers.append(power)
+        return judge(n, quad, certificate, power)
 
     monkeypatch.setattr(quadtuple.counterex, "_report_holds", recorded)
     ctx = family_d(alpha).ctx
     ts = (0, 1, 2, 7, 400)
     reports = {t: build_report(ctx, t) for t in ts}
+    assert len(powers) == len(ts)
+    handed = dict(zip(ts, powers))
     held = 0
     for t, other_t in zip(ts, ts[-1:] + ts[:-1]):
         report = reports[t]
@@ -495,9 +556,9 @@ def test_report_holds_given_build_reports_power_matches_its_definition(alpha, mo
             certificate = NonRepCertificate(n=n, u=tied_u, minus6=minus6)
             for quad in _mutations(report.quadruple, eps):
                 args = (ctx, t, n, Quadruple(quad.elements, n, quad.witnesses), certificate)
-                verdict = judge(*args, handed[t])
+                verdict = judge(*args[2:], handed[t])
                 assert verdict == report_holds_by_definition(*args), (t, tied_u, quad)
-                assert verdict == judge(*args), (t, tied_u, quad)
+                assert verdict == _judged(*args), (t, tied_u, quad)
                 held += verdict
     # per t, under the report's u only: the report, each witness negated or
     # dropped, none stored
