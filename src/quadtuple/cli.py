@@ -46,13 +46,6 @@ EXIT_INCONCLUSIVE = 3  # also: norm equation unsolvable
 EXIT_HYPOTHESIS = 5  # m + k odd
 
 
-# most specific class first: ParityError is a ValueError
-_FAILURES = {
-    ParityError: EXIT_HYPOTHESIS,
-    ValueError: EXIT_USAGE,
-}
-
-
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(doc))
@@ -306,9 +299,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except tuple(_FAILURES) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _FAILURES.items() if isinstance(exc, cls))
+        return EXIT_HYPOTHESIS if isinstance(exc, ParityError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ def _rho_factorize(n: int, out: dict[int, int]) -> dict[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division below 10**6, then Brent's rho on what remains.
+    2, 3 and 5 are divided out, and _rho_factorize splits what remains.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -161,15 +161,6 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p, limit = 7, min(_TRIAL_BOUND, isqrt(n))
-    for step in cycle(_WHEEL):
-        if p > limit:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-            limit = min(limit, isqrt(n))
-        p += step
     return _rho_factorize(n, out) if n > 1 else out
 
 

@@ -119,6 +119,34 @@ def test_pell_bad_flags(capsys, monkeypatch):
             assert f"limit must be in [1, 1000], got {limit}" in err
 
 
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (quadtuple.construct.ParityError("m + k is odd"), 5),
+        (quadtuple.quadring.MixedRingError("mixing rings"), 2),
+        (ValueError("bad value"), 2),
+    ],
+)
+def test_main_maps_each_value_error_to_its_exit_code(capsys, monkeypatch, exc, expected):
+    # ParityError is the one ValueError with its own code; every other
+    # ValueError, MixedRingError among them, is a usage error
+    def refusing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(quadtuple.cli, "solve_norm_eq", refusing)
+    code, out, err = run(capsys, "pell", "--d", "15", "--norm", "-6")
+    assert (code, out, err) == (expected, "", f"error: {exc}\n")
+
+
+def test_main_lets_other_exceptions_propagate(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(quadtuple.cli, "solve_norm_eq", failing)
+    with pytest.raises(RuntimeError, match="not a refusal"):
+        main(["pell", "--d", "15", "--norm", "-6"])
+
+
 def test_pell_735_example(capsys):
     code, out, _ = run(
         capsys,

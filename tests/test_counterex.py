@@ -321,15 +321,17 @@ def test_the_tie_refuses_a_witness_from_another_ring(ring15):
     foreign = QuadInt(33, 1, RingCtx(1095))
     certificate = NonRepCertificate(report.n, report.certificate.u, foreign)
     power = quadtuple.counterex._unit_power(certificate, 0)
-    assert power is not None and power[1] == QuadInt(1, 0, RingCtx(1095))
+    assert power[1] == QuadInt(1, 0, RingCtx(1095))
     assert not quadtuple.counterex._report_holds(report.n, report.quadruple, certificate, power)
     # at t = 1 the bit guard refuses it first: the foreign unit (364, 11) is
     # longer than 15's own (4, 1), whose square is the t = 1 report's u
-    assert quadtuple.counterex._unit_power(certificate, 1) is None
+    with pytest.raises(ValueError, match="too short"):
+        quadtuple.counterex._unit_power(certificate, 1)
     own = build_report(ring15, 1).certificate
-    assert quadtuple.counterex._unit_power(own, 1) is not None
+    quadtuple.counterex._unit_power(own, 1)
     longer = NonRepCertificate(own.n, own.u, foreign)
-    assert quadtuple.counterex._unit_power(longer, 1) is None
+    with pytest.raises(ValueError, match="too short"):
+        quadtuple.counterex._unit_power(longer, 1)
 
 
 @pytest.mark.parametrize("t", [0, 1, 1000])
@@ -489,8 +491,11 @@ def _mutations(quad, eps):
 
 def _judged(ctx, t, n, quad, certificate):
     """The judge's verdict with the power verify_report_doc would hand it."""
-    power = quadtuple.counterex._unit_power(certificate, t)
-    return power is not None and quadtuple.counterex._report_holds(n, quad, certificate, power)
+    try:
+        power = quadtuple.counterex._unit_power(certificate, t)
+    except ValueError:
+        return False
+    return quadtuple.counterex._report_holds(n, quad, certificate, power)
 
 
 @pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])

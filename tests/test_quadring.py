@@ -438,12 +438,40 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(1) == {}
     assert factorize(97) == {97: 1}
-    # beyond the trial-division bound, so the rho stage must run
+    # primes above 10**6, each split off by the rho stage
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(p * p) == {p: 2}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_hands_all_but_2_3_and_5_to_rho(monkeypatch):
+    rho, received = quadtuple.quadring._rho_factorize, []
+
+    def recorded(n, out):
+        received.append(n)
+        return rho(n, out)
+
+    monkeypatch.setattr(quadtuple.quadring, "_rho_factorize", recorded)
+    assert factorize(2 * 7 * 11 * 13 * 10007) == {2: 1, 7: 1, 11: 1, 13: 1, 10007: 1}
+    assert received == [7 * 11 * 13 * 10007]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        7**40,
+        41**2 * 43**3,
+        1009**3 * 1013,
+        999983**2,
+        37**9,
+        2**64 * 41**3,
+        3**4 * 5**3 * 7**5 * 11**2 * 999983,
+    ],
+)
+def test_factorize_splits_prime_powers_as_factorint_does(n):
+    assert factorize(n) == factorint(n)
 
 
 def test_is_square_free():
