@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
-from contextlib import nullcontext
 from functools import cache
 
 from .construct import (
@@ -204,11 +205,14 @@ def cmd_counterexamples(args) -> int:
     candidates = enumerate_counterexample_rings(lo, hi)
     reports, lines = [], []
     eligible = ineligible = verified = 0
-    # opened before any report is built; the loop does no I/O, so any OSError is the archive's
+    # Opened before any report is built, so a bad path fails before any work,
+    # and without O_TRUNC: a regular file is rewritten in place and cut to
+    # this run's bytes, so the filesystem does not free and reallocate its
+    # blocks. The loop does no I/O, so any OSError is the archive's.
     try:
-        with (
-            nullcontext() if args.out is None else open(args.out, "w", encoding="utf-8")
-        ) as archive:
+        fd = None if args.out is None else os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        size = 0  # bytes of this run's archive; a failed run keeps none
+        try:
             for cand in candidates:
                 ctx = cand.ctx
                 if not ctx.square_free:
@@ -223,8 +227,19 @@ def cmd_counterexamples(args) -> int:
                 lines.append(
                     f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}"
                 )
-            if archive is not None:
-                archive.writelines(json.dumps(r) + "\n" for r in reports)
+            if fd is not None:
+                data = "".join(json.dumps(r) + "\n" for r in reports).encode()
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+                size = len(data)
+        finally:
+            if fd is not None:
+                try:
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, size)
+                finally:
+                    os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
@@ -287,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexamples", help="reports over the d-family")
     p.add_argument("--alpha", required=True, help="range lo..hi")
     p.add_argument("--t", type=int, default=0)
-    p.add_argument("--out", help="write a JSON-lines archive here")
+    p.add_argument(
+        "--out",
+        help="rewrite this JSON-lines archive in place with exactly this run's "
+        "reports; a run that fails after opening it leaves it empty",
+    )
     p.set_defaults(func=cmd_counterexamples)
     return parser
 

@@ -485,10 +485,88 @@ def test_counterexamples_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, w
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_counterexamples_failed_archive_write_exits_2(capsys):
-    # /dev/full opens, then refuses the write with ENOSPC when the file is flushed
+    # /dev/full opens, then refuses the write with ENOSPC
     code, out, err = run(capsys, "counterexamples", "--alpha", "0..0", "--out", "/dev/full")
     assert (code, out) == (2, "")
     assert err == "error: cannot write --out '/dev/full': No space left on device\n"
+
+
+def test_counterexamples_out_replaces_a_longer_archive(capsys, tmp_path):
+    code, out, _ = run(capsys, "--format", "json", "counterexamples", "--alpha", "0..3", "--t", "1")
+    assert code == 0
+    expected = "".join(json.dumps(r) + "\n" for r in json.loads(out)["reports"]).encode()
+    path = tmp_path / "reports.jsonl"
+    path.write_bytes(b"a previous run's line\n" * (len(expected) // 10))
+    code, _, _ = run(capsys, "counterexamples", "--alpha", "0..3", "--t", "1", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == expected
+
+
+def test_counterexamples_failed_run_empties_the_archive(capsys, monkeypatch, tmp_path):
+    def broken(ctx, t):
+        raise ValueError("no report")
+
+    monkeypatch.setattr(quadtuple.cli, "build_report", broken)
+    path = tmp_path / "reports.jsonl"
+    path.write_text("a previous run's line\n")
+    code, out, err = run(capsys, "counterexamples", "--alpha", "0..0", "--out", str(path))
+    assert (code, out, err) == (2, "", "error: no report\n")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_counterexamples_out_to_dev_null_exits_0(capsys):
+    code, _, err = run(capsys, "counterexamples", "--alpha", "0..1", "--t", "1", "--out", "/dev/null")
+    assert (code, err) == (0, "")
+
+
+def test_counterexamples_new_archive_gets_the_open_w_mode(capsys, tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        code, _, _ = run(capsys, "counterexamples", "--alpha", "0..0", "--out", str(tmp_path / "new"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_counterexamples_rewrites_the_archive_without_truncating_it(capsys, monkeypatch, tmp_path):
+    # truncate-then-rewrite makes the filesystem free the archive's blocks and
+    # allocate them again; an in-place rewrite cut once to its length does not
+    opens, truncates = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *args, **kwargs):
+        opens.append((path, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    def spy_ftruncate(fd, length):
+        truncates.append(length)
+        return real_ftruncate(fd, length)
+
+    path = tmp_path / "reports.jsonl"
+    path.write_text("a previous run's line\n" * 200)
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    code, _, _ = run(capsys, "counterexamples", "--alpha", "0..0", "--t", "1", "--out", str(path))
+    assert code == 0
+    assert [p for p, _ in opens] == [str(path)]
+    assert not any(flags & os.O_TRUNC for _, flags in opens)
+    assert truncates == [path.stat().st_size]
+    assert verify_report_doc(json.loads(path.read_text()))
+
+
+def test_counterexamples_failed_truncate_exits_2(capsys, monkeypatch, tmp_path):
+    def failing(fd, length):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "ftruncate", failing)
+    path = str(tmp_path / "reports.jsonl")
+    code, out, err = run(capsys, "counterexamples", "--alpha", "0..0", "--out", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {path!r}: {os.strerror(errno.EIO)}\n"
 
 
 def test_counterexamples_unverified_report_exits_1(capsys, monkeypatch):
