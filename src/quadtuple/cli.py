@@ -208,10 +208,14 @@ def cmd_counterexamples(args) -> int:
     # Opened before any report is built, so a bad path fails before any work,
     # and without O_TRUNC: a regular file is rewritten in place and cut to
     # this run's bytes, so the filesystem does not free and reallocate its
-    # blocks. The loop does no I/O, so any OSError is the archive's.
+    # blocks. Each report is serialised once, where it is written: its line
+    # goes to the archive as soon as it is built, and text mode serialises
+    # none. Only the archive does I/O here, so any OSError is the archive's.
     try:
         fd = None if args.out is None else os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
-        size = 0  # bytes of this run's archive; a failed run keeps none
+        # the archive is cut to size, set only once every line is written, so
+        # a run that fails or is interrupted keeps no bytes
+        written = size = 0
         try:
             for cand in candidates:
                 ctx = cand.ctx
@@ -221,18 +225,19 @@ def cmd_counterexamples(args) -> int:
                     continue
                 eligible += 1
                 report = build_report(ctx, args.t)
-                reports.append(report_to_json(report))
+                if fd is not None:
+                    view = memoryview((json.dumps(report_to_json(report)) + "\n").encode())
+                    written += len(view)
+                    while view:
+                        view = view[os.write(fd, view) :]
+                elif args.format == "json":
+                    reports.append(report_to_json(report))
                 if report.verified:
                     verified += 1
                 lines.append(
                     f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}"
                 )
-            if fd is not None:
-                data = "".join(json.dumps(r) + "\n" for r in reports).encode()
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view) :]
-                size = len(data)
+            size = written
         finally:
             if fd is not None:
                 try:
@@ -305,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         help="rewrite this JSON-lines archive in place with exactly this run's "
-        "reports; a run that fails after opening it leaves it empty",
+        "reports; a run that fails after opening it leaves it empty. Each line "
+        "is written as its report is built, so memory holds about one report; "
+        "--format json without --out keeps every report until the end, as its "
+        "summary comes first, so send large runs here. Text output serialises "
+        "no report",
     )
     p.set_defaults(func=cmd_counterexamples)
     return parser

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -512,6 +513,108 @@ def test_counterexamples_failed_run_empties_the_archive(capsys, monkeypatch, tmp
     code, out, err = run(capsys, "counterexamples", "--alpha", "0..0", "--out", str(path))
     assert (code, out, err) == (2, "", "error: no report\n")
     assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_counterexamples_failure_after_a_written_line_empties_the_archive(
+    capsys, monkeypatch, tmp_path, exc
+):
+    path = tmp_path / "reports.jsonl"
+    path.write_text("a previous run's line\n" * 200)
+    real_open, real_close, real_build = os.open, os.close, quadtuple.cli.build_report
+    opened, closed, built = [], [], []
+
+    def spy_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def spy_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    def fails_second(ctx, t):
+        built.append(ctx.d)
+        if len(built) == 2:
+            # alpha = 0's line is already on disk, ahead of the old bytes
+            assert path.read_bytes().startswith(b'{"d": "15"')
+            raise exc("no report")
+        return real_build(ctx, t)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "close", spy_close)
+    monkeypatch.setattr(quadtuple.cli, "build_report", fails_second)
+    argv = ("counterexamples", "--alpha", "0..2", "--t", "1", "--out", str(path))
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(list(argv))
+    else:
+        assert run(capsys, *argv) == (2, "", "error: no report\n")
+    assert built == [15, 15135]  # alpha = 1 is not square-free
+    assert path.read_bytes() == b""
+    assert closed == opened and len(opened) == 1
+
+
+def test_counterexamples_out_writes_each_line_before_the_next_report_is_built(
+    capsys, monkeypatch, tmp_path
+):
+    written = []  # bytes written after each build, one entry per report
+    real_write, real_build = os.write, quadtuple.cli.build_report
+
+    def spy_write(fd, data):
+        n = real_write(fd, data)
+        written[-1] += n
+        return n
+
+    def spy_build(ctx, t):
+        written.append(0)
+        return real_build(ctx, t)
+
+    monkeypatch.setattr(os, "write", spy_write)
+    monkeypatch.setattr(quadtuple.cli, "build_report", spy_build)
+    path = tmp_path / "reports.jsonl"
+    code, _, _ = run(capsys, "counterexamples", "--alpha", "0..3", "--t", "1", "--out", str(path))
+    assert code == 0
+    # the bytes written between one build and the next are that report's line
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert written == [len(line) for line in lines]
+    assert len(lines) == 3
+
+
+def test_counterexamples_text_output_serialises_no_report(capsys, monkeypatch):
+    def forbidden(report):
+        raise AssertionError("text output serialised a report")
+
+    monkeypatch.setattr(quadtuple.cli, "report_to_json", forbidden)
+    code, out, _ = run(capsys, "counterexamples", "--alpha", "0..3", "--t", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "eligible=3 ineligible=1 verified=3"
+
+
+def test_counterexamples_text_output_prints_a_report_json_cannot_hold(capsys):
+    # at t = 1000 the report's integers pass Python's 4300-digit str limit,
+    # which only serialising it would meet
+    code, out, err = run(capsys, "counterexamples", "--alpha", "2..2", "--t", "1000")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "alpha=2 d=15135 t=1000 verified=True",
+        "eligible=1 ineligible=0 verified=1",
+    ]
+
+
+def test_counterexamples_out_holds_about_one_report_in_memory(capsys, tmp_path):
+    # the archive is written line by line, so the traced peak stays a small
+    # share of it; building the whole archive in memory first would need
+    # several times its size
+    path = tmp_path / "reports.jsonl"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "counterexamples", "--alpha", "0..39", "--t", "200", "--out", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = path.stat().st_size
+    assert peak < size / 2, f"traced peak {peak} B for a {size} B archive"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
