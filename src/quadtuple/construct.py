@@ -181,13 +181,12 @@ def _construct_from_norm6(
 
     eps = pellsolve.unit_from_norm6(gamma)
     base_unit = eps if gd is gamma else eps.conjugate()
-    eps2 = eps * eps
-    eps2_inv = eps2.conjugate()  # norm 1, so the conjugate inverts it
 
     for index in count(unit_index):
         j = _unit_exponent(index)
-        step = eps2 if j >= 0 else eps2_inv
-        a = base_unit * step ** abs(j)
+        # eps^(2|j|); eps has norm 1, so its conjugate is eps^(-2|j|)
+        power = pellsolve.unit_power(eps, abs(j))[1]
+        a = base_unit * (power if j >= 0 else power.conjugate())
         r = _halved(s - a)
         b = (r * r - n) * a.conjugate()
         elements = (a, b, a + b + 2 * r, a + 4 * b + 4 * r)
@@ -264,13 +263,23 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     return VerifyReport(tuple(pairs), distinct, all_ok)
 
 
-def scale_quadruple(quad: Quadruple, w: QuadInt) -> Quadruple:
-    """{w*a_i} has property D(w^2 * n); witnesses scale along; w is squared once."""
+def scale_quadruple(quad: Quadruple, w: QuadInt, w2: QuadInt) -> Quadruple:
+    """{w*a_i} has property D(w2 * n) for w2 = w^2; witnesses scale along.
+
+    The caller hands in w2 = w*w, as pellsolve.unit_power gives it for a
+    unit power, so w is not squared here.  A w2 that is not w^2 modulo
+    2^64, a check that reads only the low bits, raises ValueError, and so
+    does a zero w.
+    """
     if w.is_zero():
         raise ValueError("scaling factor must be nonzero")
+    low = (1 << 64) - 1
+    a, b = w.a & low, w.b & low
+    if (w2.a - a * a - w.ctx.d * b * b) & low or (w2.b - 2 * a * b) & low:
+        raise ValueError("w2 is not the square of w")
     elements = tuple(w * e for e in quad.elements)
     witnesses = {pair: w * x for pair, x in quad.witnesses.items()}
-    return Quadruple(elements, w * w * quad.n, witnesses)
+    return Quadruple(elements, w2 * quad.n, witnesses)
 
 
 # ---------------------------------------------------------------------------

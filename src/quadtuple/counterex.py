@@ -14,6 +14,7 @@ report with arithmetic alone and runs no solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import pellsolve
 from .construct import (
@@ -71,11 +72,13 @@ def family_d(alpha: int) -> DCandidate:
     return DCandidate(alpha=alpha, x=60 * alpha + 3, ctx=RingCtx(d))
 
 
-def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> list[DCandidate]:
-    """All candidates for alpha_lo <= alpha <= alpha_hi, in alpha order.
+def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> Iterator[DCandidate]:
+    """The candidates for alpha_lo <= alpha <= alpha_hi, in alpha order, built
+    one at a time as the iterator is read.
 
-    Non-square-free members are retained, with ctx.square_free False.  A span
-    over ALPHA_SPAN_CAP members is refused before any ring is built.
+    Non-square-free members are retained, with ctx.square_free False.  An
+    empty range or a span over ALPHA_SPAN_CAP members is refused when this
+    is called, before any ring is built.
     """
     if alpha_lo > alpha_hi:
         raise ValueError(f"empty range: {alpha_lo} > {alpha_hi}")
@@ -84,7 +87,7 @@ def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> list[DCandid
             f"range {alpha_lo}..{alpha_hi} spans {alpha_hi - alpha_lo + 1} members, "
             f"over the cap {ALPHA_SPAN_CAP}"
         )
-    return [family_d(alpha) for alpha in range(alpha_lo, alpha_hi + 1)]
+    return map(family_d, range(alpha_lo, alpha_hi + 1))
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,23 @@ class CounterexampleReport:
 
 
 def _unit_power(certificate: NonRepCertificate, t: int) -> tuple[QuadInt, QuadInt]:
-    """The judge's power (w, w*w) for w = (gamma^2/6)^t and the norm -6
-    witness gamma; ValueError when u is too short to be w*w.
+    """The judge's power (w, w^2) for w = (gamma^2/6)^t and the norm -6
+    witness gamma; ValueError when u is too short to be w^2.
 
     unit_from_norm6 raises ValueError on a gamma without norm -6 and its
     shape: the report path's one test of the witness.  The canonical gamma
-    has gamma^2 = 6*unit, so u == w*w ties t to n with no solver.
+    has gamma^2 = 6*unit, so u == w^2 ties t to n with no solver.
     gamma^2/6 has norm 1, and the first coordinate of its e-th power has at
     least e*(bits(a) - 1) bits, a its own first coordinate; a u shorter than
     that for e = 2t is refused before the power is taken, so a long witness
-    cannot make the check build a number far beyond the document.
+    cannot make the check build a number far beyond the document.  Past
+    both tests, pellsolve.unit_power takes w and w^2 together by the Lucas
+    ladder on the x-coordinate, as build_report does.
     """
     unit = pellsolve.unit_from_norm6(certificate.minus6)
     if 2 * t * (unit.a.bit_length() - 1) > certificate.u.a.bit_length():
         raise ValueError(f"u is too short to be the witness's unit to the power {2 * t}")
-    w = unit**t
-    return w, w * w
+    return pellsolve.unit_power(unit, t)
 
 
 # a w of at least this many bits is divided out by a checked guess
@@ -202,14 +206,17 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
     One norm -6 solve: its canonical representative gamma is the
     certificate's witness, the start of the base D(2) quadruple at
-    m = k = 0, and the source of the unit, gamma^2/6.  The quadruple is
-    scaled by w = unit^t to reach n = 2*w^2 (scale_quadruple, which squares
-    w once), and u = w^2 is read off n by halving it.  The judge gets (w, u)
-    as its power, built from gamma and t, so it neither takes them again nor
-    reads them off the document it judges; unit_from_norm6 tested gamma.  The
-    certificate applies because even unit powers have an odd first and even
-    second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.  verified
-    is the verdict verify_report_doc gives on the report's JSON.  A t out of
+    m = k = 0, and the source of the unit, gamma^2/6.  One
+    pellsolve.unit_power call takes w = unit^t and u = w^2 together: a
+    Lucas ladder on the x-coordinate, one exact division for the y, and
+    w^2 from the norm-1 square (2*X^2 - 1, 2*X*Y).  scale_quadruple scales
+    the quadruple by w to reach n = 2*u, taking u from here, not squaring
+    w.  The judge gets (w, u) as its power, built from gamma and t, so it
+    neither takes them again nor reads them off the document it judges;
+    unit_from_norm6 tested gamma.  The certificate applies because even
+    unit powers have an odd first and even second coordinate, keeping
+    n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
+    verify_report_doc gives on the report's JSON.  A t out of
     range or a ring that is not 15 mod 60, not square-free or without a
     norm -6 element raises ValueError; a square-free family_d member passes,
     as x + sqrt(d) has norm -6.  Nothing raises past those checks.
@@ -226,10 +233,10 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     gamma = minus6[0]
 
     base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
-    w = pellsolve.unit_from_norm6(gamma) ** t  # gamma passed the construction's checks
-    scaled = scale_quadruple(base, w)
-    n = scaled.n  # 2 * w^2, since the base quadruple has n = 2
-    u = QuadInt(n.a // 2, n.b // 2, ctx)
+    # gamma passed the construction's checks, so its unit has norm 1
+    w, u = pellsolve.unit_power(pellsolve.unit_from_norm6(gamma), t)
+    scaled = scale_quadruple(base, w, u)
+    n = scaled.n  # 2 * u, since the base quadruple has n = 2
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
     verified = _report_holds(n, scaled, certificate, (w, u))
     notes = (

@@ -3,8 +3,8 @@
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
 the construction rests on when d = 15 (mod 60): the shape of norm -6
-solutions, the norm 1 element built from one, and the mod-5 argument that
-+-2 are not norms.
+solutions, the norm 1 element built from one and its powers, and the mod-5
+argument that +-2 are not norms.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
+    "unit_power",
 ]
 
 # largest |N| solve_norm_eq accepts
@@ -225,3 +226,42 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
     norm6_sign_y(sol)
     g, h = sol.a, sol.b
     return QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)
+
+
+def unit_power(unit: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
+    """(unit^t, unit^(2t)) for a unit of norm 1 and an integer t >= 0.
+
+    With unit = a + b*sqrt(d) and unit^k = X_k + Y_k*sqrt(d), norm 1 makes
+    conj(unit) = unit^-1, so X_k = (unit^k + unit^-k)/2 and
+    X_(m+n) + X_(m-n) = 2*X_m*X_n.  That gives the Lucas ladder
+    X_2k = 2*X_k^2 - 1 and X_(2k+1) = 2*X_k*X_(k+1) - a, run on the pair
+    (X_k, X_(k+1)) over the bits of t: one square and one product of the
+    x-coordinate's size per bit, where QuadInt.__pow__ takes three for its
+    square and four more for each multiply.  unit^(t+1) = unit^t * unit reads
+    X_(t+1) = a*X_t + d*b*Y_t, so Y_t = (X_(t+1) - a*X_t) / (d*b): one
+    division by a small number, exact for a unit of norm 1, and checked.
+    Norm 1 also gives X_t^2 + d*Y_t^2 = 2*X_t^2 - 1, so
+    unit^(2t) = (2*X_t^2 - 1, 2*X_t*Y_t) takes two products.  Every square
+    is x * x, CPython's faster path for one operand.  A unit of norm other
+    than 1, or a t that is not a nonnegative int, raises ValueError; b = 0
+    is +-1, whose Y_t is 0.
+    """
+    if not isinstance(t, int) or t < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {t!r}")
+    a, b, ctx = unit
+    d = ctx.d
+    if a * a - d * (b * b) != 1:
+        raise ValueError(f"{unit} has norm {unit.norm()}, expected 1")
+    x0, x1 = 1, a  # (X_k, X_(k+1)) for k = 0
+    for bit in bin(t)[2:] if t else ():
+        mixed = 2 * (x0 * x1) - a
+        if bit == "1":
+            x0, x1 = mixed, 2 * (x1 * x1) - 1
+        else:
+            x0, x1 = 2 * (x0 * x0) - 1, mixed
+    y = 0
+    if b:
+        y, rem = divmod(x1 - a * x0, d * b)
+        if rem:
+            raise ValueError(f"{unit} has no exact power {t}: the ladder left a remainder")
+    return QuadInt(x0, y, ctx), QuadInt(2 * (x0 * x0) - 1, 2 * (x0 * y), ctx)

@@ -83,7 +83,7 @@ def test_criterion_4_scaling_family():
         u = fundamental_unit(RING15)
         for t in (1, 2, 5, 10, 50):
             w = u**t
-            scaled = scale_quadruple(base, w)
+            scaled = scale_quadruple(base, w, w * w)
             assert scaled.n == 2 * u ** (2 * t)
             assert verify_quadruple(RING15, scaled).ok
 

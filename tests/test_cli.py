@@ -431,6 +431,16 @@ def test_counterexamples_bad_range_exits_2(capsys):
     assert (code, out) == (2, "")
 
 
+def test_counterexamples_bad_range_opens_no_archive(capsys, tmp_path):
+    # the candidates are built lazily, but the range is still refused before
+    # --out is opened
+    path = tmp_path / "archive.jsonl"
+    for alpha in ("5..1", "0..100000"):
+        code, out, err = run(capsys, "counterexamples", "--alpha", alpha, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert not path.exists(), alpha
+
+
 def test_counterexamples_negative_t_exits_2(capsys):
     code, _, _ = run(capsys, "counterexamples", "--alpha", "0..0", "--t", "-1")
     assert code == 2

@@ -310,14 +310,16 @@ def test_unit_index_cap_is_reachable(ring15):
 
 def test_scale_identity_and_negation(ring15):
     quad, _ = construct_quadruple(ring15, 0, 0)
-    same = scale_quadruple(quad, QuadInt(1, 0, ring15))
+    one = QuadInt(1, 0, ring15)
+    same = scale_quadruple(quad, one, one)
     assert same == quad
-    negated = scale_quadruple(quad, QuadInt(-1, 0, ring15))
+    negated = scale_quadruple(quad, -one, one)
     assert negated.n == quad.n  # (-1)^2 * n
     assert _coords(negated) == tuple((-a, -b) for (a, b) in _coords(quad))
     assert verify_quadruple(ring15, negated).ok
+    zero = QuadInt(0, 0, ring15)
     with pytest.raises(ValueError):
-        scale_quadruple(quad, QuadInt(0, 0, ring15))
+        scale_quadruple(quad, zero, zero)
 
 
 def test_scale_by_unit_powers(ring15):
@@ -325,9 +327,28 @@ def test_scale_by_unit_powers(ring15):
     u = fundamental_unit(ring15)
     for t in (1, 2, 3):
         w = u**t
-        scaled = scale_quadruple(quad, w)
+        scaled = scale_quadruple(quad, w, w * w)
         assert scaled.n == w * w * quad.n
         assert verify_quadruple(ring15, scaled).ok
+
+
+def test_scale_refuses_a_w2_that_is_not_w_squared(ring15):
+    # the low-bits test catches w itself, the conjugate square, a square off
+    # by a little in either coordinate and the next power; a wrong w2 would
+    # claim D(w2 * n)
+    quad, _ = construct_quadruple(ring15, 0, 0)
+    w = fundamental_unit(ring15) ** 40
+    w2 = w * w
+    for wrong in (
+        w,
+        w2.conjugate(),
+        w2 + QuadInt(2, 0, ring15),
+        w2 + QuadInt(0, 2, ring15),
+        fundamental_unit(ring15) ** 81,
+    ):
+        with pytest.raises(ValueError, match="not the square"):
+            scale_quadruple(quad, w, wrong)
+    assert verify_quadruple(ring15, scale_quadruple(quad, w, w2)).ok
 
 
 def test_degenerate_check(ring15):

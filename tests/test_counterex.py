@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -46,12 +47,26 @@ def test_family_identity_holds(alpha):
 
 
 def test_enumerate_counterexample_rings():
-    cands = enumerate_counterexample_rings(0, 3)
+    cands = list(enumerate_counterexample_rings(0, 3))
     assert [c.ctx.d for c in cands] == [15, 3975, 15135, 33495]
     assert [c.ctx.square_free for c in cands] == [True, False, True, True]
-    assert enumerate_counterexample_rings(2, 2)[0].alpha == 2
+    assert next(enumerate_counterexample_rings(2, 2)).alpha == 2
     with pytest.raises(ValueError):
         enumerate_counterexample_rings(5, 1)
+
+
+def test_enumerate_counterexample_rings_builds_one_ring_at_a_time():
+    # the whole ALPHA_SPAN_CAP span used to be built as a list, 28 MB traced
+    tracemalloc.start()
+    try:
+        cands = enumerate_counterexample_rings(0, quadtuple.counterex.ALPHA_SPAN_CAP - 1)
+        for _ in range(1000):
+            next(cands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"traced peak {peak} B"
+    assert next(cands).alpha == 1000
 
 
 class _Built(Exception):
@@ -68,9 +83,11 @@ def test_alpha_span_cap_is_checked_before_any_ring(monkeypatch):
     for lo, hi in ((0, cap), (-(10**12), 10**12), (0, 10**8)):
         with pytest.raises(ValueError, match="over the cap"):
             enumerate_counterexample_rings(lo, hi)
-    # a span of exactly cap members is allowed, so it reaches family_d
+    # a span of exactly cap members is allowed, and its first ring is built
+    # only when it is read
+    cands = enumerate_counterexample_rings(1, cap)
     with pytest.raises(_Built):
-        enumerate_counterexample_rings(1, cap)
+        next(cands)
 
 
 def test_build_report_base(ring15):
@@ -338,13 +355,14 @@ def test_the_tie_refuses_a_witness_from_another_ring(ring15):
 def test_build_report_scales_through_scale_quadruple(ring15, monkeypatch, t):
     scale, calls = quadtuple.counterex.scale_quadruple, []
 
-    def counted(quad, w):
-        calls.append(w)
-        return scale(quad, w)
+    def counted(quad, w, w2):
+        calls.append((w, w2))
+        return scale(quad, w, w2)
 
     monkeypatch.setattr(quadtuple.counterex, "scale_quadruple", counted)
     assert build_report(ring15, t).verified
-    assert calls == [fundamental_unit(ring15) ** t]
+    eps = fundamental_unit(ring15)
+    assert calls == [(eps**t, eps ** (2 * t))]
 
 
 def test_build_report_solves_once(ring15, monkeypatch):
@@ -663,20 +681,24 @@ def test_division_by_w_takes_checked_guesses(monkeypatch):
 
 
 def test_build_report_takes_one_power_one_square_and_no_full_size_norm(monkeypatch):
-    # at t = 1000 build_report takes w = unit^t once and w^2 once and hands
-    # both to the judge, which has N(u) = 1 from u = w^2 and N(w) = 1: no
-    # second power or square, and no norm of the 26,000-bit u
-    power, multiply, norm = QuadInt.__pow__, QuadInt.__mul__, QuadInt.norm
-    long_powers, long_squares, long_norms = [], [], []
+    # at t = 1000 build_report takes (w, w^2) = (unit^t, unit^(2t)) in one
+    # unit_power call and hands both to the judge, which has N(u) = 1 from
+    # u = w^2 and N(w) = 1: no generic power, no generic square of a long
+    # element, and no norm of the 26,000-bit u.  The construction's unit
+    # schedule takes its j = 0 power, unit^0, through unit_power as well.
+    unit_power, multiply, norm = quadtuple.pellsolve.unit_power, QuadInt.__mul__, QuadInt.norm
+    exponents, powers, long_squares, long_norms = [], [], [], []
 
     def bits(x):
         return max(x.a.bit_length(), x.b.bit_length())
 
+    def recorded_unit_power(unit, t):
+        exponents.append(t)
+        return unit_power(unit, t)
+
     def recorded_pow(x, e):
-        result = power(x, e)
-        if bits(result) > 10_000:
-            long_powers.append((e, bits(result)))
-        return result
+        powers.append(e)
+        raise AssertionError("QuadInt.__pow__ on the report path")
 
     def recorded_mul(x, y):
         if x is y and bits(x) > 10_000:
@@ -688,11 +710,54 @@ def test_build_report_takes_one_power_one_square_and_no_full_size_norm(monkeypat
             long_norms.append(bits(x))
         return norm(x)
 
+    monkeypatch.setattr(quadtuple.pellsolve, "unit_power", recorded_unit_power)
     monkeypatch.setattr(QuadInt, "__pow__", recorded_pow)
     monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
     monkeypatch.setattr(QuadInt, "norm", recorded_norm)
     report = build_report(family_d(2).ctx, 1000)
     assert report.verified and bits(report.certificate.u) > 20_000
-    assert len(long_powers) == 1 and long_powers[0][0] == 1000
-    assert long_squares == [long_powers[0][1]]
-    assert long_norms == []
+    assert exponents == [0, 1000]
+    assert (powers, long_squares, long_norms) == ([], [], [])
+    # the judge on a document takes its power the same way; at d = 15 a
+    # t = 1000 report is short enough to serialise
+    exponents.clear()
+    assert verify_report_doc(report_to_json(build_report(RingCtx(15), 1000)))
+    assert exponents == [0, 1000, 1000]
+    assert (powers, long_squares, long_norms) == ([], [], [])
+
+
+def _with_field(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 1000])
+def test_verify_report_doc_refuses_witness_and_t_tampering_at_the_ladders_edges(ring15, t):
+    # each tampering reaches unit_power past the bit guard, or is refused by
+    # it: t = 0 is a ladder of no steps, t = 1 of one.  (3, -1) and (-3, 1)
+    # give the conjugate unit, whose power is not u unless t = 0, where w = 1
+    # and the witness is as good as gamma; a witness of another ring, one of
+    # norm other than -6 and a zero one are refused before any power.  None
+    # raises, and only that t = 0 witness is accepted.
+    doc = report_to_json(build_report(ring15, t))
+    assert verify_report_doc(doc)
+    minus6 = ("certificate", "minus6")
+    tamperings = [
+        (minus6, {"a": "3", "b": "-1"}, t == 0),
+        (minus6, {"a": "-3", "b": "1"}, t == 0),
+        (minus6, {"a": "0", "b": "0"}, False),
+        (minus6, {"a": "1", "b": "0"}, False),
+        (minus6, {"a": "33", "b": "1"}, False),  # norm -6 in Z[sqrt(1095)], not here
+        (minus6, {"a": "-9", "b": "-3"}, False),  # 81 - 135 = -54
+        (("t",), t + 1, False),
+        (("t",), t - 1, False),
+        (("t",), 2 * t + 1, False),
+        (("t",), True, False),
+    ]
+    for path, value, accepted in tamperings:
+        verdict = verify_report_doc(_with_field(doc, path, value))
+        assert verdict is accepted, (path, value)

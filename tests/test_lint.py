@@ -8,6 +8,8 @@ placeholder is a message that forgot its value.  A bare except, or one
 that names Exception or BaseException, would relabel a bug or a
 MemoryError as an expected failure.  Every refusal the package makes is a
 ValueError, so each exception class it defines derives from ValueError.
+No module changes the process-wide limit on int-to-decimal conversion,
+sys.set_int_max_str_digits: a library that lifts it lifts it for its host.
 Every module-level *_CAP or *_CAP_DEFAULT constant is a stated cap, so
 README's "Caps" list names each one, with its module, and nothing else; its
 "Exit codes" paragraph names each cli.EXIT_* value, and nothing else, and
@@ -152,6 +154,25 @@ def test_no_broad_exception_handlers(path):
     assert not lines, f"{path.name} catches every exception at lines {lines}"
 
 
+def _int_digit_limit_setters(tree: ast.Module) -> list[int]:
+    """The line of each reference to sys.set_int_max_str_digits, by attribute
+    or by a name imported from sys."""
+    name = "set_int_max_str_digits"
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_sets_the_int_digit_limit(path):
+    lines = _int_digit_limit_setters(_tree(path))
+    assert not lines, f"{path.name} sets sys.set_int_max_str_digits at lines {lines}"
+
+
 def test_every_exception_class_is_a_value_error():
     defined = {
         f"{cls.__module__}.{name}": cls
@@ -264,6 +285,16 @@ def test_lint_sees_planted_broad_handlers():
         "try:\n    pass\nexcept ExceptionGroup:\n    pass\n"
     )
     assert _broad_handlers(tree) == [3, 7, 11]
+
+
+def test_lint_sees_planted_int_digit_limit_setters():
+    tree = ast.parse(
+        "import sys\nsys.set_int_max_str_digits(0)\n"
+        "from sys import set_int_max_str_digits as lift\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "f = getattr(sys, 'x')\nset_int_max_str_digits(0)\n"
+    )
+    assert _int_digit_limit_setters(tree) == [2, 3, 6]
 
 
 def test_caps_lint_reads_only_the_caps_list():

@@ -3,6 +3,8 @@ from __future__ import annotations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 import quadtuple.pellsolve
@@ -19,6 +21,7 @@ from quadtuple import (
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
+    unit_power,
 )
 
 from support import MINUS6_D, brute_norm_solutions, enum_order_key
@@ -335,3 +338,46 @@ def test_no_norm_minus_one_among_unit_powers():
             assert (u**k).norm() == 1
             assert (-(u**k)).norm() == 1
         assert solve_norm_eq(ctx, -1).representatives == ()
+
+
+# ---------------------------------------------------------------------------
+# unit_power, against QuadInt.__pow__
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.integers(min_value=-300, max_value=299),
+    conjugate=st.booleans(),
+    t=st.integers(min_value=0, max_value=1000),
+)
+def test_unit_power_matches_the_generic_power(alpha, conjugate, t):
+    # the family's unit (x^2 + 3)/3 + (x/3)*sqrt(d), x = 60*alpha + 3, or its
+    # inverse; the ring need not be square-free
+    cand = family_d(alpha)
+    eps = unit_from_norm6(QuadInt(cand.x, 1, cand.ctx))
+    if conjugate:
+        eps = eps.conjugate()
+    assert unit_power(eps, t) == (eps**t, eps ** (2 * t))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 17, 64, 1000])
+def test_unit_power_of_a_negated_unit(ring15, t):
+    eps = -fundamental_unit(ring15)
+    assert unit_power(eps, t) == (eps**t, eps ** (2 * t))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 5])
+def test_unit_power_of_plus_minus_one(ring15, t):
+    # b = 0 is +-1: no division by d*b, and the exact power
+    one = QuadInt(1, 0, ring15)
+    assert unit_power(one, t) == (one, one)
+    assert unit_power(-one, t) == ((-one) ** t, one)
+
+
+def test_unit_power_refuses_what_is_not_a_norm_1_unit(ring15):
+    for bad in [(0, 0), (2, 0), (-2, 0), (3, 1), (4, 2), (1, 1), (0, 1)]:
+        with pytest.raises(ValueError, match="expected 1"):
+            unit_power(QuadInt(*bad, ring15), 3)
+    for t in (-1, 1.0, "2", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            unit_power(fundamental_unit(ring15), t)
