@@ -51,8 +51,9 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # the one spelling of each pair as a witness key, "12" for (1, 2), in PAIRS order
 WITNESS_KEYS = {f"{i}{j}": (i, j) for i, j in PAIRS}
 
-# largest unit_index construct_quadruple accepts: 2 * counterex.T_CAP_DEFAULT,
-# so its elements never outgrow a capped report's unit^(2t)
+# largest unit_index construct_quadruple accepts: 2 * counterex.T_CAP_DEFAULT.
+# At the cap the elements are about the size of a t = 1000 report's
+# unit^(2t), so they meet the same 4300-digit str() limit when printed.
 UNIT_INDEX_CAP = 2000
 
 
@@ -145,10 +146,13 @@ def _construct_from_norm6(
     alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
     take a from the deterministic unit schedule (all units of even/odd
     coordinate parity, which keeps r integral); then b = (r^2 - n) / a,
-    which is (r^2 - n) * conj(a) since a has norm 1.  The fundamental unit
-    is eps = gamma^2/6 (unit_from_norm6), and the schedule starts from
-    (gamma, delta)^2/6: eps itself, or its conjugate when delta flips
-    gamma's y.
+    which is (r^2 - n) * conj(a) since a has norm 1.  With r = (s - a)/2
+    and a*conj(a) = 1 that is b = ((s^2 - 4n)*conj(a) - 2s + a)/4: one
+    product of the base-sized s^2 - 4n, taken before the loop, by the
+    unit, where (r^2 - n)*conj(a) would square r and multiply that by a
+    full-size conj(a).  The fundamental unit is eps = gamma^2/6
+    (unit_from_norm6), and the schedule starts from (gamma, delta)^2/6:
+    eps itself, or its conjugate when delta flips gamma's y.
 
     No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
     (norm6_sign_y), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
@@ -178,6 +182,7 @@ def _construct_from_norm6(
     alpha2 = gd * QuadInt(2 * m + 1, 2 * k, ctx)
     s = _halved(alpha1 + alpha2)  # a + 2r
     alpha_sym = _halved(alpha1 - alpha2)
+    s2_4n = s * s - 4 * n  # s^2 - 4n, independent of a
 
     eps = pellsolve.unit_from_norm6(gamma)
     base_unit = eps if gd is gamma else eps.conjugate()
@@ -188,7 +193,7 @@ def _construct_from_norm6(
         power = pellsolve.unit_power(eps, abs(j))[1]
         a = base_unit * (power if j >= 0 else power.conjugate())
         r = _halved(s - a)
-        b = (r * r - n) * a.conjugate()
+        b = _halved(_halved(s2_4n * a.conjugate() - 2 * s + a))
         elements = (a, b, a + b + 2 * r, a + 4 * b + 4 * r)
         if not degenerate_check(elements):
             continue
@@ -316,8 +321,10 @@ def quadruple_from_json(doc: dict) -> Quadruple:
     if len(doc["elements"]) != 4:
         raise ValueError(f"expected 4 elements, got {len(doc['elements'])}")
     elements = tuple(element_from_json(e, ctx) for e in doc["elements"])
+    witness_doc = doc.get("witnesses", {})
+    if not isinstance(witness_doc, dict):
+        raise TypeError(f"witnesses must be an object, got {type(witness_doc).__name__!r}")
     witnesses = {
-        _witness_pair(key): element_from_json(value, ctx)
-        for key, value in doc.get("witnesses", {}).items()
+        _witness_pair(key): element_from_json(value, ctx) for key, value in witness_doc.items()
     }
     return Quadruple(elements, element_from_json(doc["n"], ctx), witnesses)

@@ -37,7 +37,6 @@ from .quadring import (
 from .represent import (
     NonRepCertificate,
     _n_and_ring_hold,
-    certificate_from_json,
     certificate_to_json,
 )
 
@@ -266,14 +265,25 @@ def report_to_json(report: CounterexampleReport) -> dict:
     }
 
 
+def _restated(doc, text: dict, n: QuadInt) -> QuadInt:
+    """A restated copy of n: n itself when doc equals text, the JSON n was
+    parsed from (equal text parses to an equal value), else doc parsed in
+    n's ring for the judge to compare."""
+    return n if doc == text else element_from_json(doc, n.ctx)
+
+
 def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
     Parses the quadruple in the ring of its own d, refuses it unless that d
     is the report's, then parses n and the certificate in the same ring,
     accepting only decimal-string integers and the six witness keys "12"
-    ... "34".  True iff the report states "verified": true, t is a JSON
-    integer in [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
+    ... "34".  The report and the certificate each restate the quadruple's
+    n: a copy equal in text to the quadruple's n (same keys, same strings)
+    is not converted again, and any other copy is parsed and compared as
+    before, so a respelled "+62" or "062" still passes.  True iff the
+    report states "verified": true, t is a JSON integer in
+    [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
     the certificate carries its norm -6 witness, whose norm and shape
     _unit_power tests as it takes the judge's power, and the judge tests n
     and d = 15 (mod 60), and d's square-freeness last, so a document with a
@@ -286,12 +296,18 @@ def verify_report_doc(doc: dict) -> bool:
         if verified is not True or type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
             return False
         d = int_from_json(doc["d"])
-        quad = quadruple_from_json(doc["quadruple"])
+        quad_doc = doc["quadruple"]
+        quad = quadruple_from_json(quad_doc)
         ctx = quad.n.ctx
         if ctx.d != d:
             return False
-        n = element_from_json(doc["n"], ctx)
-        certificate = certificate_from_json(doc["certificate"], ctx)
+        n = _restated(doc["n"], quad_doc["n"], quad.n)
+        cert_doc = doc["certificate"]
+        certificate = NonRepCertificate(
+            n=_restated(cert_doc["n"], quad_doc["n"], quad.n),
+            u=element_from_json(cert_doc["u"], ctx),
+            minus6=element_from_json(cert_doc["minus6"], ctx),
+        )
         power = _unit_power(certificate, t)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False

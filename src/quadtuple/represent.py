@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from . import pellsolve
 from .quadring import (
     QuadInt,
-    RingCtx,
-    element_from_json,
     element_to_json,
     is_perfect_square,
     sqrt_in_ring,
@@ -27,7 +25,6 @@ from .quadring import (
 __all__ = [
     "BOUND_CAP",
     "NonRepCertificate",
-    "certificate_from_json",
     "certificate_holds",
     "certificate_to_json",
     "certify_nonrepresentable",
@@ -131,12 +128,3 @@ def certificate_to_json(cert: NonRepCertificate) -> dict:
         "u": element_to_json(cert.u),
         "minus6": element_to_json(cert.minus6),
     }
-
-
-def certificate_from_json(doc: dict, ctx: RingCtx) -> NonRepCertificate:
-    """Parse without judging; certificate_holds decides whether it holds."""
-    return NonRepCertificate(
-        n=element_from_json(doc["n"], ctx),
-        u=element_from_json(doc["u"], ctx),
-        minus6=element_from_json(doc["minus6"], ctx),
-    )

@@ -4,8 +4,11 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -737,3 +740,37 @@ def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
     else:
         assert all(flag in out for flag in ring_flags)
     assert "--allow-nonsquarefree" not in out
+
+
+# ---------------------------------------------------------------------------
+# the entry point as a process
+
+
+def _run_module(*argv):
+    """python -m quadtuple in a child process, the package's tree on its path."""
+    src = str(Path(quadtuple.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "quadtuple", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_module_entry_point_writes_an_archive_that_verifies(tmp_path):
+    archive = tmp_path / "archive.jsonl"
+    argv = ["--format", "json", "counterexamples", "--alpha", "0..2", "--t", "1"]
+    proc = _run_module(*argv, "--out", str(archive))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = archive.read_text().splitlines()
+    assert lines and all(verify_report_doc(json.loads(line)) for line in lines)
+
+
+def test_module_entry_point_exits_2_on_a_usage_error():
+    proc = _run_module("--format", "json", "counterexamples", "--alpha", "3..1", "--t", "1")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -385,3 +385,47 @@ def test_quadruple_from_json_counts_elements_before_parsing(ring15):
         doc["elements"] = elements
         with pytest.raises(ValueError, match="expected 4 elements"):
             quadruple_from_json(doc)
+
+
+@pytest.mark.parametrize("witnesses", [[], None, "x", 5])
+def test_quadruple_from_json_refuses_non_object_witnesses(ring15, witnesses):
+    # the parsers surface a wrong type as TypeError, not as a missing .items
+    doc = quadruple_to_json(construct_quadruple(ring15, 0, 0)[0])
+    doc["witnesses"] = witnesses
+    with pytest.raises(TypeError, match="witnesses must be an object"):
+        quadruple_from_json(doc)
+
+
+# the family ring at alpha = 780; its unit at index 2000 has 60,856 bits
+RING780 = RingCtx(2190520815)
+
+
+@pytest.mark.parametrize("ctx", [RingCtx(d) for d in MINUS6_D] + [RING780], ids=lambda c: c.d)
+@pytest.mark.parametrize("choice", ["first", "second"])
+def test_b_matches_its_definition(ctx, choice):
+    # b = ((s^2 - 4n)*conj(a) - 2s + a)/4 is (r^2 - n)*conj(a), since
+    # s = a + 2r and a*conj(a) = 1
+    for m, k in ((0, 0), (1, 1)):
+        n = QuadInt(4 * m + 2, 4 * k, ctx)
+        for index in (0, 1, 2, 7, UNIT_INDEX_CAP):
+            _, trace = construct_quadruple(ctx, m, k, index, choice)
+            r, a = trace.r, trace.unit_a
+            assert trace.b == (r * r - n) * a.conjugate(), (m, k, index)
+
+
+def test_b_takes_no_product_of_two_long_operands(monkeypatch):
+    # at index 2000 in the alpha = 780 ring, b is one product of the
+    # base-sized s^2 - 4n by the unit; (r*r - n)*conj(a) had two
+    multiply, long_products = QuadInt.__mul__, []
+
+    def bits(x):
+        return max(x.a.bit_length(), x.b.bit_length())
+
+    def recorded_mul(x, y):
+        if type(y) is QuadInt and min(bits(x), bits(y)) > 10_000:
+            long_products.append((bits(x), bits(y)))
+        return multiply(x, y)
+
+    monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
+    _, trace = construct_quadruple(RING780, 0, 0, UNIT_INDEX_CAP)
+    assert trace.unit_a.a.bit_length() > 60_000 and not long_products

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 import time
 import tracemalloc
 
@@ -761,3 +762,64 @@ def test_verify_report_doc_refuses_witness_and_t_tampering_at_the_ladders_edges(
     for path, value, accepted in tamperings:
         verdict = verify_report_doc(_with_field(doc, path, value))
         assert verdict is accepted, (path, value)
+
+
+def test_verify_report_doc_converts_the_restated_n_once(monkeypatch):
+    # the report and the certificate restate the quadruple's n in the same
+    # text, so each of n's 1,792-digit coordinates is converted once, by the
+    # one int() call in int_from_json
+    doc = json.loads(json.dumps(report_to_json(build_report(RingCtx(15), 1000))))
+    texts = [doc["n"]["a"], doc["n"]["b"]]
+    assert min(map(len, texts)) > 1_700
+    int_from_json, converted = quadtuple.quadring.int_from_json, []
+
+    def counted(text):
+        converted.append(text)
+        return int_from_json(text)
+
+    monkeypatch.setattr(quadtuple.quadring, "int_from_json", counted)
+    assert verify_report_doc(doc)
+    assert [converted.count(text) for text in texts] == [1, 1]
+
+
+N_COPIES = [("n",), ("certificate", "n"), ("quadruple", "n")]
+
+
+@pytest.mark.parametrize("path", N_COPIES, ids="/".join)
+@pytest.mark.parametrize(
+    "copy_, accepted",
+    [
+        ({"a": "+62", "b": "16"}, True),
+        ({"a": "062", "b": "16"}, True),
+        ({"a": "62", "b": "+016"}, True),
+        ({"a": "62", "b": "16", "c": "extra"}, True),
+        ({"a": "64", "b": "16"}, False),
+        ({"a": "62", "b": "-16"}, False),
+        ({"a": "62"}, False),
+        ({"a": 62, "b": 16}, False),
+        (["62", "16"], False),
+        ("62", False),
+        (None, False),
+        (62, False),
+    ],
+)
+def test_a_restated_n_is_judged_by_value(ring15, path, copy_, accepted):
+    # n = (62, 16) at t = 1; a copy that differs from the others in text is
+    # parsed and compared, so a respelling passes and another value fails
+    doc = json.loads(json.dumps(report_to_json(build_report(ring15, 1))))
+    assert doc["n"] == {"a": "62", "b": "16"} and verify_report_doc(doc)
+    assert verify_report_doc(_with_field(doc, path, copy_)) is accepted
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("quadruple", "elements", 0, "a"), ("n", "a"), ("certificate", "n", "a")],
+    ids=lambda p: "/".join(map(str, p)),
+)
+def test_verify_report_doc_refuses_a_field_past_the_digit_limit(ring15, path):
+    # int() refuses a 4301-digit string; the check returns False, raises
+    # nothing and leaves the process-wide limit as it was
+    assert sys.get_int_max_str_digits() == 4300
+    doc = report_to_json(build_report(ring15, 1))
+    assert verify_report_doc(_with_field(doc, path, "7" * 4301)) is False
+    assert sys.get_int_max_str_digits() == 4300

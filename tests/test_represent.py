@@ -11,14 +11,16 @@ from quadtuple import (
     RingCtx,
     certificate_holds,
     check_pm2_unsolvable,
+    build_report,
     certify_nonrepresentable,
     fundamental_unit,
+    report_to_json,
     search_repr,
+    verify_report_doc,
 )
 from quadtuple.represent import (
     BOUND_CAP,
     _n_and_ring_hold,
-    certificate_from_json,
     certificate_to_json,
 )
 
@@ -143,9 +145,19 @@ def test_certificate_json(ring15):
         "u": {"a": "1", "b": "0"},
         "minus6": {"a": "3", "b": "1"},
     }
-    assert certificate_from_json(doc, ring15) == cert
-    with pytest.raises(KeyError):
-        certificate_from_json({"n": doc["n"], "u": doc["u"]}, ring15)
+    # a certificate is read back only as part of a report, by
+    # verify_report_doc: the report at t = 0 carries this certificate, and
+    # each of its three fields is read
+    report_doc = report_to_json(build_report(ring15, 0))
+    assert report_doc["certificate"] == doc
+    assert verify_report_doc(report_doc)
+    respelled = {key: {"a": "+" + value["a"], "b": value["b"]} for key, value in doc.items()}
+    assert verify_report_doc({**report_doc, "certificate": respelled})
+    for key in doc:
+        missing = {k: v for k, v in doc.items() if k != key}
+        assert not verify_report_doc({**report_doc, "certificate": missing})
+        wrong = {**doc, key: {"a": "5", "b": "0"}}
+        assert not verify_report_doc({**report_doc, "certificate": wrong})
 
 
 def test_search_repr_examples(ring15):
