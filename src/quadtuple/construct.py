@@ -132,16 +132,18 @@ def construct_quadruple(
     reps = pellsolve.solve_norm_eq(ctx, -6).representatives
     if not reps:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    return _construct_from_norm6(reps[0], m, k, unit_index, factorization_choice)
+    eps = pellsolve.unit_from_norm6(reps[0])
+    return _construct_from_norm6(reps[0], eps, m, k, unit_index, factorization_choice)
 
 
 def _construct_from_norm6(
-    gamma: QuadInt, m: int, k: int, unit_index: int, factorization_choice: str
+    gamma: QuadInt, eps: QuadInt, m: int, k: int, unit_index: int, factorization_choice: str
 ) -> tuple[Quadruple, ConstructionTrace]:
     """construct_quadruple's steps, from the canonical norm -6 representative gamma.
 
     Steps: flip the sign of gamma's y if needed so that (gamma, delta) has
-    y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second'; split
+    y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second', read off
+    y mod 6 untested, as the caller's unit_from_norm6 tested gamma; split
     3n = alpha1 * alpha2 with alpha1 = (-gamma, delta) and
     alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
     take a from the deterministic unit schedule (all units of even/odd
@@ -150,9 +152,9 @@ def _construct_from_norm6(
     and a*conj(a) = 1 that is b = ((s^2 - 4n)*conj(a) - 2s + a)/4: one
     product of the base-sized s^2 - 4n, taken before the loop, by the
     unit, where (r^2 - n)*conj(a) would square r and multiply that by a
-    full-size conj(a).  The fundamental unit is eps = gamma^2/6
-    (unit_from_norm6), and the schedule starts from (gamma, delta)^2/6:
-    eps itself, or its conjugate when delta flips gamma's y.
+    full-size conj(a).  eps is the fundamental unit gamma^2/6, which the
+    caller takes (unit_from_norm6), and the schedule starts from
+    (gamma, delta)^2/6: eps itself, or its conjugate when delta flips y.
 
     No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
     (norm6_sign_y), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
@@ -175,16 +177,14 @@ def _construct_from_norm6(
     a*e = s^2 - 4n has an odd rational part, from s^2.
     """
     ctx = gamma.ctx
-    want = 1 if factorization_choice == "first" else -1
-    gd = gamma if pellsolve.norm6_sign_y(gamma) == want else gamma.conjugate()
+    want = 1 if factorization_choice == "first" else 5  # y mod 6
+    gd = gamma if gamma.b % 6 == want else gamma.conjugate()
     n = QuadInt(4 * m + 2, 4 * k, ctx)
     alpha1 = QuadInt(-gd.a, gd.b, ctx)
     alpha2 = gd * QuadInt(2 * m + 1, 2 * k, ctx)
     s = _halved(alpha1 + alpha2)  # a + 2r
     alpha_sym = _halved(alpha1 - alpha2)
     s2_4n = s * s - 4 * n  # s^2 - 4n, independent of a
-
-    eps = pellsolve.unit_from_norm6(gamma)
     base_unit = eps if gd is gamma else eps.conjugate()
 
     for index in count(unit_index):

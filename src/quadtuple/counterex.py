@@ -205,23 +205,24 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
     One norm -6 solve: its canonical representative gamma is the
     certificate's witness, the start of the base D(2) quadruple at
-    m = k = 0, and the source of the unit, gamma^2/6.  One
+    m = k = 0, and the source of the unit, gamma^2/6, which
+    unit_from_norm6 reads off once, testing gamma.  One
     pellsolve.unit_power call takes w = unit^t and u = w^2 together: a
     Lucas ladder on the x-coordinate, one exact division for the y, and
     w^2 from the norm-1 square (2*X^2 - 1, 2*X*Y).  scale_quadruple scales
     the quadruple by w to reach n = 2*u, taking u from here, not squaring
     w.  The judge gets (w, u) as its power, built from gamma and t, so it
-    neither takes them again nor reads them off the document it judges;
-    unit_from_norm6 tested gamma.  The certificate applies because even
-    unit powers have an odd first and even second coordinate, keeping
-    n = (4m+2, 4k) with n/2 of norm 1.  verified is the verdict
-    verify_report_doc gives on the report's JSON.  A t out of
-    range or a ring that is not 15 mod 60, not square-free or without a
-    norm -6 element raises ValueError; a square-free family_d member passes,
-    as x + sqrt(d) has norm -6.  Nothing raises past those checks.
+    neither takes them again nor reads them off the document it judges.
+    The certificate applies because even unit powers have an odd first and
+    even second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.
+    verified is the verdict verify_report_doc gives on the report's JSON.
+    A t that is not an int in range (a bool is not) or a ring that is not
+    15 mod 60, not square-free or without a norm -6 element raises
+    ValueError; a square-free family_d member passes, as x + sqrt(d) has
+    norm -6.  Nothing raises past those checks.
     """
-    if not 0 <= t <= T_CAP_DEFAULT:
-        raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t}")
+    if type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
+        raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t!r}")
     if ctx.d % 60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
     if not ctx.square_free:
@@ -231,9 +232,9 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
         raise ValueError(f"norm -6 is not attained for d = {ctx.d}")
     gamma = minus6[0]
 
-    base, trace = _construct_from_norm6(gamma, 0, 0, 0, "first")
-    # gamma passed the construction's checks, so its unit has norm 1
-    w, u = pellsolve.unit_power(pellsolve.unit_from_norm6(gamma), t)
+    eps = pellsolve.unit_from_norm6(gamma)
+    base, trace = _construct_from_norm6(gamma, eps, 0, 0, 0, "first")
+    w, u = pellsolve.unit_power(eps, t)
     scaled = scale_quadruple(base, w, u)
     n = scaled.n  # 2 * u, since the base quadruple has n = 2
     certificate = NonRepCertificate(n=n, u=u, minus6=gamma)

@@ -39,10 +39,14 @@ LIMIT_CAP = 1000
 PERIOD_CAP = 10**4
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def fundamental_unit(ctx: RingCtx) -> QuadInt:
     """The fundamental unit x + y*sqrt(d), x, y > 0 the least solution of
     x^2 - d*y^2 = 1, read off the convergents of sqrt(d).
+
+    The memo keeps the last ring only: a report looks its ring up once, and
+    the hits come from commands run in turn on one d, which one entry serves.
+    It stays for the benchmark, which reads cache_info() and cache_clear().
 
     One loop runs the (P, Q) recurrence of the continued fraction and the
     convergents h/k together, and stops at the first convergent of norm 1:

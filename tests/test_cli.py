@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import re
@@ -628,6 +629,51 @@ def test_counterexamples_out_holds_about_one_report_in_memory(capsys, tmp_path):
     assert code == 0
     size = path.stat().st_size
     assert peak < size / 2, f"traced peak {peak} B for a {size} B archive"
+
+
+def test_counterexamples_out_keeps_nothing_per_ring(capsys, tmp_path):
+    # a family walk leaves no ring's state behind once it returns, and at its
+    # peak holds only one text line per member; an unbounded unit memo kept
+    # about 360 B per ring, which a short walk at a large t hides.  JSON
+    # output leaves the lines out of what is printed, so the summary's size
+    # does not count.  A full collection empties CPython's free lists, whose
+    # freed tuples tracemalloc still counts, so each run starts from, and is
+    # read against, the same floor; during a run they grow by about 55 B per
+    # member, up to their own cap.
+    path = tmp_path / "reports.jsonl"
+    argv = ("--format", "json", "counterexamples", "--out", str(path), "--alpha")
+    assert run(capsys, *argv, "0..0")[0] == 0
+    sizes = {}
+    for span, members in (("0..399", 400), ("0..1599", 1600)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = run(capsys, *argv, span)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            sizes[members] = tracemalloc.get_traced_memory()[0], peak
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    (current_lo, peak_lo), (current_hi, peak_hi) = sizes[400], sizes[1600]
+    assert current_hi - current_lo < 64 * 1024, f"{current_lo} B held, then {current_hi} B"
+    per_member = (peak_hi - peak_lo) / 1200
+    assert per_member < 200, f"the peak grows by {per_member:.0f} B per member"
+
+
+def test_commands_on_one_ring_share_its_unit(capsys):
+    # the unit memo holds one ring, which is what consecutive commands on one
+    # d reuse: pell computes the unit, construct and checkrepr hit it
+    unit = quadtuple.pellsolve.fundamental_unit
+    unit.cache_clear()
+    for argv in (
+        ("pell", "--d", "1095", "--norm=-6"),
+        ("construct", "--d", "1095", "--m", "0", "--k", "0"),
+        ("checkrepr", "--d", "1095", "--n=2,0"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    info = unit.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")

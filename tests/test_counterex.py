@@ -21,6 +21,7 @@ from quadtuple import (
     Quadruple,
     RingCtx,
     build_report,
+    construct_quadruple,
     enumerate_counterexample_rings,
     family_d,
     fundamental_unit,
@@ -112,7 +113,9 @@ def test_build_report_t1(ring15):
 
 
 def test_build_report_guards(ring15):
-    for t in (-1, 1001):
+    # a bool passes the range test, but its report's JSON would state
+    # "t": true, which verify_report_doc refuses
+    for t in (-1, 1001, True, False):
         with pytest.raises(ValueError, match=re.escape(f"t must be in [0, 1000], got {t}")):
             build_report(ring15, t)
     with pytest.raises(ValueError, match="^d = 3975 is not square-free$"):
@@ -328,6 +331,34 @@ def test_the_report_path_takes_the_witness_norm_once(monkeypatch):
     monkeypatch.setattr(quadtuple.counterex, "_report_holds", flagged)
     assert build_report(family_d(2).ctx, 1).verified
     assert True not in calls
+
+
+def test_each_construction_reads_its_witness_once(monkeypatch):
+    # unit_from_norm6 tests the witness's norm and shape as it takes the
+    # unit; the construction reads the sign of y from y mod 6 and takes the
+    # unit from its caller, so neither test runs twice
+    ctx = family_d(2).ctx
+    witness = quadtuple.pellsolve.solve_norm_eq(ctx, -6).representatives[0]
+    norm, unit, norms, units = QuadInt.norm, quadtuple.pellsolve.unit_from_norm6, [], []
+
+    def counted_norm(x):
+        if x == witness:
+            norms.append(x)
+        return norm(x)
+
+    def counted_unit(x):
+        units.append(x)
+        return unit(x)
+
+    monkeypatch.setattr(QuadInt, "norm", counted_norm)
+    monkeypatch.setattr(quadtuple.pellsolve, "unit_from_norm6", counted_unit)
+    assert build_report(ctx, 1).verified
+    assert (len(norms), units) == (1, [witness])
+    norms.clear()
+    units.clear()
+    for choice in ("first", "second"):
+        construct_quadruple(ctx, 0, 0, factorization_choice=choice)
+    assert (len(norms), units) == (2, [witness, witness])
 
 
 def test_the_tie_refuses_a_witness_from_another_ring(ring15):

@@ -10,6 +10,10 @@ MemoryError as an expected failure.  Every refusal the package makes is a
 ValueError, so each exception class it defines derives from ValueError.
 No module changes the process-wide limit on int-to-decimal conversion,
 sys.set_int_max_str_digits: a library that lifts it lifts it for its host.
+An unbounded memo (functools.cache, lru_cache(maxsize=None)) wraps only a
+function with no parameters, which it calls once: on one that takes
+arguments it keeps every argument it was ever given, such as each ring of a
+family walk.
 Every module-level *_CAP or *_CAP_DEFAULT constant is a stated cap, so
 README's "Caps" list names each one, with its module, and nothing else; its
 "Exit codes" paragraph names each cli.EXIT_* value, and nothing else, and
@@ -173,6 +177,43 @@ def test_no_module_sets_the_int_digit_limit(path):
     assert not lines, f"{path.name} sets sys.set_int_max_str_digits at lines {lines}"
 
 
+def _cache_name(node: ast.expr) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    """True for cache and for lru_cache called with maxsize None, by
+    position or by keyword; bare lru_cache and lru_cache() keep 128."""
+    if _cache_name(decorator) == "cache":
+        return True
+    if not (isinstance(decorator, ast.Call) and _cache_name(decorator.func) == "lru_cache"):
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _params(args: ast.arguments) -> list:
+    return [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """The line of each function with a parameter that an unbounded memo
+    wraps, by attribute or by name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_params(node.args))
+        and any(_unbounded(d) for d in node.decorator_list)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_cache_takes_arguments(path):
+    lines = _unbounded_caches(_tree(path))
+    assert not lines, f"{path.name} memoises functions with arguments unboundedly at lines {lines}"
+
+
 def test_every_exception_class_is_a_value_error():
     defined = {
         f"{cls.__module__}.{name}": cls
@@ -295,6 +336,20 @@ def test_lint_sees_planted_int_digit_limit_setters():
         "f = getattr(sys, 'x')\nset_int_max_str_digits(0)\n"
     )
     assert _int_digit_limit_setters(tree) == [2, 3, 6]
+
+
+def test_lint_sees_planted_unbounded_caches():
+    tree = ast.parse(
+        "@cache\ndef a(x): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(*xs): pass\n"
+        "@lru_cache(None)\ndef c(*, k): pass\n"
+        "@functools.cache\ndef d(**kw): pass\n"
+        "@cache\ndef e(): pass\n"
+        "@lru_cache(maxsize=1)\ndef f(x): pass\n"
+        "@lru_cache\ndef g(x): pass\n"
+        "@lru_cache()\ndef h(x): pass\n"
+    )
+    assert _unbounded_caches(tree) == [2, 4, 6, 8]
 
 
 def test_caps_lint_reads_only_the_caps_list():
