@@ -203,7 +203,9 @@ def cmd_counterexamples(args) -> int:
     if not 0 <= args.t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {args.t}")
     candidates = enumerate_counterexample_rings(lo, hi)
-    reports, lines = [], []
+    # what the run prints per member, kept until its summary is known: text
+    # lines, or the reports of --format json without --out
+    text, kept = args.format == "text", []
     eligible = ineligible = verified = 0
     # Opened before any report is built, so a bad path fails before any work,
     # and without O_TRUNC: a regular file is rewritten in place and cut to
@@ -221,7 +223,8 @@ def cmd_counterexamples(args) -> int:
                 ctx = cand.ctx
                 if not ctx.square_free:
                     ineligible += 1
-                    lines.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
+                    if text:
+                        kept.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
                     continue
                 eligible += 1
                 report = build_report(ctx, args.t)
@@ -230,13 +233,14 @@ def cmd_counterexamples(args) -> int:
                     written += len(view)
                     while view:
                         view = view[os.write(fd, view) :]
-                elif args.format == "json":
-                    reports.append(report_to_json(report))
+                if text:
+                    kept.append(
+                        f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}"
+                    )
+                elif fd is None:
+                    kept.append(report_to_json(report))
                 if report.verified:
                     verified += 1
-                lines.append(
-                    f"alpha={cand.alpha} d={ctx.d} t={report.t} verified={report.verified}"
-                )
             size = written
         finally:
             if fd is not None:
@@ -247,13 +251,14 @@ def cmd_counterexamples(args) -> int:
                     os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-    lines.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
+    if text:
+        kept.append(f"eligible={eligible} ineligible={ineligible} verified={verified}")
     doc: dict = {"summary": {"eligible": eligible, "ineligible": ineligible, "verified": verified}}
     if args.out is not None:
         doc["archive"] = args.out
     else:
-        doc["reports"] = reports
-    _emit(args, doc, lines)
+        doc["reports"] = kept
+    _emit(args, doc, kept)
     return EXIT_OK if verified == eligible else EXIT_FAIL
 
 
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         help="rewrite this JSON-lines archive in place with exactly this run's "
-        "reports; a run that fails after opening it leaves it empty. Each line "
+        "reports; a run that fails while writing it leaves it empty. Each line "
         "is written as its report is built, so memory holds about one report; "
         "--format json without --out keeps every report until the end, as its "
         "summary comes first, so send large runs here. Text output serialises "
@@ -326,7 +331,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); stdout is pointed at
+        # devnull, so the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS if isinstance(exc, ParityError) else EXIT_USAGE

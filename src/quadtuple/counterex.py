@@ -91,20 +91,19 @@ def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> Iterator[DCa
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    d: int
+    """One ring's report at exponent t; its n and d are the quadruple's."""
     t: int
-    n: QuadInt
     quadruple: Quadruple
     certificate: NonRepCertificate
     verified: bool
     notes: tuple[str, ...]
 
 
-def _unit_power(certificate: NonRepCertificate, t: int) -> tuple[QuadInt, QuadInt]:
-    """The judge's power (w, w^2) for w = (gamma^2/6)^t and the norm -6
-    witness gamma; ValueError when u is too short to be w^2.
+def _unit_power(minus6: QuadInt, u: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
+    """The judge's power (w, w^2) for w = (minus6^2/6)^t; ValueError when a
+    document's u is too short to be w^2.
 
-    unit_from_norm6 raises ValueError on a gamma without norm -6 and its
+    unit_from_norm6 raises ValueError on a witness without norm -6 and its
     shape: the report path's one test of the witness.  The canonical gamma
     has gamma^2 = 6*unit, so u == w^2 ties t to n with no solver.
     gamma^2/6 has norm 1, and the first coordinate of its e-th power has at
@@ -114,8 +113,8 @@ def _unit_power(certificate: NonRepCertificate, t: int) -> tuple[QuadInt, QuadIn
     both tests, pellsolve.unit_power takes w and w^2 together by the Lucas
     ladder on the x-coordinate, as build_report does.
     """
-    unit = pellsolve.unit_from_norm6(certificate.minus6)
-    if 2 * t * (unit.a.bit_length() - 1) > certificate.u.a.bit_length():
+    unit = pellsolve.unit_from_norm6(minus6)
+    if 2 * t * (unit.a.bit_length() - 1) > u.a.bit_length():
         raise ValueError(f"u is too short to be the witness's unit to the power {2 * t}")
     return pellsolve.unit_power(unit, t)
 
@@ -148,23 +147,20 @@ def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
     return e * w.conjugate()
 
 
-def _report_holds(
-    n: QuadInt,
-    quad: Quadruple,
-    certificate: NonRepCertificate,
-    power: tuple[QuadInt, QuadInt],
-) -> bool:
+def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     """The one definition of a valid report: build_report's verified flag and
-    verify_report_doc's verdict.
+    verify_report_doc's verdict, on the quadruple and its power alone.
 
-    power is (w, w^2) for w = unit_from_norm6(certificate.minus6)^t, which
-    the caller took, testing the witness there.  Checked in order: the three
-    copies of n agree; u == w^2, which also puts the witness in n's ring, as
-    equality compares d; the elements are nonzero and distinct; the
-    hypotheses on n, u and the ring (_n_and_ring_hold, square-freeness
-    last); then all six pairwise products plus n are squares, matching any
+    power is (w, w^2) for w = unit^t, unit = gamma^2/6 for the norm -6
+    witness gamma, which the caller took, testing the witness there; the
+    caller also owns any restated copy of n or u.  Checked in order: the
+    elements are nonzero and distinct; the hypotheses on n and the ring
+    with u = w^2 (_n_and_ring_hold, square-freeness last), whose 2u == n is
+    the tie of n to t and, as equality compares d, puts the witness in n's
+    ring; then all six pairwise products plus n are squares, matching any
     stored witnesses.  N(u) = 1 is not computed: u = w^2 and N(w) = 1
-    (_divided) give N(u) = N(w)^2 = 1.
+    (_divided) give N(u) = N(w)^2 = 1.  A base quadruple with power (1, 1)
+    gets the t = 0 check.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -179,15 +175,10 @@ def _report_holds(
     and calling verify_quadruple 9-18 % slower.
     """
     w, w2 = power
-    if not (
-        quad.n == n == certificate.n
-        and certificate.u == w2
-        and degenerate_check(quad.elements)
-        and _n_and_ring_hold(n, certificate.u)
-    ):
+    if not (degenerate_check(quad.elements) and _n_and_ring_hold(quad.n, w2)):
         return False
     f = [_divided(e, w) for e in quad.elements]
-    two = QuadInt(2, 0, n.ctx)
+    two = QuadInt(2, 0, quad.n.ctx)
     for i, j in PAIRS:
         rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)
         if rho is None:
@@ -235,30 +226,25 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     eps = pellsolve.unit_from_norm6(gamma)
     base, trace = _construct_from_norm6(gamma, eps, 0, 0, 0, "first")
     w, u = pellsolve.unit_power(eps, t)
-    scaled = scale_quadruple(base, w, u)
-    n = scaled.n  # 2 * u, since the base quadruple has n = 2
-    certificate = NonRepCertificate(n=n, u=u, minus6=gamma)
-    verified = _report_holds(n, scaled, certificate, (w, u))
-    notes = (
-        f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
-        "factorization=first",
-    )
+    scaled = scale_quadruple(base, w, u)  # n = 2 * u, as the base has n = 2
     return CounterexampleReport(
-        d=ctx.d,
         t=t,
-        n=n,
         quadruple=scaled,
-        certificate=certificate,
-        verified=verified,
-        notes=notes,
+        certificate=NonRepCertificate(n=scaled.n, u=u, minus6=gamma),
+        verified=_report_holds(scaled, (w, u)),
+        notes=(
+            f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
+            "factorization=first",
+        ),
     )
 
 
 def report_to_json(report: CounterexampleReport) -> dict:
+    n = report.quadruple.n
     return {
-        "d": str(report.d),
+        "d": str(n.ctx.d),
         "t": report.t,
-        "n": element_to_json(report.n),
+        "n": element_to_json(n),
         "quadruple": quadruple_to_json(report.quadruple),
         "certificate": certificate_to_json(report.certificate),
         "verified": report.verified,
@@ -266,31 +252,32 @@ def report_to_json(report: CounterexampleReport) -> dict:
     }
 
 
-def _restated(doc, text: dict, n: QuadInt) -> QuadInt:
-    """A restated copy of n: n itself when doc equals text, the JSON n was
-    parsed from (equal text parses to an equal value), else doc parsed in
-    n's ring for the judge to compare."""
-    return n if doc == text else element_from_json(doc, n.ctx)
+def _restate(n: QuadInt, text: dict, *copies) -> bool:
+    """Whether each copy restates n: at once if it equals text, the JSON n was
+    parsed from (equal text parses to an equal value), else parsed in n's
+    ring and compared."""
+    return all(c == text or element_from_json(c, n.ctx) == n for c in copies)
 
 
 def verify_report_doc(doc: dict) -> bool:
     """Re-verify a report from its JSON alone, with no pipeline state.
 
     Parses the quadruple in the ring of its own d, refuses it unless that d
-    is the report's, then parses n and the certificate in the same ring,
-    accepting only decimal-string integers and the six witness keys "12"
-    ... "34".  The report and the certificate each restate the quadruple's
-    n: a copy equal in text to the quadruple's n (same keys, same strings)
-    is not converted again, and any other copy is parsed and compared as
-    before, so a respelled "+62" or "062" still passes.  True iff the
-    report states "verified": true, t is a JSON integer in
-    [0, T_CAP_DEFAULT], and _report_holds, which runs no solver:
-    the certificate carries its norm -6 witness, whose norm and shape
-    _unit_power tests as it takes the judge's power, and the judge tests n
-    and d = 15 (mod 60), and d's square-freeness last, so a document with a
-    wrong witness or residue never pays for factoring d.  Anything
-    malformed, including a certificate without minus6 or a u too short for
-    its witness and t, is False.
+    is the report's, then parses the certificate's u and witness in the
+    same ring, accepting only decimal-string integers and the six witness
+    keys "12" ... "34".  True iff the report states "verified": true, t is
+    a JSON integer in [0, T_CAP_DEFAULT], and, checked in this order and
+    with no solver: the certificate's norm -6 witness has the norm and
+    shape _unit_power tests as it takes the power (w, w^2); the restated
+    copies agree, meaning the report's n, the quadruple's n and the
+    certificate's n are equal and the certificate's u is w^2; and
+    _report_holds accepts the quadruple with that power, testing n and
+    d = 15 (mod 60), and d's square-freeness last, so a document with a
+    wrong witness or residue never pays for factoring d.  A copy of n equal
+    in text to the quadruple's n (same keys, same strings) is not converted
+    again, and any other copy is parsed and compared, so a respelled "+62"
+    or "062" still passes.  Anything malformed, including a certificate
+    without minus6 or a u too short for its witness and t, is False.
     """
     try:
         t, verified = doc["t"], doc["verified"]
@@ -302,14 +289,11 @@ def verify_report_doc(doc: dict) -> bool:
         ctx = quad.n.ctx
         if ctx.d != d:
             return False
-        n = _restated(doc["n"], quad_doc["n"], quad.n)
         cert_doc = doc["certificate"]
-        certificate = NonRepCertificate(
-            n=_restated(cert_doc["n"], quad_doc["n"], quad.n),
-            u=element_from_json(cert_doc["u"], ctx),
-            minus6=element_from_json(cert_doc["minus6"], ctx),
-        )
-        power = _unit_power(certificate, t)
+        u = element_from_json(cert_doc["u"], ctx)
+        power = _unit_power(element_from_json(cert_doc["minus6"], ctx), u, t)
+        if not (_restate(quad.n, quad_doc["n"], doc["n"], cert_doc["n"]) and u == power[1]):
+            return False
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False
-    return _report_holds(n, quad, certificate, power)
+    return _report_holds(quad, power)

@@ -632,14 +632,14 @@ def test_counterexamples_out_holds_about_one_report_in_memory(capsys, tmp_path):
 
 
 def test_counterexamples_out_keeps_nothing_per_ring(capsys, tmp_path):
-    # a family walk leaves no ring's state behind once it returns, and at its
-    # peak holds only one text line per member; an unbounded unit memo kept
-    # about 360 B per ring, which a short walk at a large t hides.  JSON
-    # output leaves the lines out of what is printed, so the summary's size
-    # does not count.  A full collection empties CPython's free lists, whose
-    # freed tuples tracemalloc still counts, so each run starts from, and is
-    # read against, the same floor; during a run they grow by about 55 B per
-    # member, up to their own cap.
+    # a family walk leaves no ring's state behind once it returns, and under
+    # JSON output with --out holds nothing per member at its peak, since it
+    # prints neither text lines nor reports; an unbounded unit memo kept
+    # about 360 B per ring, which a short walk at a large t hides, and text
+    # lines kept for nothing about 100 B per member.  A full collection
+    # empties CPython's free lists, whose freed tuples tracemalloc still
+    # counts, so each run starts from, and is read against, the same floor;
+    # during a run they grow by about 55 B per member, up to their own cap.
     path = tmp_path / "reports.jsonl"
     argv = ("--format", "json", "counterexamples", "--out", str(path), "--alpha")
     assert run(capsys, *argv, "0..0")[0] == 0
@@ -658,7 +658,7 @@ def test_counterexamples_out_keeps_nothing_per_ring(capsys, tmp_path):
     (current_lo, peak_lo), (current_hi, peak_hi) = sizes[400], sizes[1600]
     assert current_hi - current_lo < 64 * 1024, f"{current_lo} B held, then {current_hi} B"
     per_member = (peak_hi - peak_lo) / 1200
-    assert per_member < 200, f"the peak grows by {per_member:.0f} B per member"
+    assert per_member < 100, f"the peak grows by {per_member:.0f} B per member"
 
 
 def test_commands_on_one_ring_share_its_unit(capsys):
@@ -792,16 +792,20 @@ def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
 # the entry point as a process
 
 
-def _run_module(*argv):
-    """python -m quadtuple in a child process, the package's tree on its path."""
+def _module_env():
+    """The environment with the package's tree first on PYTHONPATH."""
     src = str(Path(quadtuple.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _run_module(*argv):
+    """python -m quadtuple in a child process, the package's tree on its path."""
     return subprocess.run(
         [sys.executable, "-m", "quadtuple", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
         timeout=60,
     )
 
@@ -813,6 +817,36 @@ def test_module_entry_point_writes_an_archive_that_verifies(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = archive.read_text().splitlines()
     assert lines and all(verify_report_doc(json.loads(line)) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counterexamples", "--alpha", "0..3000", "--t", "0"),
+        ("--format", "json", "pell", "--d", "15", "--norm", "1", "--limit", "1000"),
+    ],
+    ids=["counterexamples", "pell"],
+)
+def test_module_entry_point_exits_2_when_its_reader_closes_stdout(argv):
+    # both outputs pass the pipe's 64 KiB buffer, so a reader that closes its
+    # end at once (as `| head` does after its lines) leaves a write failing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadtuple", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_module_env(),
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err == "error: stdout was closed before the output was written\n"
+    assert code == 2
 
 
 def test_module_entry_point_exits_2_on_a_usage_error():

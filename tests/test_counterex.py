@@ -95,7 +95,7 @@ def test_alpha_span_cap_is_checked_before_any_ring(monkeypatch):
 def test_build_report_base(ring15):
     report = build_report(ring15, 0)
     assert report.verified
-    assert report.n == QuadInt(2, 0, ring15)
+    assert report.quadruple.n == QuadInt(2, 0, ring15)
     assert tuple((e.a, e.b) for e in report.quadruple.elements) == (
         (4, 1),
         (8, -2),
@@ -108,7 +108,7 @@ def test_build_report_base(ring15):
 def test_build_report_t1(ring15):
     report = build_report(ring15, 1)
     assert report.verified
-    assert report.n == QuadInt(62, 16, ring15)  # 2 * (4,1)^2
+    assert report.quadruple.n == QuadInt(62, 16, ring15)  # 2 * (4,1)^2
     assert report.certificate.u == QuadInt(31, 8, ring15)
 
 
@@ -364,23 +364,24 @@ def test_each_construction_reads_its_witness_once(monkeypatch):
 def test_the_tie_refuses_a_witness_from_another_ring(ring15):
     # (33, 1) has norm 1089 - 1095 = -6 in Z[sqrt(1095)], and 1095 is
     # 15 mod 60, so its unit passes every test of its own; at t = 0 the bit
-    # guard passes it, and u == w^2 = 1 fails only on the ring, which must
-    # refuse it before _divided would mix the rings and raise
+    # guard passes it, and u == w^2 = 1 fails only on the ring.  The judge
+    # alone, handed that power, must refuse it too, by its tie 2*w^2 == n,
+    # before _divided would mix the rings and raise
     report = build_report(ring15, 0)
+    n, u = report.quadruple.n, report.certificate.u
     foreign = QuadInt(33, 1, RingCtx(1095))
-    certificate = NonRepCertificate(report.n, report.certificate.u, foreign)
-    power = quadtuple.counterex._unit_power(certificate, 0)
+    power = quadtuple.counterex._unit_power(foreign, u, 0)
     assert power[1] == QuadInt(1, 0, RingCtx(1095))
-    assert not quadtuple.counterex._report_holds(report.n, report.quadruple, certificate, power)
+    assert not _judged(ring15, 0, n, report.quadruple, NonRepCertificate(n, u, foreign))
+    assert not quadtuple.counterex._report_holds(report.quadruple, power)
     # at t = 1 the bit guard refuses it first: the foreign unit (364, 11) is
     # longer than 15's own (4, 1), whose square is the t = 1 report's u
     with pytest.raises(ValueError, match="too short"):
-        quadtuple.counterex._unit_power(certificate, 1)
+        quadtuple.counterex._unit_power(foreign, u, 1)
     own = build_report(ring15, 1).certificate
-    quadtuple.counterex._unit_power(own, 1)
-    longer = NonRepCertificate(own.n, own.u, foreign)
+    quadtuple.counterex._unit_power(own.minus6, own.u, 1)
     with pytest.raises(ValueError, match="too short"):
-        quadtuple.counterex._unit_power(longer, 1)
+        quadtuple.counterex._unit_power(foreign, own.u, 1)
 
 
 @pytest.mark.parametrize("t", [0, 1, 1000])
@@ -487,20 +488,21 @@ def test_verify_report_doc_never_raises_on_mutated_reports(junk, key):
 
 
 def test_reports_across_family_members():
-    for cand in enumerate_counterexample_rings(0, 2):
-        if not cand.ctx.square_free:
-            continue
-        for t in (0, 1, 2):
-            report = build_report(RingCtx(cand.ctx.d), t)
-            assert report.verified
-            assert verify_report_doc(json.loads(json.dumps(report_to_json(report))))
+    # build_report's verdict, which skips the restated copies, is the one
+    # verify_report_doc gives on its JSON, across the family
+    for alpha in SQUARE_FREE_ALPHAS:
+        for t in (0, 1, 7):
+            report = build_report(family_d(alpha).ctx, t)
+            assert report.verified, (alpha, t)
+            doc = json.loads(json.dumps(report_to_json(report)))
+            assert verify_report_doc(doc), (alpha, t)
 
 
 def test_coordinate_growth_is_linear_in_t(ring15):
     digits = {}
     for t in (20, 40):
         report = build_report(ring15, t)
-        digits[t] = len(str(abs(report.n.a)))
+        digits[t] = len(str(abs(report.quadruple.n.a)))
     ratio = digits[40] / digits[20]
     assert 1.8 <= ratio <= 2.2
 
@@ -509,8 +511,7 @@ def test_n_matches_unit_power(ring15):
     u = fundamental_unit(ring15)
     for t in (0, 1, 2, 7):
         report = build_report(ring15, t)
-        assert report.n == 2 * u ** (2 * t)
-        assert report.quadruple.n == report.n
+        assert report.quadruple.n == report.certificate.n == 2 * u ** (2 * t)
 
 
 def _mutations(quad, eps):
@@ -540,12 +541,17 @@ def _mutations(quad, eps):
 
 
 def _judged(ctx, t, n, quad, certificate):
-    """The judge's verdict with the power verify_report_doc would hand it."""
+    """verify_report_doc's verdict past parsing: the witness, the restated
+    copies of n and u, then the judge with the power it takes."""
     try:
-        power = quadtuple.counterex._unit_power(certificate, t)
+        power = quadtuple.counterex._unit_power(certificate.minus6, certificate.u, t)
     except ValueError:
         return False
-    return quadtuple.counterex._report_holds(n, quad, certificate, power)
+    return (
+        quad.n == n == certificate.n
+        and certificate.u == power[1]
+        and quadtuple.counterex._report_holds(quad, power)
+    )
 
 
 @pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])
@@ -559,7 +565,7 @@ def test_report_holds_matches_its_unreduced_definition(alpha):
             assert (eps**t).a.bit_length() >= quadtuple.counterex._GUESS_BITS
         for quad in _mutations(report.quadruple, eps):
             for judged_t in (t, t + 1):
-                args = (ctx, judged_t, report.n, quad, report.certificate)
+                args = (ctx, judged_t, report.quadruple.n, quad, report.certificate)
                 verdict = _judged(*args)
                 assert verdict == report_holds_by_definition(*args), (t, judged_t, quad)
                 held += verdict
@@ -572,25 +578,26 @@ def test_report_holds_refuses_the_n_of_another_t(ring15):
     # its elements are the base D(2) quadruple and its witnesses are w*rho,
     # so only the tie u = w^2 refuses it
     r1, r2 = build_report(ring15, 1), build_report(ring15, 2)
-    quad = Quadruple(r1.quadruple.elements, r2.n, r1.quadruple.witnesses)
+    quad = Quadruple(r1.quadruple.elements, r2.quadruple.n, r1.quadruple.witnesses)
     for t in (1, 2):
-        args = (ring15, t, r2.n, quad, r2.certificate)
+        args = (ring15, t, r2.quadruple.n, quad, r2.certificate)
         assert not _judged(*args)
         assert not report_holds_by_definition(*args)
 
 
 @pytest.mark.parametrize("alpha", [0, 2, 3, -5, -1, 4])
 def test_report_holds_given_build_reports_power_matches_its_definition(alpha, monkeypatch):
-    # build_report hands the judge its own (w, w^2), so the judge never takes
-    # N(u); with them, every mutation of the quadruple, under the report's u
-    # and under each u that keeps n = 2u and every hypothesis but the tie
-    # u == w^2, gets the unreduced definition's verdict, and the handed values
-    # accept nothing the judge's own w would not
+    # build_report hands the judge its own (w, w^2) and no restated copy, so
+    # the judge never takes N(u); with them alone, every mutation of the
+    # quadruple, under the report's u and under each u that keeps n = 2u and
+    # every hypothesis but the tie 2*w^2 == n, gets the unreduced
+    # definition's verdict, and the handed values accept nothing the
+    # document's own checks would not
     judge, powers = quadtuple.counterex._report_holds, []
 
-    def recorded(n, quad, certificate, power):
+    def recorded(quad, power):
         powers.append(power)
-        return judge(n, quad, certificate, power)
+        return judge(quad, power)
 
     monkeypatch.setattr(quadtuple.counterex, "_report_holds", recorded)
     ctx = family_d(alpha).ctx
@@ -611,7 +618,7 @@ def test_report_holds_given_build_reports_power_matches_its_definition(alpha, mo
             certificate = NonRepCertificate(n=n, u=tied_u, minus6=minus6)
             for quad in _mutations(report.quadruple, eps):
                 args = (ctx, t, n, Quadruple(quad.elements, n, quad.witnesses), certificate)
-                verdict = judge(*args[2:], handed[t])
+                verdict = judge(args[3], handed[t])
                 assert verdict == report_holds_by_definition(*args), (t, tied_u, quad)
                 assert verdict == _judged(*args), (t, tied_u, quad)
                 held += verdict
