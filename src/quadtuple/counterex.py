@@ -21,7 +21,6 @@ from .construct import (
     PAIRS,
     Quadruple,
     _construct_from_norm6,
-    degenerate_check,
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
@@ -154,13 +153,17 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     power is (w, w^2) for w = unit^t, unit = gamma^2/6 for the norm -6
     witness gamma, which the caller took, testing the witness there; the
     caller also owns any restated copy of n or u.  Checked in order: the
-    elements are nonzero and distinct; the hypotheses on n and the ring
-    with u = w^2 (_n_and_ring_hold, square-freeness last), whose 2u == n is
-    the tie of n to t and, as equality compares d, puts the witness in n's
-    ring; then all six pairwise products plus n are squares, matching any
-    stored witnesses.  N(u) = 1 is not computed: u = w^2 and N(w) = 1
-    (_divided) give N(u) = N(w)^2 = 1.  A base quadruple with power (1, 1)
-    gets the t = 0 check.
+    hypotheses on n and the ring with u = w^2 (_n_and_ring_hold,
+    square-freeness last), whose 2u == n is the tie of n to t and, as
+    equality compares d, puts the witness in n's ring; then all six
+    pairwise products plus n are squares, matching any stored witnesses.
+    N(u) = 1 is not computed: u = w^2 and N(w) = 1 (_divided) give
+    N(u) = N(w)^2 = 1.  A base quadruple with power (1, 1) gets the t = 0
+    check.  Nonzero, distinct elements need no test: a repeated f_i makes
+    f_i^2 + 2 = rho^2 and a zero one 2 = rho^2, each writing 2 as
+    (rho - f)(rho + f).  As 5 | d (d = 15 (mod 60)) leaves no element of
+    norm +-2, one factor is a unit v and the other 2/v; they sum to 2*rho,
+    so v is in 2Z[sqrt(d)] and 4 | N(v) = +-1.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -175,7 +178,7 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     and calling verify_quadruple 9-18 % slower.
     """
     w, w2 = power
-    if not (degenerate_check(quad.elements) and _n_and_ring_hold(quad.n, w2)):
+    if not _n_and_ring_hold(quad.n, w2):
         return False
     f = [_divided(e, w) for e in quad.elements]
     two = QuadInt(2, 0, quad.n.ctx)

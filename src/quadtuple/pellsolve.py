@@ -105,11 +105,11 @@ def _enum_key(s: QuadInt):
 def _associated(s: QuadInt, r: QuadInt, N: int) -> bool:
     """True iff s = r * v for a unit v of norm 1.
 
-    s * conj(r) = v * N, so v is integral exactly when N divides both
-    coordinates, and then N(v) = N(s) * N(r) / N^2 = 1 by itself.
+    z = s * conj(r) = v * N, so v is integral exactly when N divides both
+    coordinates, and then N(v) = N(s) * N(r) / N^2 = 1 by itself.  Only
+    z.b is taken: N(z) = N^2, so N | z.b gives N^2 | z.a^2, and so N | z.a.
     """
-    z = s * r.conjugate()
-    return z.a % N == 0 and z.b % N == 0
+    return (s.b * r.a - s.a * r.b) % N == 0
 
 
 def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
@@ -127,10 +127,8 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     ybound = isqrt(abs(N) * (unit.a + 1) // (2 * ctx.d)) + 1
     hits: list[QuadInt] = []
     for y in range(ybound + 1):
-        t = ctx.d * y * y + N
-        if t < 0:
-            continue
-        x = is_perfect_square(t)
+        # is_perfect_square refuses a negative d*y^2 + N
+        x = is_perfect_square(ctx.d * y * y + N)
         if x is None:
             continue
         signs = {(x, y), (-x, y), (x, -y), (-x, -y)}
@@ -243,7 +241,8 @@ def unit_power(unit: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     x-coordinate's size per bit, where QuadInt.__pow__ takes three for its
     square and four more for each multiply.  unit^(t+1) = unit^t * unit reads
     X_(t+1) = a*X_t + d*b*Y_t, so Y_t = (X_(t+1) - a*X_t) / (d*b): one
-    division by a small number, exact for a unit of norm 1, and checked.
+    division by a small number, exact once norm 1 has been tested, as the
+    ladder then gives the true X_t and X_(t+1).
     Norm 1 also gives X_t^2 + d*Y_t^2 = 2*X_t^2 - 1, so
     unit^(2t) = (2*X_t^2 - 1, 2*X_t*Y_t) takes two products.  Every square
     is x * x, CPython's faster path for one operand.  A unit of norm other
@@ -263,9 +262,5 @@ def unit_power(unit: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
             x0, x1 = mixed, 2 * (x1 * x1) - 1
         else:
             x0, x1 = 2 * (x0 * x0) - 1, mixed
-    y = 0
-    if b:
-        y, rem = divmod(x1 - a * x0, d * b)
-        if rem:
-            raise ValueError(f"{unit} has no exact power {t}: the ladder left a remainder")
+    y = (x1 - a * x0) // (d * b) if b else 0
     return QuadInt(x0, y, ctx), QuadInt(2 * (x0 * x0) - 1, 2 * (x0 * y), ctx)

@@ -48,7 +48,7 @@ def is_perfect_square(n: int) -> int | None:
     """Return the nonnegative integer square root of n, or None.
 
     A square's low six bits are one of 12 residues mod 64, so the other 52
-    are refused before the isqrt (Cohen, Alg. 1.7.3, first stage).
+    are refused before the isqrt, which alone decides (Cohen, Alg. 1.7.3).
     """
     if n < 0 or not _SQ64[n & 63]:
         return None
@@ -65,8 +65,6 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int, rng: random.Random) -> bool:
-    if n < 2:
-        return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -104,7 +102,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1:  # g == 1 for speed: the ys backtrack finds a factor
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
@@ -133,8 +131,10 @@ def _rho_factorize(n: int, out: dict[int, int]) -> dict[int, int]:
     """Add the prime factorization of n > 1 to out, by Miller-Rabin and
     Brent's rho, with no trial division.
 
-    The rho walk is seeded deterministically, so repeated runs take the
-    same walk.
+    Both callers pass n > 1 (factorize tests it, is_square_free calls this
+    only once p^3 <= n), and a composite m splits into f and m // f, both
+    > 1, so _is_prime never sees a number below 2.  The rho walk is seeded
+    deterministically, so repeated runs take the same walk.
     """
     rng = random.Random(_DEFAULT_RHO_SEED)
     stack = [n]
@@ -257,7 +257,8 @@ class QuadInt(NamedTuple):
     and a tuple is about a quarter of the cost of a frozen dataclass to
     build.  None of tuple's own operators survive: equality and hashing
     mean the same coordinates in the same ring, elements are unordered,
-    and no operand reaches tuple concatenation or repetition.
+    and no operand reaches tuple concatenation or repetition.  Each
+    `ctx is octx` is a shortcut: ctx.d == octx.d alone decides.
     """
 
     a: int
@@ -311,7 +312,7 @@ class QuadInt(NamedTuple):
     def __mul__(self, other: QuadInt | int) -> QuadInt:
         a, b, ctx = self
         if other is self:
-            # (a^2 + d*b^2, 2ab): three big products, two of them squarings
+            # a shortcut to (a^2 + d*b^2, 2ab): three big products, two squarings
             return _new(QuadInt, (a * a + ctx.d * (b * b), 2 * (a * b), ctx))
         if type(other) is QuadInt:
             oa, ob, octx = other
@@ -365,13 +366,14 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
     tests, so coordinates with thousands of digits stay cheap.
 
     Roots come in pairs +-w; the one returned has positive rational part
-    (positive sqrt(d) part when the rational part is zero).
+    (positive sqrt(d) part when the rational part is zero).  A negative
+    rational z fails both square tests.  x^2 * d*y^2 = d*(B/2)^2 gives
+    y = (B/2)/x, and when x does not divide B/2, y = (B/2) // x fails
+    x^2 + d*y^2 == A, so that one test decides.
     """
     ctx = z.ctx
     d, A, B = ctx.d, z.a, z.b
     if B == 0:
-        if A < 0:
-            return None
         s = is_perfect_square(A)
         if s is not None:
             return QuadInt(s, 0, ctx)
@@ -380,7 +382,7 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
             if s is not None:
                 return QuadInt(0, s, ctx)
         return None
-    if B % 2:
+    if B % 2:  # no root, as 2xy = B; below, half = B // 2 must be exact
         return None
     s = is_perfect_square(A * A - d * (B * B))
     if s is None:
@@ -391,9 +393,7 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
         x = is_perfect_square(doubled // 2)
         if not x:  # x == 0 cannot pair with B != 0
             continue
-        y, rem = divmod(half, x)
-        if rem:
-            continue
+        y = half // x
         if x * x + d * (y * y) == A:
             return QuadInt(x, y, ctx)
     return None

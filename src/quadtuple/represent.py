@@ -112,7 +112,7 @@ def search_repr(n: QuadInt, bound: int) -> tuple[QuadInt, QuadInt] | None:
         for y1 in y_values:
             za = x1 * x1 + d * y1 * y1 - na
             zb = 2 * x1 * y1 - nb
-            if zb % 2:
+            if zb % 2:  # this test and the next repeat sqrt_in_ring's first two, for speed
                 continue
             if is_perfect_square(za * za - d * zb * zb) is None:
                 continue

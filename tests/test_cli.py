@@ -313,6 +313,10 @@ def test_verify_bad_witness_key(capsys):
         capsys, "verify", "--d", "15", "--n", "2,0", "--witness", "21=1,0", *GOLDEN
     )
     assert code == 2
+    # an item with no "=" is named whole, not by its empty value
+    code, out, err = run(capsys, "verify", "--d", "15", "--n", "2,0", "--witness", "12", *GOLDEN)
+    assert (code, out) == (2, "")
+    assert "malformed witness '12'" in err
 
 
 def test_verify_repeated_witness_key_exits_2(capsys):

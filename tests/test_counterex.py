@@ -16,6 +16,7 @@ import quadtuple.counterex
 import quadtuple.pellsolve
 import quadtuple.quadring
 from quadtuple import (
+    CounterexampleReport,
     NonRepCertificate,
     QuadInt,
     Quadruple,
@@ -26,6 +27,8 @@ from quadtuple import (
     family_d,
     fundamental_unit,
     report_to_json,
+    scale_quadruple,
+    unit_power,
     verify_report_doc,
 )
 from quadtuple.quadring import element_to_json, is_square_free
@@ -800,6 +803,21 @@ def test_verify_report_doc_refuses_witness_and_t_tampering_at_the_ladders_edges(
     for path, value, accepted in tamperings:
         verdict = verify_report_doc(_with_field(doc, path, value))
         assert verdict is accepted, (path, value)
+
+
+def test_verify_report_doc_refuses_a_consistent_report_past_the_t_cap(ring15):
+    # a document whose n, u and quadruple all agree with t = 1001 passes every
+    # test but the cap: the judge accepts it, and verify_report_doc does not
+    base = build_report(ring15, 0).quadruple
+    w, u = unit_power(QuadInt(4, 1, ring15), 1001)
+    scaled = scale_quadruple(base, w, u)
+    assert quadtuple.counterex._unit_power(QuadInt(3, 1, ring15), u, 1001) == (w, u)
+    assert quadtuple.counterex._report_holds(scaled, (w, u))
+    certificate = NonRepCertificate(n=scaled.n, u=u, minus6=QuadInt(3, 1, ring15))
+    report = CounterexampleReport(1001, scaled, certificate, True, ())
+    doc = report_to_json(report)
+    assert max(len(doc["n"]["a"]), len(doc["n"]["b"])) < 4300
+    assert verify_report_doc(doc) is False
 
 
 def test_verify_report_doc_converts_the_restated_n_once(monkeypatch):

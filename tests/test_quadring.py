@@ -175,6 +175,8 @@ def test_pow(ring15):
         power = power * x
     with pytest.raises(ValueError):
         QuadInt(4, 1, ring15) ** -1
+    with pytest.raises(ValueError):
+        QuadInt(4, 1, ring15) ** 2.5
 
 
 def test_units(ring15):
@@ -227,6 +229,9 @@ def test_ringctx_rejects_bad_d():
         RingCtx(1)
     with pytest.raises(ValueError):
         RingCtx(0)
+    # is_perfect_square refuses a negative d, so only the d >= 2 test stops it
+    with pytest.raises(ValueError, match="must be >= 2"):
+        RingCtx(-15)
     assert not RingCtx(45).square_free
 
 

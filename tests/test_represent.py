@@ -174,6 +174,14 @@ def test_search_repr_examples(ring15):
     for bound in (0, -5, BOUND_CAP + 1):
         with pytest.raises(ValueError):
             search_repr(QuadInt(3, 0, ring15), bound)
+    # q = (7, 0) and (1, 2) each lie past bound 1 in one coordinate only,
+    # which that coordinate's test alone refuses
+    for n, q, bound in (((-49, 0), (7, 0), 7), ((-60, -4), (1, 2), 2)):
+        n = QuadInt(*n, ring15)
+        assert search_repr(n, 1) is None
+        p, found_q = search_repr(n, bound)
+        assert p * p - found_q * found_q == n
+        assert (abs(found_q.a), abs(found_q.b)) == q
 
 
 def test_search_repr_returns_valid_pairs(ring15):
