@@ -5,6 +5,13 @@ construct (quadruple construction), verify (pairwise checking), checkrepr
 (difference-of-two-squares status), counterexamples (the full report
 pipeline over the d-family).  JSON output is deterministic: fixed key
 order, string-encoded integers.
+
+main(argv) runs one command in this process and returns its exit code, so
+a caller can run many without starting an interpreter for each. A
+well-formed line of pell, construct, checkrepr or counterexamples is read
+from a table of build_parser()'s own options; argparse reads every other
+line (help, abbreviations, verify, and every usage error), so its help and
+messages are the only ones printed.
 """
 
 from __future__ import annotations
@@ -325,11 +332,124 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(parser: argparse.ArgumentParser, skip=None):
+    """(defaults, {option string: action}, required dests) of the parser, or
+    None unless each of its arguments, -h and skip aside, is a --flag that
+    stores one value whose default parse_args keeps as it is."""
+    defaults, flags, required = {}, {}, set()
+    for action in parser._actions:
+        if action is skip or isinstance(action, argparse._HelpAction):
+            continue
+        default = action.default
+        if (
+            type(action) is not argparse._StoreAction
+            or not action.option_strings
+            or action.nargs is not None
+            # parse_args passes a str default through type, and drops SUPPRESS
+            or isinstance(default, str) and (action.type is not None or default == argparse.SUPPRESS)
+        ):
+            return None
+        defaults[action.dest] = default
+        flags.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.add(action.dest)
+    for dest, value in parser._defaults.items():  # set_defaults
+        defaults.setdefault(dest, value)
+    return defaults, flags, required
+
+
+@cache
+def _option_table():
+    """build_parser()'s options as lookup tables, built once per process on
+    the first main call: (top-level options, the subcommand's dest,
+    {subcommand: its options}), each options entry as _options gives it.
+
+    A subcommand is left out when _options cannot read it, as verify's
+    positionals and --witness append; every one is, if the top level
+    cannot be read.
+    """
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    top = _options(parser, skip=sub)
+    commands = {name: _options(p) for name, p in sub.choices.items()} if top else {}
+    return top, sub.dest, {name: o for name, o in commands.items() if o is not None}
+
+
+def _store(argv: list, i: int, flags: dict, given: dict) -> int | None:
+    """Store the values of argv's --flag VALUE and --flag=VALUE options from
+    argv[i] on in given, by dest; the index of the first token that is not
+    an option, or None at a token parse_args may read otherwise: a flag not
+    in flags, a missing value, a separate value that starts with '-', '--'
+    as the value, a value type or choices refuse, or a non-str token."""
+    while i < len(argv):
+        token = argv[i]
+        if type(token) is not str:
+            return None
+        if token[:1] != "-":
+            return i
+        flag, eq, text = token.partition("=")
+        action = flags.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            i += 1
+            if i == len(argv) or type(argv[i]) is not str or argv[i][:1] == "-":
+                return None
+            text = argv[i]
+        elif text == "--":  # parse_args drops it and stores []
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+        i += 1
+    return i
+
+
+def _read(argv) -> argparse.Namespace | None:
+    """The Namespace parse_args(argv) returns, read from _option_table; None
+    for any argv it does not cover, which parse_args then reads itself:
+    -h, abbreviations, verify, '--', a missing required option, and every
+    token _store leaves to it."""
+    top, dest, commands = _option_table()
+    if not isinstance(argv, list) or not commands:
+        return None
+    top_defaults, top_flags, top_required = top
+    top_given, sub_given = {}, {}
+    i = _store(argv, 0, top_flags, top_given)
+    if i is None or i == len(argv) or argv[i] not in commands:
+        return None
+    name = argv[i]
+    defaults, flags, required = commands[name]
+    if (
+        _store(argv, i + 1, flags, sub_given) != len(argv)
+        or not top_required <= top_given.keys()
+        or not required <= sub_given.keys()
+    ):
+        return None
+    return argparse.Namespace(**{**top_defaults, **top_given, dest: name, **defaults, **sub_given})
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    """Run one quadtuple command in this process and return its exit code.
+
+    argv is the command line without the program name (sys.argv[1:] when
+    None). A well-formed line of pell, construct, checkrepr or
+    counterexamples is read from _option_table, the parser's own options,
+    into the Namespace parse_args would return; argparse reads every other
+    line, so it alone handles help, abbreviations, verify and every usage
+    error.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import re
@@ -12,6 +15,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadtuple.cli
 import quadtuple.construct
@@ -755,17 +760,35 @@ def test_counterexamples_text_summary(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# one parser per process, and the option table read from it
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    assert quadtuple.cli.build_parser() is quadtuple.cli.build_parser()
+    cli = quadtuple.cli
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    cli._option_table.cache_clear()
+    builds = cli.build_parser.cache_info().misses
+
     construct = ("--format", "json", "construct", "--d", "15", "--m", "0", "--k", "0")
     code, _, _ = run(capsys, *construct, "--factorization", "second")
     assert code == 0
     code, out, _ = run(capsys, *construct)
     assert code == 0
     assert json.loads(out)["trace"]["factorization_choice"] == "first"
+
+    pell = ("--format", "json", "pell", "--d=15", "--norm=-6")
+    code, out, _ = run(capsys, *pell, "--limit=2")
+    assert (code, len(json.loads(out)["solutions"])) == (0, 2)
+    code, out, _ = run(capsys, *pell)
+    assert (code, len(json.loads(out)["solutions"])) == (0, 8)
+
+    family = ("--format", "json", "counterexamples", "--alpha", "0..0", "--t", "1")
+    code, out, _ = run(capsys, *family, "--out", os.devnull)
+    assert (code, json.loads(out)["archive"]) == (0, os.devnull)
+    code, out, _ = run(capsys, *family)
+    assert code == 0
+    assert "archive" not in json.loads(out) and len(json.loads(out)["reports"]) == 1
 
     verify = ("--format", "json", "verify", "--d", "15", "--n", "2,0")
     code, _, _ = run(capsys, *verify, "--witness", "12=-2,0", *GOLDEN)
@@ -778,6 +801,146 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 2
     code, _, _ = run(capsys, "pell", "--d", "15", "--norm", "-6")
     assert code == 0
+
+    # one table, read from the cached parser's own actions
+    assert cli._option_table.cache_info().misses == 1
+    assert cli.build_parser.cache_info().misses == builds
+    top, _, commands = cli._option_table()
+    assert top[1]["--format"] in parser._actions
+    assert commands["pell"][1]["--d"] in _commands(parser)["pell"]._actions
+
+
+def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
+    code = (
+        "import quadtuple.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize, cli._option_table.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
+def test_the_option_table_covers_every_subcommand_but_verify():
+    _, dest, commands = quadtuple.cli._option_table()
+    assert dest == "command"
+    assert list(commands) == ["pell", "construct", "checkrepr", "counterexamples"]
+
+
+WELL_FORMED = [
+    pytest.param(("pell", "--d", "15", "--norm=-6"), 0, id="pell"),
+    pytest.param(("pell", "--d=15", "--norm=-6", "--limit=3"), 0, id="pell="),
+    pytest.param(("construct", "--d", "15", "--m", "0", "--k", "0"), 0, id="construct"),
+    pytest.param(
+        ("construct", "--d=15", "--m=3", "--k=1", "--unit-index=1", "--factorization=second"),
+        0,
+        id="construct=",
+    ),
+    pytest.param(("checkrepr", "--d", "15", "--n", "2,0"), 0, id="checkrepr"),
+    pytest.param(("checkrepr", "--d=15", "--n=3,0", "--bound=50"), 1, id="checkrepr="),
+    pytest.param(("counterexamples", "--alpha", "0..1", "--t", "1"), 0, id="counterexamples"),
+    pytest.param(
+        ("counterexamples", "--alpha=0..0", "--t=0", f"--out={os.devnull}"), 0, id="counterexamples="
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json"), ("--format=text",)], ids=["", "json", "text="])
+@pytest.mark.parametrize("argv, expected", WELL_FORMED)
+def test_well_formed_lines_never_reach_argparse(capsys, monkeypatch, fmt, argv, expected):
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
+    code, out, err = run(capsys, *fmt, *argv)
+    assert (code, err) == (expected, "") and out
+    # every other line still goes to argparse
+    for other in (("verify", "--d", "15", "--n", "2,0", *GOLDEN), (*argv, "--help"), argv[:1]):
+        with pytest.raises(AssertionError, match="argparse read"):
+            main([*fmt, *other])
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _flag_actions(parser: argparse.ArgumentParser) -> list:
+    return [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+_PARSER = quadtuple.cli.build_parser()
+_OPTION_STRINGS = sorted(
+    {o for p in (_PARSER, *_commands(_PARSER).values()) for a in p._actions for o in a.option_strings}
+)
+_ODD_VALUES = ["", " 5", "5_0", "\u0663", "-x", "a..b", "--", "-h", "=1", "+5", "1.0", "json", "-6"]
+# other subcommands' flags, abbreviations (--no for --norm), -h, '--', flags
+# no parser has, tokens that are not a str, values type or choices refuse
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(
+        _OPTION_STRINGS
+        + sorted({o[:4] for o in _OPTION_STRINGS if len(o) > 4})
+        + ["--", "-x", "--nope", "pel", 5, None, b"15"]
+    ),
+    st.sampled_from(_ODD_VALUES),
+    st.tuples(st.sampled_from(_OPTION_STRINGS), st.sampled_from(_ODD_VALUES)).map("=".join),
+)
+
+
+def _values(action):
+    """Mostly values the action takes; now and then one it may refuse."""
+    if action.choices:
+        good = st.sampled_from(action.choices)
+    elif action.type is int:
+        good = st.integers(-99, 9999).map(str)
+    else:
+        good = st.sampled_from(["2,0", "-2,0", "0..3", "12=-2,0", os.devnull])
+    return st.one_of(good, good, good, good, good, st.sampled_from(_ODD_VALUES))
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed line of any subcommand, both spellings and values that
+    start with '-' included, then up to two tokens inserted, replaced or
+    dropped; or a token that names no subcommand in its place."""
+    commands = _commands(_PARSER)
+    command = draw(st.sampled_from([*commands, "pel", ""]))
+
+    def options(parser):
+        argv = []
+        for action in draw(st.permutations(_flag_actions(parser))):
+            if action.required or draw(st.booleans()):
+                flag, value = draw(st.sampled_from(action.option_strings)), draw(_values(action))
+                argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+        return argv
+
+    argv = options(_PARSER) + [command] + (options(commands[command]) if command in commands else [])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(_ODD_TOKENS))
+        elif edit == "replace":
+            argv[i] = draw(_ODD_TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["--format", "json", "pell", "--d=15", "--norm=-6"])
+@example(argv=["checkrepr", "--d=15", "--n=--"])  # parse_args stores n = []
+@example(argv=["checkrepr", "--d=15", "--n="])
+def test_the_option_table_reads_a_line_as_parse_args_does(argv):
+    read = quadtuple.cli._read(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(quadtuple.cli.build_parser().parse_args(list(argv)))
+        except (SystemExit, TypeError):  # a usage error, or a token that is not a str
+            parsed = None
+    if read is not None:
+        assert vars(read) == parsed
 
 
 @pytest.mark.parametrize("command", ["pell", "construct", "verify", "checkrepr", "counterexamples"])

@@ -4,6 +4,7 @@ import copy
 import operator
 import pickle
 import random
+import re
 from math import isqrt
 
 import pytest
@@ -27,6 +28,7 @@ from quadtuple import (
 )
 from quadtuple.quadring import (
     _SQ64,
+    _INT,
     RADICAND_CAP,
     element_from_json,
     element_to_json,
@@ -567,3 +569,40 @@ def test_element_from_json_rejects_coercible_values(ring15, bad):
     assert int_from_json("-4") == -4 and int_from_json("+4") == 4
     with pytest.raises(ValueError):
         element_from_json({"a": bad, "b": "0"}, ring15)
+
+
+def _int_by_pattern(text):
+    """int_from_json by its _INT pattern, as it read every field before:
+    the reference its faster checks must agree with."""
+    if not isinstance(text, str) or re.fullmatch(_INT, text) is None:
+        raise ValueError(f"expected a decimal integer string, got {text!r}")
+    return int(text)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return ValueError
+
+
+# signs, ASCII digits, whitespace int() strips (\x1c-\x1f and U+00A0 among
+# it), underscores, non-ASCII digits and a few other characters
+_FIELD_CHARS = "+-_0123456789 \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003\u0663\uff11a.e"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet=_FIELD_CHARS, max_size=8),
+        # about Python's 4300-digit int() limit, signed, padded or underscored
+        st.tuples(
+            st.sampled_from(["", "+", "-", " ", "_"]),
+            st.integers(4290, 4310),
+            st.sampled_from(["", " ", "_1", "\u0663"]),
+        ).map(lambda t: t[0] + "7" * t[1] + t[2]),
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.binary(max_size=3)),
+    )
+)
+def test_int_from_json_accepts_exactly_what_its_pattern_does(text):
+    assert _outcome(int_from_json, text) == _outcome(_int_by_pattern, text)
