@@ -9,9 +9,9 @@ order, string-encoded integers.
 main(argv) runs one command in this process and returns its exit code, so
 a caller can run many without starting an interpreter for each. A
 well-formed line of pell, construct, checkrepr or counterexamples is read
-from a table of build_parser()'s own options; argparse reads every other
-line (help, abbreviations, verify, and every usage error), so its help and
-messages are the only ones printed.
+from a table that build_parser records as it declares each option; argparse
+reads every other line (help, abbreviations, verify, and every usage error),
+so its help and messages are the only ones printed.
 """
 
 from __future__ import annotations
@@ -269,34 +269,53 @@ def cmd_counterexamples(args) -> int:
     return EXIT_OK if verified == eligible else EXIT_FAIL
 
 
+def _record(parser: argparse.ArgumentParser, *actions: argparse.Action, **defaults):
+    """Set the parser's defaults, and return its actions as _read matches
+    them: (defaults, {option string: action}, required dests)."""
+    parser.set_defaults(**defaults)
+    return (
+        {**{a.dest: a.default for a in actions}, **defaults},
+        {o: a for a in actions for o in a.option_strings},
+        {a.dest for a in actions if a.required},
+    )
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built once per process and shared by every
-    main call: parse_args leaves no state on it."""
+def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
+    """The command's parser, and the table _read matches lines against,
+    built once per process and shared by every main call: parse_args leaves
+    no state on the parser.
+
+    The table, (the top level's options, the subcommand's dest, {subcommand:
+    its options}), is recorded by _record from the actions add_argument
+    returns. verify, whose positionals and --witness append _read cannot
+    match, is not recorded.
+    """
     parser = argparse.ArgumentParser(
         prog="quadtuple",
         description="Diophantine quadruples with property D(n) in Z[sqrt(d)]: "
         "construction, verification, and counterexample reports.",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    top = _record(parser, parser.add_argument("--format", choices=("text", "json"), default="text"))
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     ring = argparse.ArgumentParser(add_help=False)
-    ring.add_argument("--d", type=int, required=True)
+    d = ring.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
-    p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--limit", type=int, default=8)
-    p.set_defaults(func=cmd_pell)
+    norm = p.add_argument("--norm", type=int, required=True)
+    limit = p.add_argument("--limit", type=int, default=8)
+    commands["pell"] = _record(p, d, norm, limit, func=cmd_pell)
 
     p = sub.add_parser(
         "construct", parents=[ring], help="build a verified D((4m+2)+4k*sqrt(d)) quadruple"
     )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--unit-index", type=int, default=0)
-    p.add_argument("--factorization", choices=("first", "second"), default="first")
-    p.set_defaults(func=cmd_construct)
+    m = p.add_argument("--m", type=int, required=True)
+    k = p.add_argument("--k", type=int, required=True)
+    unit_index = p.add_argument("--unit-index", type=int, default=0)
+    factorization = p.add_argument("--factorization", choices=("first", "second"), default="first")
+    commands["construct"] = _record(p, d, m, k, unit_index, factorization, func=cmd_construct)
 
     p = sub.add_parser(
         "verify",
@@ -312,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("checkrepr", parents=[ring], help="difference-of-two-squares status of n")
-    p.add_argument("--n", required=True, help="target n as 'a,b'")
-    p.add_argument("--bound", type=int, default=500)
-    p.set_defaults(func=cmd_checkrepr)
+    n = p.add_argument("--n", required=True, help="target n as 'a,b'")
+    bound = p.add_argument("--bound", type=int, default=500)
+    commands["checkrepr"] = _record(p, d, n, bound, func=cmd_checkrepr)
 
     p = sub.add_parser("counterexamples", help="reports over the d-family")
-    p.add_argument("--alpha", required=True, help="range lo..hi")
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument(
+    alpha = p.add_argument("--alpha", required=True, help="range lo..hi")
+    t = p.add_argument("--t", type=int, default=0)
+    out = p.add_argument(
         "--out",
         help="rewrite this JSON-lines archive in place with exactly this run's "
         "reports; a run that fails while writing it leaves it empty. Each line "
@@ -328,51 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         "summary comes first, so send large runs here. Text output serialises "
         "no report",
     )
-    p.set_defaults(func=cmd_counterexamples)
-    return parser
-
-
-def _options(parser: argparse.ArgumentParser, skip=None):
-    """(defaults, {option string: action}, required dests) of the parser, or
-    None unless each of its arguments, -h and skip aside, is a --flag that
-    stores one value whose default parse_args keeps as it is."""
-    defaults, flags, required = {}, {}, set()
-    for action in parser._actions:
-        if action is skip or isinstance(action, argparse._HelpAction):
-            continue
-        default = action.default
-        if (
-            type(action) is not argparse._StoreAction
-            or not action.option_strings
-            or action.nargs is not None
-            # parse_args passes a str default through type, and drops SUPPRESS
-            or isinstance(default, str) and (action.type is not None or default == argparse.SUPPRESS)
-        ):
-            return None
-        defaults[action.dest] = default
-        flags.update(dict.fromkeys(action.option_strings, action))
-        if action.required:
-            required.add(action.dest)
-    for dest, value in parser._defaults.items():  # set_defaults
-        defaults.setdefault(dest, value)
-    return defaults, flags, required
-
-
-@cache
-def _option_table():
-    """build_parser()'s options as lookup tables, built once per process on
-    the first main call: (top-level options, the subcommand's dest,
-    {subcommand: its options}), each options entry as _options gives it.
-
-    A subcommand is left out when _options cannot read it, as verify's
-    positionals and --witness append; every one is, if the top level
-    cannot be read.
-    """
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    top = _options(parser, skip=sub)
-    commands = {name: _options(p) for name, p in sub.choices.items()} if top else {}
-    return top, sub.dest, {name: o for name, o in commands.items() if o is not None}
+    commands["counterexamples"] = _record(p, alpha, t, out, func=cmd_counterexamples)
+    return parser, (top, sub.dest, commands)
 
 
 def _store(argv: list, i: int, flags: dict, given: dict) -> int | None:
@@ -410,12 +386,12 @@ def _store(argv: list, i: int, flags: dict, given: dict) -> int | None:
 
 
 def _read(argv) -> argparse.Namespace | None:
-    """The Namespace parse_args(argv) returns, read from _option_table; None
-    for any argv it does not cover, which parse_args then reads itself:
-    -h, abbreviations, verify, '--', a missing required option, and every
-    token _store leaves to it."""
-    top, dest, commands = _option_table()
-    if not isinstance(argv, list) or not commands:
+    """The Namespace parse_args(argv) returns, read from build_parser()'s
+    table; None for any argv it does not cover, which parse_args then reads
+    itself: -h, abbreviations, verify, '--', a missing required option, and
+    every token _store leaves to it."""
+    top, dest, commands = build_parser()[1]
+    if not isinstance(argv, list):
         return None
     top_defaults, top_flags, top_required = top
     top_given, sub_given = {}, {}
@@ -438,16 +414,22 @@ def main(argv=None) -> int:
 
     argv is the command line without the program name (sys.argv[1:] when
     None). A well-formed line of pell, construct, checkrepr or
-    counterexamples is read from _option_table, the parser's own options,
-    into the Namespace parse_args would return; argparse reads every other
-    line, so it alone handles help, abbreviations, verify and every usage
-    error.
+    counterexamples is read from the table build_parser records as it
+    declares each option, into the Namespace parse_args would return;
+    argparse reads every other line, so it alone handles help,
+    abbreviations, verify and every usage error.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
+        parser = build_parser()[0]
         try:
-            args = build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
+            # parse_args stores the value '--' of --n=-- as [], and appends []
+            # for --witness=--; every command reads a str there
+            for dest, value in vars(args).items():
+                if value == [] or isinstance(value, list) and [] in value:
+                    parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -59,8 +59,9 @@ def is_perfect_square(n: int) -> int | None:
 _TRIAL_BOUND = 10**6
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps from 7 through the numbers coprime to 30
 _DEFAULT_RHO_SEED = 1257787
-# deterministic Miller-Rabin bases, sufficient below this limit
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes, deterministic Miller-Rabin bases below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

@@ -105,6 +105,8 @@ def search_repr(n: QuadInt, bound: int) -> tuple[QuadInt, QuadInt] | None:
     """
     if not 1 <= bound <= BOUND_CAP:
         raise ValueError(f"bound must be in [1, {BOUND_CAP}], got {bound}")
+    if n.b % 2:  # p^2 - q^2 has an even sqrt(d) coordinate for every p and q
+        return None
     ctx = n.ctx
     d, na, nb = ctx.d, n.a, n.b
     y_values = range(bound + 1) if nb == 0 else list(_signed_range(bound))
@@ -112,8 +114,7 @@ def search_repr(n: QuadInt, bound: int) -> tuple[QuadInt, QuadInt] | None:
         for y1 in y_values:
             za = x1 * x1 + d * y1 * y1 - na
             zb = 2 * x1 * y1 - nb
-            if zb % 2:  # this test and the next repeat sqrt_in_ring's first two, for speed
-                continue
+            # repeats sqrt_in_ring's norm test, for speed
             if is_perfect_square(za * za - d * zb * zb) is None:
                 continue
             q = sqrt_in_ring(QuadInt(za, zb, ctx))

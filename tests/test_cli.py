@@ -765,10 +765,9 @@ def test_counterexamples_text_summary(capsys):
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     cli = quadtuple.cli
-    parser = cli.build_parser()
-    assert parser is cli.build_parser()
-    cli._option_table.cache_clear()
-    builds = cli.build_parser.cache_info().misses
+    cli.build_parser.cache_clear()
+    parser, table = cli.build_parser()
+    assert cli.build_parser()[0] is parser and cli.build_parser()[1] is table
 
     construct = ("--format", "json", "construct", "--d", "15", "--m", "0", "--k", "0")
     code, _, _ = run(capsys, *construct, "--factorization", "second")
@@ -802,29 +801,36 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     code, _, _ = run(capsys, "pell", "--d", "15", "--norm", "-6")
     assert code == 0
 
-    # one table, read from the cached parser's own actions
-    assert cli._option_table.cache_info().misses == 1
-    assert cli.build_parser.cache_info().misses == builds
-    top, _, commands = cli._option_table()
+    # one parser and its table, built together once, from the same actions
+    assert cli.build_parser.cache_info().misses == 1
+    top, _, commands = table
     assert top[1]["--format"] in parser._actions
     assert commands["pell"][1]["--d"] in _commands(parser)["pell"]._actions
 
 
 def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
-    code = (
-        "import quadtuple.cli as cli; "
-        "print(cli.build_parser.cache_info().currsize, cli._option_table.cache_info().currsize)"
-    )
+    code = "import quadtuple.cli as cli; print(cli.build_parser.cache_info().currsize)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env(), timeout=60
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_the_option_table_covers_every_subcommand_but_verify():
-    _, dest, commands = quadtuple.cli._option_table()
+    # build_parser records each option beside its declaration: one declared
+    # and not recorded would leave _read misreading or refusing its lines
+    parser, (top, dest, commands) = quadtuple.cli.build_parser()
+    subparsers = _commands(parser)
     assert dest == "command"
-    assert list(commands) == ["pell", "construct", "checkrepr", "counterexamples"]
+    assert list(commands) == [name for name in subparsers if name != "verify"]
+    for (defaults, flags, required), p in [
+        (top, parser),
+        *((commands[name], subparsers[name]) for name in commands),
+    ]:
+        own = _flag_actions(p)
+        assert flags == {o: a for a in own for o in a.option_strings}, p.prog
+        assert required == {a.dest for a in own if a.required}, p.prog
+        assert defaults == {**{a.dest: a.default for a in own}, **p._defaults}, p.prog
 
 
 WELL_FORMED = [
@@ -869,7 +875,7 @@ def _flag_actions(parser: argparse.ArgumentParser) -> list:
     return [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
 
 
-_PARSER = quadtuple.cli.build_parser()
+_PARSER = quadtuple.cli.build_parser()[0]
 _OPTION_STRINGS = sorted(
     {o for p in (_PARSER, *_commands(_PARSER).values()) for a in p._actions for o in a.option_strings}
 )
@@ -936,7 +942,7 @@ def test_the_option_table_reads_a_line_as_parse_args_does(argv):
     read = quadtuple.cli._read(list(argv))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            parsed = vars(quadtuple.cli.build_parser().parse_args(list(argv)))
+            parsed = vars(quadtuple.cli.build_parser()[0].parse_args(list(argv)))
         except (SystemExit, TypeError):  # a usage error, or a token that is not a str
             parsed = None
     if read is not None:
@@ -953,6 +959,29 @@ def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
     else:
         assert all(flag in out for flag in ring_flags)
     assert "--allow-nonsquarefree" not in out
+
+
+# parse_args stores the value '--' after '=' as [], and --witness=-- appends
+# []; main refuses both, where a command would raise on the list
+DASHES_AS_VALUES = [
+    pytest.param(("checkrepr", "--d", "15", "--n=--"), "--n", id="checkrepr"),
+    pytest.param(("verify", "--d", "15", "--n=--", "1,0", "2,0", "3,0", "4,0"), "--n", id="verify"),
+    pytest.param(
+        ("verify", "--d", "15", "--n", "2,0", "--witness=--", "1,0", "2,0", "3,0", "4,0"),
+        "--witness",
+        id="witness",
+    ),
+    pytest.param(("counterexamples", "--alpha", "0..0", "--out=--"), "--out", id="counterexamples"),
+    pytest.param(("--format=--", "pell", "--d", "15", "--norm", "-6"), "--format", id="format"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", DASHES_AS_VALUES)
+def test_dashes_as_a_value_are_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: quadtuple ")
+    assert err.endswith(f"\nquadtuple: error: argument {flag}: expected one argument\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1014,6 +1043,13 @@ def test_module_entry_point_exits_2_when_its_reader_closes_stdout(argv):
     assert "Traceback" not in err
     assert err == "error: stdout was closed before the output was written\n"
     assert code == 2
+
+
+def test_module_entry_point_refuses_dashes_as_a_value_without_a_traceback():
+    proc = _run_module("counterexamples", "--alpha", "0..0", "--out=--")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("quadtuple: error: argument --out: expected one argument\n")
 
 
 def test_module_entry_point_exits_2_on_a_usage_error():

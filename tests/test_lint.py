@@ -19,6 +19,10 @@ README's "Caps" list names each one, with its module, and nothing else; its
 "Exit codes" paragraph names each cli.EXIT_* value, and nothing else, and
 its "Command line" section names each long option of the parser, and no
 other.
+No module names a private attribute or class of argparse (such as a
+parser's _actions or argparse._StoreAction): those may change in any Python
+release, and the CLI records what it needs of its options as it declares
+them.
 """
 
 from __future__ import annotations
@@ -214,6 +218,37 @@ def test_no_unbounded_cache_takes_arguments(path):
     assert not lines, f"{path.name} memoises functions with arguments unboundedly at lines {lines}"
 
 
+def _argparse_private_names() -> set[str]:
+    """Each name argparse defines that starts with one underscore and a
+    letter: its module's, and those of a parser, its subparsers action, a
+    subparser and an option's action."""
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    objects = (argparse, parser, sub, sub.add_parser("x"), parser.add_argument("--x"))
+    return {n for o in objects for n in dir(o) if re.match(r"_[A-Za-z]", n)}
+
+
+def _argparse_privates(tree: ast.Module, private: set[str]) -> list[int]:
+    """The line of each attribute in private, and of each import of a name
+    from argparse that starts with an underscore."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in private)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "argparse"
+            and any(a.name.startswith("_") for a in node.names)
+        )
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_argparse_private_names(path):
+    lines = _argparse_privates(_tree(path), _argparse_private_names())
+    assert not lines, f"{path.name} names argparse's private attributes at lines {lines}"
+
+
 def test_every_exception_class_is_a_value_error():
     defined = {
         f"{cls.__module__}.{name}": cls
@@ -295,7 +330,7 @@ def _flags_in_parser(parser: argparse.ArgumentParser) -> set[str]:
 
 def test_readme_flags_match_the_parser():
     in_readme = _flags_in_readme(README.read_text(encoding="utf-8"))
-    in_parser = _flags_in_parser(quadtuple.cli.build_parser())
+    in_parser = _flags_in_parser(quadtuple.cli.build_parser()[0])
     assert in_readme == in_parser, (
         f"README's Command line section misses {sorted(in_parser - in_readme)} "
         f"and names {sorted(in_readme - in_parser)}, which the parser does not define"
@@ -350,6 +385,19 @@ def test_lint_sees_planted_unbounded_caches():
         "@lru_cache()\ndef h(x): pass\n"
     )
     assert _unbounded_caches(tree) == [2, 4, 6, 8]
+
+
+def test_lint_sees_planted_argparse_private_names():
+    private = _argparse_private_names()
+    assert {"_actions", "_defaults", "_StoreAction", "_SubParsersAction"} <= private
+    tree = ast.parse(
+        "import argparse\nactions = parser._actions\n"
+        "if isinstance(a, argparse._HelpAction): pass\n"
+        "from argparse import Action, _StoreAction\n"
+        "x = self._square_free\ny = sub.choices\nz = parser.parse_args\n"
+        "defaults = {**p._defaults}\n"
+    )
+    assert _argparse_privates(tree, private) == [2, 3, 4, 8]
 
 
 def test_caps_lint_reads_only_the_caps_list():

@@ -10,7 +10,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint, nextprime, prevprime
+from sympy import factorint, nextprime, prevprime, primerange
 
 import quadtuple.quadring
 from quadtuple import (
@@ -539,6 +539,25 @@ def test_is_square_free_above_the_miller_rabin_limit(monkeypatch):
         tested.clear()
         assert is_square_free(n) == _oracle_square_free(n), n
         assert max(tested) >= quadtuple.quadring._MR_LIMIT, n
+
+
+# psi_n, the least strong pseudoprime to each of the first n prime bases
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_PSI = {12: 318_665_857_834_031_151_167_461, 13: 3_317_044_064_679_887_385_961_981}
+
+
+def test_miller_rabin_is_deterministic_below_its_limit():
+    bases, limit = quadtuple.quadring._MR_BASES, quadtuple.quadring._MR_LIMIT
+    assert bases == tuple(primerange(bases[-1] + 1))
+    assert limit == _PSI[len(bases)]
+    rng = random.Random(0)
+    # psi_12 passes the first 12 bases, and 41 is a witness
+    psi12 = _PSI[12]
+    assert not quadtuple.quadring._is_prime(psi12, rng)
+    assert factorize(psi12) == factorint(psi12) == {399165290221: 1, 798330580441: 1}
+    assert is_square_free(15 * psi12)
+    # psi_13 passes all 13, and only the random bases past the limit refuse it
+    assert not quadtuple.quadring._is_prime(_PSI[13], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ def test_search_repr_examples(ring15):
         assert (abs(found_q.a), abs(found_q.b)) == q
 
 
+def test_search_repr_returns_at_once_for_an_odd_sqrt_coordinate(ring15):
+    # p^2 - q^2 has an even sqrt(d) coordinate, so no candidate can match
+    start = time.perf_counter()
+    assert search_repr(QuadInt(2, 1, ring15), BOUND_CAP) is None
+    assert time.perf_counter() - start < 0.05
+
+
 def test_search_repr_returns_valid_pairs(ring15):
     for a, b in ((3, 0), (19, 4), (6, 4), (1, 2), (-11, 0)):
         n = QuadInt(a, b, ring15)
