@@ -287,9 +287,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     no state on the parser.
 
     The table, (the top level's options, the subcommand's dest, {subcommand:
-    its options}), is recorded by _record from the actions add_argument
-    returns. verify, whose positionals and --witness append _read cannot
-    match, is not recorded.
+    its options}, {subcommand: its parser}), is recorded by _record from
+    the actions add_argument returns. verify, whose positionals and
+    --witness append _read cannot match, has a parser but no options there.
     """
     parser = argparse.ArgumentParser(
         prog="quadtuple",
@@ -298,17 +298,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     )
     top = _record(parser, parser.add_argument("--format", choices=("text", "json"), default="text"))
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    commands, parsers = {}, {}
 
     ring = argparse.ArgumentParser(add_help=False)
     d = ring.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
+    p = parsers["pell"] = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
     norm = p.add_argument("--norm", type=int, required=True)
     limit = p.add_argument("--limit", type=int, default=8)
     commands["pell"] = _record(p, d, norm, limit, func=cmd_pell)
 
-    p = sub.add_parser(
+    p = parsers["construct"] = sub.add_parser(
         "construct", parents=[ring], help="build a verified D((4m+2)+4k*sqrt(d)) quadruple"
     )
     m = p.add_argument("--m", type=int, required=True)
@@ -317,7 +317,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     factorization = p.add_argument("--factorization", choices=("first", "second"), default="first")
     commands["construct"] = _record(p, d, m, k, unit_index, factorization, func=cmd_construct)
 
-    p = sub.add_parser(
+    p = parsers["verify"] = sub.add_parser(
         "verify",
         parents=[ring],
         help="check the six pairwise products of a quadruple",
@@ -330,12 +330,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     p.add_argument("--witness", action="append", metavar="IJ=a,b")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("checkrepr", parents=[ring], help="difference-of-two-squares status of n")
+    p = parsers["checkrepr"] = sub.add_parser(
+        "checkrepr", parents=[ring], help="difference-of-two-squares status of n"
+    )
     n = p.add_argument("--n", required=True, help="target n as 'a,b'")
     bound = p.add_argument("--bound", type=int, default=500)
     commands["checkrepr"] = _record(p, d, n, bound, func=cmd_checkrepr)
 
-    p = sub.add_parser("counterexamples", help="reports over the d-family")
+    p = parsers["counterexamples"] = sub.add_parser(
+        "counterexamples", help="reports over the d-family"
+    )
     alpha = p.add_argument("--alpha", required=True, help="range lo..hi")
     t = p.add_argument("--t", type=int, default=0)
     out = p.add_argument(
@@ -348,7 +352,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
         "no report",
     )
     commands["counterexamples"] = _record(p, alpha, t, out, func=cmd_counterexamples)
-    return parser, (top, sub.dest, commands)
+    return parser, (top, sub.dest, commands, parsers)
 
 
 def _store(argv: list, i: int, flags: dict, given: dict) -> int | None:
@@ -390,7 +394,7 @@ def _read(argv) -> argparse.Namespace | None:
     table; None for any argv it does not cover, which parse_args then reads
     itself: -h, abbreviations, verify, '--', a missing required option, and
     every token _store leaves to it."""
-    top, dest, commands = build_parser()[1]
+    top, dest, commands, _ = build_parser()[1]
     if not isinstance(argv, list):
         return None
     top_defaults, top_flags, top_required = top
@@ -422,14 +426,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        parser = build_parser()[0]
+        parser, (top, _, _, parsers) = build_parser()
         try:
             args = parser.parse_args(argv)
             # parse_args stores the value '--' of --n=-- as [], and appends []
-            # for --witness=--; every command reads a str there
+            # for --witness=--; every command reads a str there.  The parser
+            # that owns the option refuses it, as it refuses --n --
             for dest, value in vars(args).items():
                 if value == [] or isinstance(value, list) and [] in value:
-                    parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+                    owner = parser if dest in top[0] else parsers[args.command]
+                    owner.error(f"argument --{dest.replace('_', '-')}: expected one argument")
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -28,8 +28,8 @@ from .construct import (
 from .quadring import (
     QuadInt,
     RingCtx,
+    _new,
     element_from_json,
-    element_to_json,
     int_from_json,
     sqrt_in_ring,
 )
@@ -128,22 +128,25 @@ def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
     The guess g is e*conj(w) mod 2^k from the low k bits of e and w, lifted
     to least absolute value, and is kept only if w*g == e: four products of
     w by k-bit numbers.  N(w) = w*conj(w) = 1 makes w*g == e force
-    g = e*conj(w), so k sets only how often the guess holds.  _report_holds'
-    w = unit^t has norm 1: unit_from_norm6 gives ((x^2 + 3)/3, x*y/3) for
-    x^2 - d*y^2 = -6, of norm ((x^2 + 3)^2 - x^2*(x^2 + 6))/9 = 1.
+    g = e*conj(w), so k sets only how often the guess holds.  Otherwise, and
+    for a short w, the full product is taken on the coordinates of e and w
+    as given, not the masked ones.  _report_holds' w = unit^t has norm 1:
+    unit_from_norm6 gives ((x^2 + 3)/3, x*y/3) for x^2 - d*y^2 = -6, of norm
+    ((x^2 + 3)^2 - x^2*(x^2 + 6))/9 = 1.
     """
+    ea, eb, _ = e
     wa, wb, ctx = w
+    d = ctx.d
     if wa.bit_length() >= _GUESS_BITS:
-        ea, eb, _ = e
-        k = max(ea.bit_length() - wa.bit_length(), 0) + ctx.d.bit_length() + 64
+        k = max(ea.bit_length() - wa.bit_length(), 0) + d.bit_length() + 64
         mask, half = (1 << k) - 1, 1 << (k - 1)
-        ea, eb, wa, wb = ea & mask, eb & mask, wa & mask, wb & mask
-        ga = ((ea * wa - ctx.d * (eb * wb) + half) & mask) - half
-        gb = ((eb * wa - ea * wb + half) & mask) - half
-        g = QuadInt(ga, gb, ctx)
+        la, lb, ma, mb = ea & mask, eb & mask, wa & mask, wb & mask
+        ga = ((la * ma - d * (lb * mb) + half) & mask) - half
+        gb = ((lb * ma - la * mb + half) & mask) - half
+        g = _new(QuadInt, (ga, gb, ctx))
         if w * g == e:
             return g
-    return e * w.conjugate()
+    return _new(QuadInt, (ea * wa - d * (eb * wb), eb * wa - ea * wb, ctx))
 
 
 def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
@@ -157,39 +160,46 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     square-freeness last), whose 2u == n is the tie of n to t and, as
     equality compares d, puts the witness in n's ring; then all six
     pairwise products plus n are squares, matching any stored witnesses.
-    N(u) = 1 is not computed: u = w^2 and N(w) = 1 (_divided) give
-    N(u) = N(w)^2 = 1.  A base quadruple with power (1, 1) gets the t = 0
-    check.  Nonzero, distinct elements need no test: a repeated f_i makes
-    f_i^2 + 2 = rho^2 and a zero one 2 = rho^2, each writing 2 as
-    (rho - f)(rho + f).  As 5 | d (d = 15 (mod 60)) leaves no element of
-    norm +-2, one factor is a unit v and the other 2/v; they sum to 2*rho,
-    so v is in 2Z[sqrt(d)] and 4 | N(v) = +-1.
+    Elements and witnesses are read as coordinates in n's ring, where both
+    callers build or parse them.  N(u) = 1 is not computed: u = w^2 and
+    N(w) = 1 (_divided) give N(u) = N(w)^2 = 1.  A base quadruple with
+    power (1, 1) gets the t = 0 check.  Nonzero, distinct elements need no
+    test: a repeated f_i makes f_i^2 + 2 = rho^2 and a zero one 2 = rho^2,
+    each writing 2 as (rho - f)(rho + f).  As 5 | d (d = 15 (mod 60))
+    leaves no element of norm +-2, one factor is a unit v and the other
+    2/v; they sum to 2*rho, so v is in 2Z[sqrt(d)] and 4 | N(v) = +-1.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
     e_i*e_j + n = w^2 * (f_i*f_j + 2).  That is a square exactly when
-    f_i*f_j + 2 = rho^2 is, and a witness squares to it exactly when it is
-    +-w*rho, as the ring has no zero divisors.  In build_report's reports
-    f_i is the base quadruple's element, so the square tests run on numbers
-    of its size, not of unit^(2t).  For a long w, f_i is a low-bits guess
-    kept only if w * f_i == e_i (_divided), which keeps it exact.  The pair
-    loop is the judge's own, not verify_quadruple's: sharing a pair
-    generator with it made near_window's verify_ms_p50 about 5 % slower,
-    and calling verify_quadruple 9-18 % slower.
+    f_i*f_j + 2 = rho^2 is, and a witness W squares to it exactly when
+    rho = W * conj(w) does: W = +-w*rho, as the ring has no zero divisors.
+    So a pair with a stored witness squares W * conj(w) on coordinates and
+    searches for no root; only a pair without one goes to sqrt_in_ring.  In
+    build_report's reports f_i and W * conj(w) are the base quadruple's
+    element and witness, so the square tests run on numbers of its size,
+    not of unit^(2t).  For a long w, each quotient is a low-bits guess kept
+    only if w times it gives back the dividend (_divided), which keeps it
+    exact.
     """
     w, w2 = power
-    if not _n_and_ring_hold(quad.n, w2):
+    n = quad.n
+    if not _n_and_ring_hold(n, w2):
         return False
+    d = n.ctx.d
     f = [_divided(e, w) for e in quad.elements]
-    two = QuadInt(2, 0, quad.n.ctx)
+    witnesses = quad.witnesses
     for i, j in PAIRS:
-        rho = sqrt_in_ring(f[i - 1] * f[j - 1] + two)
-        if rho is None:
-            return False
-        witness = quad.witnesses.get((i, j))
-        if witness is not None:
-            root = w * rho
-            if witness not in (root, -root):
+        a, b, ctx = f[i - 1]
+        oa, ob, _ = f[j - 1]
+        pa, pb = a * oa + d * (b * ob) + 2, a * ob + b * oa
+        witness = witnesses.get((i, j))
+        if witness is None:
+            if sqrt_in_ring(_new(QuadInt, (pa, pb, ctx))) is None:
+                return False
+        else:
+            ra, rb, _ = _divided(witness, w)
+            if ra * ra + d * (rb * rb) != pa or 2 * (ra * rb) != pb:
                 return False
     return True
 
@@ -243,13 +253,17 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
 
 def report_to_json(report: CounterexampleReport) -> dict:
-    n = report.quadruple.n
+    """The report's JSON form.  n is converted to decimal once: the report,
+    its quadruple and, when its n is the quadruple's, its certificate hold
+    that one dict, so a change to one copy is a change to all three."""
+    quad, cert = quadruple_to_json(report.quadruple), report.certificate
+    n = quad["n"]
     return {
-        "d": str(n.ctx.d),
+        "d": quad["d"],
         "t": report.t,
-        "n": element_to_json(n),
-        "quadruple": quadruple_to_json(report.quadruple),
-        "certificate": certificate_to_json(report.certificate),
+        "n": n,
+        "quadruple": quad,
+        "certificate": certificate_to_json(cert, n if cert.n == report.quadruple.n else None),
         "verified": report.verified,
         "notes": list(report.notes),
     }

@@ -123,9 +123,11 @@ def search_repr(n: QuadInt, bound: int) -> tuple[QuadInt, QuadInt] | None:
     return None
 
 
-def certificate_to_json(cert: NonRepCertificate) -> dict:
+def certificate_to_json(cert: NonRepCertificate, n_doc: dict | None = None) -> dict:
+    """The certificate's JSON form; n_doc, if given, is the caller's
+    element_to_json(cert.n), held as it is rather than converted again."""
     return {
-        "n": element_to_json(cert.n),
+        "n": element_to_json(cert.n) if n_doc is None else n_doc,
         "u": element_to_json(cert.u),
         "minus6": element_to_json(cert.minus6),
     }

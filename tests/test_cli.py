@@ -803,9 +803,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
     # one parser and its table, built together once, from the same actions
     assert cli.build_parser.cache_info().misses == 1
-    top, _, commands = table
+    top, _, commands, parsers = table
     assert top[1]["--format"] in parser._actions
     assert commands["pell"][1]["--d"] in _commands(parser)["pell"]._actions
+    assert parsers == _commands(parser)
 
 
 def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
@@ -819,9 +820,9 @@ def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
 def test_the_option_table_covers_every_subcommand_but_verify():
     # build_parser records each option beside its declaration: one declared
     # and not recorded would leave _read misreading or refusing its lines
-    parser, (top, dest, commands) = quadtuple.cli.build_parser()
+    parser, (top, dest, commands, parsers) = quadtuple.cli.build_parser()
     subparsers = _commands(parser)
-    assert dest == "command"
+    assert dest == "command" and parsers == subparsers
     assert list(commands) == [name for name in subparsers if name != "verify"]
     for (defaults, flags, required), p in [
         (top, parser),
@@ -962,7 +963,8 @@ def test_help_shows_the_ring_flags_where_a_ring_is_read(capsys, command):
 
 
 # parse_args stores the value '--' after '=' as [], and --witness=-- appends
-# []; main refuses both, where a command would raise on the list
+# []; main refuses both, where a command would raise on the list, with the
+# message and usage argparse gives the value '--' apart from its flag
 DASHES_AS_VALUES = [
     pytest.param(("checkrepr", "--d", "15", "--n=--"), "--n", id="checkrepr"),
     pytest.param(("verify", "--d", "15", "--n=--", "1,0", "2,0", "3,0", "4,0"), "--n", id="verify"),
@@ -980,8 +982,13 @@ DASHES_AS_VALUES = [
 def test_dashes_as_a_value_are_a_usage_error(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("usage: quadtuple ")
-    assert err.endswith(f"\nquadtuple: error: argument {flag}: expected one argument\n")
+    # the subcommand's parser speaks for its own options, the top level's
+    # for --format
+    owner = "quadtuple" if flag == "--format" else f"quadtuple {argv[0]}"
+    assert err.startswith(f"usage: {owner} ")
+    assert err.endswith(f"\n{owner}: error: argument {flag}: expected one argument\n")
+    i = argv.index(f"{flag}=--")
+    assert run(capsys, *argv[:i], flag, "--", *argv[i + 1 :]) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1056,9 @@ def test_module_entry_point_refuses_dashes_as_a_value_without_a_traceback():
     proc = _run_module("counterexamples", "--alpha", "0..0", "--out=--")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.endswith("quadtuple: error: argument --out: expected one argument\n")
+    assert proc.stderr.endswith(
+        "\nquadtuple counterexamples: error: argument --out: expected one argument\n"
+    )
 
 
 def test_module_entry_point_exits_2_on_a_usage_error():

@@ -6,16 +6,20 @@ import re
 import sys
 import time
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
+import quadtuple.construct
 import quadtuple.counterex
 import quadtuple.pellsolve
 import quadtuple.quadring
+import quadtuple.represent
 from quadtuple import (
+    PAIRS,
     CounterexampleReport,
     NonRepCertificate,
     QuadInt,
@@ -26,6 +30,7 @@ from quadtuple import (
     enumerate_counterexample_rings,
     family_d,
     fundamental_unit,
+    quadruple_to_json,
     report_to_json,
     scale_quadruple,
     unit_power,
@@ -145,6 +150,42 @@ def test_report_json_shape(ring15):
     }
     assert len(doc["quadruple"]["elements"]) == 4
     assert set(doc["quadruple"]["witnesses"]) == {"12", "13", "14", "23", "24", "34"}
+
+
+@pytest.mark.parametrize("t", [0, 1, 7])
+def test_report_to_json_converts_n_once(monkeypatch, t):
+    # the report, its quadruple and its certificate share one conversion of
+    # n, and print as they did when each converted n itself
+    report = build_report(family_d(2).ctx, t)
+    n, cert = report.quadruple.n, report.certificate
+    separately = {
+        "d": str(n.ctx.d),
+        "t": t,
+        "n": element_to_json(n),
+        "quadruple": quadruple_to_json(report.quadruple),
+        "certificate": {
+            "n": element_to_json(n),
+            "u": element_to_json(cert.u),
+            "minus6": element_to_json(cert.minus6),
+        },
+        "verified": True,
+        "notes": list(report.notes),
+    }
+    converted = []
+
+    def counted(x):
+        converted.append(x)
+        return element_to_json(x)
+
+    for module in (quadtuple.construct, quadtuple.represent):
+        monkeypatch.setattr(module, "element_to_json", counted)
+    doc = report_to_json(report)
+    assert converted.count(n) == 1
+    assert json.dumps(doc) == json.dumps(separately)
+    # a certificate with an n of its own keeps it
+    certificate = NonRepCertificate(-n, cert.u, cert.minus6)
+    other = CounterexampleReport(t, report.quadruple, certificate, True, ())
+    assert report_to_json(other)["certificate"]["n"] == element_to_json(-n)
 
 
 def test_report_self_contained_reverification(ring15):
@@ -630,21 +671,101 @@ def test_report_holds_given_build_reports_power_matches_its_definition(alpha, mo
     assert held == 5 * (1 + 6 + 6 + 1)
 
 
+def _bits(x):
+    return max(x.a.bit_length(), x.b.bit_length())
+
+
 def test_square_tests_run_on_base_sized_numbers(monkeypatch):
     # w = unit^1000 is divided out before any square test, so the six tests
-    # see the base quadruple's sizes, not the report's 10,000-bit elements
-    bits = []
-    original = quadtuple.counterex.sqrt_in_ring
+    # see the base quadruple's sizes, not the report's 10,000-bit elements:
+    # each squares its witness divided by w against f_i*f_j + 2, the
+    # elements divided by w, and searches for no root
+    divided, quotients = quadtuple.counterex._divided, []
+
+    def recorded_divided(e, w):
+        quotients.append(divided(e, w))
+        return quotients[-1]
+
+    def recorded_sqrt(z):
+        raise AssertionError("sqrt_in_ring on a pair with a stored witness")
+
+    monkeypatch.setattr(quadtuple.counterex, "_divided", recorded_divided)
+    monkeypatch.setattr(quadtuple.counterex, "sqrt_in_ring", recorded_sqrt)
+    ctx = family_d(2).ctx
+    report = build_report(ctx, 1000)
+    assert report.verified
+    assert min(e.a.bit_length() for e in report.quadruple.elements) > 10_000
+    f, roots = quotients[:4], quotients[4:]
+    two = QuadInt(2, 0, ctx)
+    tested = [(f[i - 1] * f[j - 1] + two, rho * rho) for (i, j), rho in zip(PAIRS, roots)]
+    assert len(tested) == 6 and all(z == square for z, square in tested)
+    assert max(_bits(z) for z, _ in tested) < 128
+
+
+@cache
+def _report_and_power(alpha, t):
+    """The report at alpha and t, with the power build_report hands its judge."""
+    report = build_report(family_d(alpha).ctx, t)
+    unit = quadtuple.pellsolve.unit_from_norm6(report.certificate.minus6)
+    return report, unit_power(unit, t)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}{p[1]}")
+def test_a_pair_without_its_witness_takes_sqrt_in_ring(monkeypatch, pair):
+    # only a pair with no stored witness searches for a root, and at
+    # t = 1000 it searches on the base quadruple's sizes too
+    original, searched = quadtuple.counterex.sqrt_in_ring, []
 
     def recorded(z):
-        bits.append(max(z.a.bit_length(), z.b.bit_length()))
+        searched.append(_bits(z))
         return original(z)
 
+    report, power = _report_and_power(2, 1000)
+    quad = report.quadruple
+    stripped = {p: x for p, x in quad.witnesses.items() if p != pair}
     monkeypatch.setattr(quadtuple.counterex, "sqrt_in_ring", recorded)
-    report = build_report(family_d(2).ctx, 1000)
-    assert report.verified
-    assert len(bits) == 6 and max(bits) < 128
-    assert min(e.a.bit_length() for e in report.quadruple.elements) > 10_000
+    assert quadtuple.counterex._report_holds(quad, power)
+    assert searched == []
+    assert quadtuple.counterex._report_holds(Quadruple(quad.elements, quad.n, stripped), power)
+    assert len(searched) == 1 and searched[0] < 128
+
+
+_TAMPER_ALPHAS = [0, 2, -1]
+_TAMPERINGS = ["a+1", "a-1", "b+1", "b-1", "negated", "swapped", "dropped"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.sampled_from(_TAMPER_ALPHAS),
+    t=st.sampled_from([0, 1, 1000]),
+    pair=st.sampled_from(PAIRS),
+    other=st.sampled_from(PAIRS),
+    how=st.sampled_from(_TAMPERINGS),
+)
+def test_a_tampered_witness_gets_the_definitions_verdict(alpha, t, pair, other, how):
+    # one stored witness moved by one on a coordinate, negated, swapped with
+    # another pair's witness or dropped: squaring W * conj(w) accepts exactly
+    # what the unreduced definition (every product plus n a square, every
+    # witness a root of it) accepts
+    report, power = _report_and_power(alpha, t)
+    quad = report.quadruple
+    witnesses = dict(quad.witnesses)
+    x = witnesses[pair]
+    if how == "dropped":
+        del witnesses[pair]
+    elif how == "swapped":
+        witnesses[pair], witnesses[other] = witnesses[other], x
+    elif how == "negated":
+        witnesses[pair] = -x
+    else:
+        step = 1 if how[1] == "+" else -1
+        a, b = (x.a + step, x.b) if how[0] == "a" else (x.a, x.b + step)
+        witnesses[pair] = QuadInt(a, b, x.ctx)
+    tampered = Quadruple(quad.elements, quad.n, witnesses)
+    args = (quad.n.ctx, t, quad.n, tampered, report.certificate)
+    verdict = quadtuple.counterex._report_holds(tampered, power)
+    assert verdict == report_holds_by_definition(*args)
+    assert verdict == (how in ("dropped", "negated") or how == "swapped" and pair == other)
 
 
 def _unit(alpha):
@@ -688,38 +809,41 @@ def test_divided_matches_the_full_product(alpha, offset, kind, j, data):
 
 
 def test_division_by_w_takes_checked_guesses(monkeypatch):
-    # at t = 1000 every element e = w*f is divided by a guess of f from low
-    # bits, checked by w*f == e: no QuadInt product while dividing has two
-    # operands over 10,000 bits, as the full e*conj(w) would
+    # at t = 1000 every element e = w*f and every witness W = w*rho is
+    # divided by a guess of f or rho from low bits, checked by one product
+    # w*guess == e: each division makes that one QuadInt product and returns
+    # the guess it checked, so no product while dividing has two operands
+    # over 10,000 bits, as the full e*conj(w) would
     divided, multiply = quadtuple.counterex._divided, QuadInt.__mul__
-    results, long_products = [], []
-    dividing = False
-
-    def bits(x):
-        return max(x.a.bit_length(), x.b.bit_length())
+    results = []
+    dividing = None
 
     def recorded_mul(x, y):
-        if dividing and type(y) is QuadInt and min(bits(x), bits(y)) > 10_000:
-            long_products.append((bits(x), bits(y)))
+        if dividing is not None:
+            dividing.append((x, y))
         return multiply(x, y)
 
     def recorded_divided(e, w):
         nonlocal dividing
-        dividing = True
+        dividing = products = []
         f = divided(e, w)
-        dividing = False
-        results.append((e, w, f))
+        dividing = None
+        results.append((e, w, f, products))
         return f
 
+    ctx = family_d(2).ctx
+    base = build_report(ctx, 0).quadruple
     monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
     monkeypatch.setattr(quadtuple.counterex, "_divided", recorded_divided)
-    ctx = family_d(2).ctx
     report = build_report(ctx, 1000)
-    assert report.verified and len(results) == 4 and not long_products
-    for e, w, f in results:
-        assert bits(w) > 10_000 and bits(e) > 10_000
+    assert report.verified and len(results) == 10
+    for e, w, f, products in results:
+        assert _bits(w) > 10_000 and _bits(e) > 10_000
+        assert products == [(w, f)] and _bits(f) <= 10_000
         assert multiply(w, f) == e
-    assert [f for _, _, f in results] == list(build_report(ctx, 0).quadruple.elements)
+    quotients = [f for _, _, f, _ in results]
+    assert quotients[:4] == list(base.elements)
+    assert quotients[4:] == [base.witnesses[pair] for pair in PAIRS]
 
 
 def test_build_report_takes_one_power_one_square_and_no_full_size_norm(monkeypatch):

@@ -23,6 +23,8 @@ No module names a private attribute or class of argparse (such as a
 parser's _actions or argparse._StoreAction): those may change in any Python
 release, and the CLI records what it needs of its options as it declares
 them.
+The suite's own warning filters let a failing property test be reported as
+one failure, not stop the run.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import argparse
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,7 @@ import quadtuple.cli
 PACKAGE = Path(quadtuple.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -424,3 +429,25 @@ def test_flags_lint_reads_only_the_command_line_section():
         "```sh\ntool --unit-index 3\n```\n\n## Library\n\n`--after`\n"
     )
     assert _flags_in_readme(text) == {"--d", "--n", "--unit-index"}
+
+
+def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
+    # with filterwarnings = error, a warning raised while hypothesis reports
+    # its failing example would abort the run with INTERNALERROR
+    (tmp_path / "test_planted.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_planted(x):\n"
+        "    assert x < 5\n"
+    )
+    options = ["-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "--rootdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *options, "test_planted.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    output = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in output
+    assert proc.returncode == 1 and "1 failed" in output
