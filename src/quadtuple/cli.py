@@ -288,8 +288,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
 
     The table, (the top level's options, the subcommand's dest, {subcommand:
     its options}, {subcommand: its parser}), is recorded by _record from
-    the actions add_argument returns. verify, whose positionals and
-    --witness append _read cannot match, has a parser but no options there.
+    the actions add_argument returns; the parsers are the subparsers
+    action's own choices. verify, whose positionals and --witness append
+    _read cannot match, has a parser but no options there.
     """
     parser = argparse.ArgumentParser(
         prog="quadtuple",
@@ -298,17 +299,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     )
     top = _record(parser, parser.add_argument("--format", choices=("text", "json"), default="text"))
     sub = parser.add_subparsers(dest="command", required=True)
-    commands, parsers = {}, {}
+    commands = {}
 
     ring = argparse.ArgumentParser(add_help=False)
     d = ring.add_argument("--d", type=int, required=True)
 
-    p = parsers["pell"] = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
+    p = sub.add_parser("pell", parents=[ring], help="solve x^2 - d*y^2 = N")
     norm = p.add_argument("--norm", type=int, required=True)
     limit = p.add_argument("--limit", type=int, default=8)
     commands["pell"] = _record(p, d, norm, limit, func=cmd_pell)
 
-    p = parsers["construct"] = sub.add_parser(
+    p = sub.add_parser(
         "construct", parents=[ring], help="build a verified D((4m+2)+4k*sqrt(d)) quadruple"
     )
     m = p.add_argument("--m", type=int, required=True)
@@ -317,7 +318,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     factorization = p.add_argument("--factorization", choices=("first", "second"), default="first")
     commands["construct"] = _record(p, d, m, k, unit_index, factorization, func=cmd_construct)
 
-    p = parsers["verify"] = sub.add_parser(
+    p = sub.add_parser(
         "verify",
         parents=[ring],
         help="check the six pairwise products of a quadruple",
@@ -330,16 +331,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
     p.add_argument("--witness", action="append", metavar="IJ=a,b")
     p.set_defaults(func=cmd_verify)
 
-    p = parsers["checkrepr"] = sub.add_parser(
-        "checkrepr", parents=[ring], help="difference-of-two-squares status of n"
-    )
+    p = sub.add_parser("checkrepr", parents=[ring], help="difference-of-two-squares status of n")
     n = p.add_argument("--n", required=True, help="target n as 'a,b'")
     bound = p.add_argument("--bound", type=int, default=500)
     commands["checkrepr"] = _record(p, d, n, bound, func=cmd_checkrepr)
 
-    p = parsers["counterexamples"] = sub.add_parser(
-        "counterexamples", help="reports over the d-family"
-    )
+    p = sub.add_parser("counterexamples", help="reports over the d-family")
     alpha = p.add_argument("--alpha", required=True, help="range lo..hi")
     t = p.add_argument("--t", type=int, default=0)
     out = p.add_argument(
@@ -352,7 +349,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
         "no report",
     )
     commands["counterexamples"] = _record(p, alpha, t, out, func=cmd_counterexamples)
-    return parser, (top, sub.dest, commands, parsers)
+    return parser, (top, sub.dest, commands, sub.choices)
 
 
 def _store(argv: list, i: int, flags: dict, given: dict) -> int | None:

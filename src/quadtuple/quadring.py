@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import cycle
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import NamedTuple
 
 __all__ = [
@@ -58,12 +57,7 @@ def is_perfect_square(n: int) -> int | None:
 
 
 _TRIAL_BOUND = 10**6
-# is_square_free takes the primes 7 <= p < _GCD_BOUND with one gcd, and its
-# wheel starts past them, at 4097 = 17 (mod 30), stepping through the numbers
-# coprime to 30
-_GCD_BOUND = 1 << 12
-_WHEEL_START = 4097
-_WHEEL = (2, 4, 6, 2, 6, 4, 2, 4)  # steps from 17 (mod 30)
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps from 7 through the numbers coprime to 30
 _DEFAULT_RHO_SEED = 1257787
 # the first 13 primes, deterministic Miller-Rabin bases below psi_13, the least
 # strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
@@ -171,30 +165,15 @@ def factorize(n: int) -> dict[int, int]:
     return _rho_factorize(n, out) if n > 1 else out
 
 
-@cache
-def _small_primes_product() -> int:
-    """The product of the primes 7 <= p < _GCD_BOUND, sieved on first use,
-    never at import."""
-    sieve = bytearray([1]) * _GCD_BOUND
-    for p in range(2, isqrt(_GCD_BOUND - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, _GCD_BOUND, p)))
-    return prod(p for p in range(7, _GCD_BOUND) if sieve[p])
-
-
 def is_square_free(n: int) -> bool:
     """True iff no prime squared divides n (n >= 1).
 
-    2, 3 and 5 are divided out once each.  g = gcd(n, P), for P the product
-    of the primes 7 <= p < 2**12, is the product of those primes that
-    divide n, once each, so one of them divides n twice exactly when it
-    also divides n/g.  Past that test the cofactor n/g has no prime factor
-    below 2**12, and trial division from there divides each prime out once
-    and runs only while p^3 <= n, for the cofactor n left so far.  When it
-    stops there, every prime factor of n exceeds its cube root, so n is 1,
-    a prime, a product of two primes or a prime squared, and only a prime
-    squared is a perfect square.  Only when _TRIAL_BOUND stops it first
-    (n above about 10**18) does the cofactor go to Brent's rho.
+    Trial division divides each prime out once and runs only while
+    p^3 <= n, for the cofactor n left so far.  When it stops there, every
+    prime factor of n exceeds its cube root, so n is 1, a prime, a product
+    of two primes or a prime squared, and only a prime squared is a
+    perfect square.  Only when _TRIAL_BOUND stops it first (n above about
+    10**18) does the cofactor go to Brent's rho.
     """
     if n < 1:
         raise ValueError(f"is_square_free needs n >= 1, got {n}")
@@ -203,11 +182,7 @@ def is_square_free(n: int) -> bool:
             n //= p
             if n % p == 0:
                 return False
-    g = gcd(n, _small_primes_product())
-    n //= g
-    if gcd(g, n) > 1:
-        return False
-    p, limit = _WHEEL_START, min(_TRIAL_BOUND, _icbrt(n))
+    p, limit = 7, min(_TRIAL_BOUND, _icbrt(n))
     for step in cycle(_WHEEL):
         if p > limit:
             break

@@ -806,7 +806,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     top, _, commands, parsers = table
     assert top[1]["--format"] in parser._actions
     assert commands["pell"][1]["--d"] in _commands(parser)["pell"]._actions
-    assert parsers == _commands(parser)
+    assert parsers is _commands(parser)
 
 
 def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
@@ -822,7 +822,7 @@ def test_the_option_table_covers_every_subcommand_but_verify():
     # and not recorded would leave _read misreading or refusing its lines
     parser, (top, dest, commands, parsers) = quadtuple.cli.build_parser()
     subparsers = _commands(parser)
-    assert dest == "command" and parsers == subparsers
+    assert dest == "command" and parsers is subparsers
     assert list(commands) == [name for name in subparsers if name != "verify"]
     for (defaults, flags, required), p in [
         (top, parser),

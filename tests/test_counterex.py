@@ -182,6 +182,9 @@ def test_report_to_json_converts_n_once(monkeypatch, t):
     doc = report_to_json(report)
     assert converted.count(n) == 1
     assert json.dumps(doc) == json.dumps(separately)
+    # each holds a dict of its own, so a change to one copy leaves the others
+    copies = doc["n"], doc["quadruple"]["n"], doc["certificate"]["n"]
+    assert len(set(map(id, copies))) == 3
     # a certificate with an n of its own keeps it
     certificate = NonRepCertificate(-n, cert.u, cert.minus6)
     other = CounterexampleReport(t, report.quadruple, certificate, True, ())

@@ -2,14 +2,10 @@ from __future__ import annotations
 
 import copy
 import operator
-import os
 import pickle
 import random
 import re
-import subprocess
-import sys
-from math import gcd, isqrt, prod
-from pathlib import Path
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -543,75 +539,6 @@ def test_is_square_free_above_the_miller_rabin_limit(monkeypatch):
         tested.clear()
         assert is_square_free(n) == _oracle_square_free(n), n
         assert max(tested) >= quadtuple.quadring._MR_LIMIT, n
-
-
-# primes on both sides of 2**12, where the gcd stage hands over to the wheel
-_SEAM_PRIMES = list(primerange(3901, 4300))
-
-
-def test_is_square_free_matches_factorint_at_the_gcd_seam(monkeypatch):
-    """The primes below 2**12 are tested by one gcd and those above by the
-    wheel; products about the seam agree with sympy's factorint, and past
-    10**18 the cofactor still goes to Brent's rho."""
-    assert _SEAM_PRIMES[0] < 2**12 < _SEAM_PRIMES[-1]
-    for p in _SEAM_PRIMES:
-        for q in _SEAM_PRIMES:
-            for n in (p * q, 15 * p * q, 7 * 11 * p * q):
-                assert is_square_free(n) == (p != q), (p, q, n)
-        assert not is_square_free(7 * p * p * 11)
-    rng = random.Random(12)
-    past = list(primerange(2**12, 2**12 + 400))
-    for _ in range(200):
-        p, n = rng.choice(past), rng.randrange(1, 10**9)
-        assert not is_square_free(n * p * p), (n, p)
-        m = n * p * rng.choice(past)
-        assert is_square_free(m) == _oracle_square_free(m), m
-    split, rho = [], quadtuple.quadring._rho_factorize
-
-    def recording(n, out):
-        split.append(n)
-        return rho(n, out)
-
-    monkeypatch.setattr(quadtuple.quadring, "_rho_factorize", recording)
-    # a cofactor over 10**18 beside a seam prime goes to rho, while the seam
-    # prime's square, on either side of the seam, is found before it
-    big, below, above = nextprime(10**10), prevprime(2**12), nextprime(2**12)
-    cases = [
-        (below * big * nextprime(big), True),
-        (above * big * big, True),
-        (below * below * big * nextprime(big), False),
-        (above * above * big * nextprime(big), False),
-    ]
-    for n, by_rho in cases:
-        assert n > 10**18 * 2**12
-        split.clear()
-        assert is_square_free(n) == _oracle_square_free(n), n
-        assert bool(split) == by_rho, n
-
-
-def test_the_gcd_stage_takes_the_primes_below_2_to_the_12():
-    assert quadtuple.quadring._small_primes_product() == prod(primerange(7, 4096))
-    # the wheel starts at the first number past them coprime to 30 and
-    # steps through exactly those numbers
-    p, seen = quadtuple.quadring._WHEEL_START, []
-    for step in quadtuple.quadring._WHEEL * 20:
-        seen.append(p)
-        p += step
-    assert seen == [m for m in range(4096, p) if gcd(m, 30) == 1]
-
-
-def test_importing_the_package_builds_no_prime_table():
-    code = (
-        "import quadtuple, quadtuple.cli; "
-        "print(quadtuple.quadring._small_primes_product.cache_info().currsize)"
-    )
-    src = str(Path(quadtuple.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 # psi_n, the least strong pseudoprime to each of the first n prime bases
