@@ -116,8 +116,9 @@ def construct_quadruple(
 ) -> tuple[Quadruple, ConstructionTrace]:
     """Build a verified D(n) quadruple for n = (4m+2, 4k), m + k even.
 
-    Checks the arguments, solves x^2 - d*y^2 = -6 once and builds the
-    quadruple from its canonical representative (_construct_from_norm6).
+    Checks the arguments, reads the canonical solution of x^2 - d*y^2 = -6
+    off the fundamental unit (pellsolve.norm6_witness), and builds the
+    quadruple from it (_construct_from_norm6).
     """
     if ctx.d % 60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
@@ -129,11 +130,11 @@ def construct_quadruple(
         raise ValueError(
             f"factorization_choice must be 'first' or 'second', got {factorization_choice!r}"
         )
-    reps = pellsolve.solve_norm_eq(ctx, -6).representatives
-    if not reps:
+    gamma = pellsolve.norm6_witness(ctx)
+    if gamma is None:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    eps = pellsolve.unit_from_norm6(reps[0])
-    return _construct_from_norm6(reps[0], eps, m, k, unit_index, factorization_choice)
+    eps = pellsolve.unit_from_norm6(gamma)
+    return _construct_from_norm6(gamma, eps, m, k, unit_index, factorization_choice)
 
 
 def _construct_from_norm6(

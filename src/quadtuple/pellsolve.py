@@ -3,8 +3,9 @@
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
 the construction rests on when d = 15 (mod 60): the shape of norm -6
-solutions, the norm 1 element built from one and its powers, and the mod-5
-argument that +-2 are not norms.
+solutions, the canonical one read off the fundamental unit, the norm 1
+element built from one and its powers, and the mod-5 argument that +-2 are
+not norms.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "enumerate_solutions",
     "fundamental_unit",
     "norm6_sign_y",
+    "norm6_witness",
     "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
@@ -210,6 +212,38 @@ def norm6_sign_y(sol: QuadInt) -> int:
     return 1 if y % 6 == 1 else -1
 
 
+def norm6_witness(ctx: RingCtx) -> QuadInt | None:
+    """The canonical norm -6 element, read off the fundamental unit, or None.
+
+    For d = 15 (mod 60), with a the x-coordinate of fundamental_unit(ctx):
+    -6 is a norm exactly when 3(a - 1) and 3(a + 1)/d are both squares, and
+    then (sqrt(3(a - 1)), sqrt(3(a + 1)/d)) is
+    solve_norm_eq(ctx, -6).representatives[0].  A d that is not 15 (mod 60)
+    raises ValueError.  The cost is fundamental_unit's walk and two isqrts.
+
+    Why it is exact.  If 9 | d, then 3 | x, so 9 | x^2 while
+    x^2 = d*y^2 - 6 = 3 (mod 9): there is no solution, and so, by the
+    converse below, the test finds no two squares.  Otherwise write d = f^2 * d0; as 9 does not
+    divide d and d is odd, f is prime to 6, so the ideals of norm 6 are
+    invertible and match those of the maximal order of Q(sqrt(d0)).  There
+    d0 = 3 (mod 4) and 3 | d0, so 2 and 3 both ramify, and only one ideal
+    has norm 6: every element of norm -6 lies in one class under
+    _associated.  Its canonical element (g, h) has (g, h)^2 / 6 = unit, the
+    argument in unit_from_norm6, so a = (g^2 + 3)/3 and d*h^2 = g^2 + 6:
+    g^2 = 3(a - 1) and h^2 = 3(a + 1)/d.  Conversely, when both are squares,
+    g^2 - d*h^2 = 3(a - 1) - 3(a + 1) = -6.
+    """
+    d = ctx.d
+    if d % 60 != 15:
+        raise ValueError(f"d = {d} is not 15 mod 60")
+    a = fundamental_unit(ctx).a
+    g = is_perfect_square(3 * (a - 1))
+    if g is None or 3 * (a + 1) % d:
+        return None
+    h = is_perfect_square(3 * (a + 1) // d)
+    return None if h is None else QuadInt(g, h, ctx)
+
+
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
@@ -223,7 +257,9 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
     its norm is 1.  For the canonical representative of
     solve_norm_eq(ctx, -6) it is the fundamental unit: (g, h)^2 / 6 = unit^k
     with k odd, since sqrt(6) is not in Q(sqrt(d)), and the least h > 0 in
-    the class, with g > 0, is where k = 1.
+    the class, with g > 0, is where k = 1.  Conversely, the fundamental
+    unit (a, b) gives that representative back, g = sqrt(3(a - 1)) and
+    h = sqrt(3(a + 1)/d), which is how norm6_witness finds it.
     """
     norm6_sign_y(sol)
     g, h = sol.a, sol.b

@@ -4,10 +4,12 @@ Certifies non-representability for n = (4m+2) + 4k*sqrt(d) = 2u with
 norm(u) = 1 in rings with square-free d = 15 (mod 60) where -6 is a norm,
 and carries an exhaustive search that serves as the independent oracle for
 those certificates.  A certificate holds its one witness, an element of
-norm -6, so certificate_holds checks every hypothesis with arithmetic and no
-solver.  A report's judge (counterex) tests the witness where it takes the
-unit, and here only _n_and_ring_hold.  Every path tests the witness before
-n and d, and d's square-freeness, the one test that may search, last.
+norm -6 that certify_nonrepresentable reads off the fundamental unit
+(pellsolve.norm6_witness) with no search, so certificate_holds checks every
+hypothesis with arithmetic and no solver.  A report's judge (counterex)
+tests the witness where it takes the unit, and here only _n_and_ring_hold.
+Every path tests the witness before n and d, and d's square-freeness, the
+one test that may search, last.
 """
 
 from __future__ import annotations
@@ -77,15 +79,16 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
     """Certificate for the hypotheses above, or None (no claim made).
 
     The checks on n and the ring run first, so only an n that passes them
-    pays for the one norm -6 solve that finds the witness.
+    pays for the witness, which pellsolve.norm6_witness reads off the
+    fundamental unit: one continued-fraction walk and no search.
     """
     u = QuadInt(n.a // 2, n.b // 2, n.ctx)
     if not (u.norm() == 1 and _n_and_ring_hold(n, u)):
         return None
-    reps = pellsolve.solve_norm_eq(n.ctx, -6).representatives
-    if not reps:
+    minus6 = pellsolve.norm6_witness(n.ctx)
+    if minus6 is None:
         return None
-    return NonRepCertificate(n=n, u=u, minus6=reps[0])
+    return NonRepCertificate(n=n, u=u, minus6=minus6)
 
 
 def _signed_range(bound: int):

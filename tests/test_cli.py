@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -222,7 +223,7 @@ def test_construct_unit_index_cap_exits_2(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("construct solved before checking --unit-index")
 
-    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    monkeypatch.setattr(quadtuple.pellsolve, "norm6_witness", forbidden)
     for index in ("-1", "2001", "1000000000"):
         code, out, err = run(
             capsys, "construct", "--d", "15", "--m", "0", "--k", "0", "--unit-index", index
@@ -1002,15 +1003,62 @@ def _module_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def _run_module(*argv):
-    """python -m quadtuple in a child process, the package's tree on its path."""
+def _run_module(*argv, cpu_s=None):
+    """python -m quadtuple in a child process, the package's tree on its path;
+    with cpu_s, the child alone runs under an RLIMIT_CPU of cpu_s seconds,
+    past which SIGXCPU ends it."""
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
+
     return subprocess.run(
         [sys.executable, "-m", "quadtuple", *argv],
         capture_output=True,
         text=True,
         env=_module_env(),
         timeout=60,
+        preexec_fn=None if cpu_s is None else limit_cpu,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (
+            ("construct", "--d", "14655", "--m", "0", "--k", "0"),
+            2,
+            "error: x^2 - 14655y^2 = -6 has no solutions\n",
+        ),
+        (("checkrepr", "--d", "14655", "--n", "2,0"), 3, ""),
+        (("checkrepr", "--d", "18435", "--n", "2,0"), 3, ""),
+    ],
+    ids=["construct-14655", "checkrepr-14655", "checkrepr-18435"],
+)
+def test_construct_and_checkrepr_end_where_a_y_scan_would_not(argv, code, err):
+    # -6 is no norm in either ring, and the y-scan's bound grows with the
+    # unit: minutes at 14655, 4 s at 18435; the witness read off the unit
+    # answers in one continued-fraction walk
+    proc = _run_module(*argv, cpu_s=2)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: pell's y-scan bound grows with the fundamental unit",
+)
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        (("pell", "--d", "14655", "--norm=-6"), {3}),
+        (("pell", "--d", "100000007", "--norm", "1"), {0, 2}),
+    ],
+    ids=["pell-14655-minus-6", "pell-100000007-1"],
+)
+def test_pell_ends_within_a_second_of_cpu(argv, codes):
+    # exit 2 would be a refusal at a stated cap; SIGXCPU ends the scan today
+    proc = _run_module(*argv, cpu_s=1)
+    assert proc.returncode in codes
 
 
 def test_module_entry_point_writes_an_archive_that_verifies(tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import quadtuple.construct
+import quadtuple.pellsolve
 from quadtuple import (
     ParityError,
     QuadInt,
@@ -24,7 +25,7 @@ from quadtuple import (
 from quadtuple.construct import UNIT_INDEX_CAP
 from quadtuple.counterex import T_CAP_DEFAULT
 from quadtuple.pellsolve import unit_from_norm6
-from support import MINUS6_D, RING15, RING735, RING3975
+from support import MINUS6_D, RING15, RING735, RING3975, SCANNED_GAMMA
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
 GOLDEN_WITNESSES = {
@@ -168,6 +169,23 @@ def test_verify_reports_a_good_witness_with_no_root(ring15, monkeypatch):
     report = verify_quadruple(ring15, quad)
     assert not report.ok
     assert all(p.witness_ok is True and p.root is None for p in report.pairs)
+
+
+@pytest.mark.parametrize("d", SCANNED_GAMMA)
+def test_construct_reads_gamma_off_the_unit(d, monkeypatch):
+    # the same quadruple and trace as built from the y-scan's representative,
+    # with no scan: gamma comes from pellsolve.norm6_witness
+    def forbidden(*args, **kwargs):
+        raise AssertionError("construct_quadruple ran solve_norm_eq")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    ctx = RingCtx(d)
+    gamma = QuadInt(*SCANNED_GAMMA[d], ctx)
+    eps = unit_from_norm6(gamma)
+    for m, k, index, choice in [(0, 0, 0, "first"), (3, -1, 2, "second"), (-7, 5, 5, "first")]:
+        built = construct_quadruple(ctx, m, k, index, choice)
+        expected = quadtuple.construct._construct_from_norm6(gamma, eps, m, k, index, choice)
+        assert built == expected, (d, m, k, index, choice)
 
 
 def test_preconditions(ring15):

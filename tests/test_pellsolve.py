@@ -18,6 +18,7 @@ from quadtuple import (
     fundamental_unit,
     is_square_free,
     norm6_sign_y,
+    norm6_witness,
     solutions_within,
     solve_norm_eq,
     unit_from_norm6,
@@ -279,6 +280,63 @@ def test_construction_unit_is_gamma_delta_squared_over_6(d, choice):
     # when delta flips gamma's y; derive it from (gamma, delta) directly
     _, trace = construct_quadruple(RingCtx(d), 0, 0, factorization_choice=choice)
     assert trace.unit_a == unit_from_norm6(trace.gamma_delta)
+
+
+# ---------------------------------------------------------------------------
+# norm6_witness, against independent solvers
+
+# d = 15 (mod 60), square-free or not, below the oracle's bound
+RADICANDS_15_MOD_60 = range(15, 200_000, 60)
+
+
+def _scan_bound(ctx):
+    # solve_norm_eq's y bound for N = -6
+    return isqrt(6 * (fundamental_unit(ctx).a + 1) // (2 * ctx.d)) + 1
+
+
+def test_norm6_witness_matches_diop_DN():
+    # sympy's diop_DN(d, -6) lists one solution per class, found by its own
+    # method; the witness is the one with the least |y|, both coordinates
+    # positive, and gamma^2/6 is the fundamental unit
+    solvable = 0
+    for d in RADICANDS_15_MOD_60:
+        ctx = RingCtx(d)
+        witness = norm6_witness(ctx)
+        least = min(((abs(y), abs(x)) for x, y in diop_DN(d, -6)), default=None)
+        if least is None:
+            assert witness is None, d
+            continue
+        assert (witness.b, witness.a) == least, d
+        assert unit_from_norm6(witness) == fundamental_unit(ctx), d
+        # 9 | d rules -6 out: x^2 = d*y^2 - 6 = 3 (mod 9)
+        assert d % 9, d
+        solvable += 1
+    assert solvable == 267
+
+
+def test_norm6_witness_is_the_canonical_representative():
+    # the family, whose gamma is (|60 alpha + 3|, 1), and every d = 15
+    # (mod 60) up to 20000 whose y-scan stops by 10^4: 270 of 334 rings
+    rings = [family_d(alpha).ctx for alpha in range(-300, 300)]
+    rings += [RingCtx(d) for d in range(15, 20_001, 60)]
+    rings = [ctx for ctx in rings if _scan_bound(ctx) <= 10**4]
+    assert len(rings) == 600 + 270
+    solvable = 0
+    for ctx in rings:
+        reps = solve_norm_eq(ctx, -6).representatives
+        assert norm6_witness(ctx) == (reps[0] if reps else None), ctx.d
+        solvable += bool(reps)
+    assert solvable == 600 + 24
+
+
+def test_norm6_witness_refuses_a_d_not_15_mod_60(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("norm6_witness walked before checking d")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "fundamental_unit", forbidden)
+    for d in (2, 3, 7, 42, 45, 105, 285, 10**29 + 3):
+        with pytest.raises(ValueError, match=f"d = {d} is not 15 mod 60"):
+            norm6_witness(RingCtx(d))
 
 
 def test_unit_from_norm6(ring15, ring735, ring3975):

@@ -5,6 +5,7 @@ import time
 import pytest
 from sympy import nextprime
 
+import quadtuple.pellsolve
 from quadtuple import (
     NonRepCertificate,
     QuadInt,
@@ -24,7 +25,7 @@ from quadtuple.represent import (
     certificate_to_json,
 )
 
-from support import RING15, RING735, RING3975
+from support import RING15, RING735, RING3975, SCANNED_GAMMA
 
 
 def test_certify_examples(ring15):
@@ -45,6 +46,21 @@ def test_certify_examples(ring15):
     # -6 is a norm in both, but the result needs square-free d
     assert certify_nonrepresentable(QuadInt(2, 0, RING735)) is None
     assert certify_nonrepresentable(QuadInt(2, 0, RING3975)) is None
+
+
+@pytest.mark.parametrize("d", SCANNED_GAMMA)
+def test_certify_reads_the_witness_off_the_unit(d, monkeypatch):
+    # the y-scan's representative, found with no scan; n = 2 and n = 2*eps^2
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify_nonrepresentable ran solve_norm_eq")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    ctx = RingCtx(d)
+    gamma = QuadInt(*SCANNED_GAMMA[d], ctx)
+    eps2 = fundamental_unit(ctx) ** 2
+    for u in (QuadInt(1, 0, ctx), eps2):
+        n = 2 * u
+        assert certify_nonrepresentable(n) == NonRepCertificate(n=n, u=u, minus6=gamma)
 
 
 def _cert(ctx, n, u, minus6, minus6_ctx=None):
