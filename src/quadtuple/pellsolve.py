@@ -120,12 +120,22 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     Scans 0 <= y <= ceil(sqrt(|N| * (t + 1) / (2d))) with t + u*sqrt(d) the
     fundamental unit; every class has a fundamental solution inside that
     range, so an empty result is a proof of unsolvability.
+
+    N = 1 is answered with no scan: ((1, 0),).  The norm 1 elements are
+    exactly +-unit^k, as the least solution of x^2 - d*y^2 = 1 generates
+    them up to sign, so they form one class under _associated (any two
+    differ by a norm 1 unit).  Its canonical element has the least |y|, 0,
+    and then x > 0: 1, which _rep_key puts before -1.  The scan finds the
+    same class and puts 1 first too, on every d, but its bound grows with
+    the unit: minutes at d = 100000007.
     """
     if N == 0:
         raise ValueError("N must be nonzero")
     if abs(N) > NORM_CAP:
         raise ValueError(f"|N| = {abs(N)} exceeds the search cap {NORM_CAP}")
     unit = fundamental_unit(ctx)
+    if N == 1:
+        return NormEqClasses((QuadInt(1, 0, ctx),), unit)
     ybound = isqrt(abs(N) * (unit.a + 1) // (2 * ctx.d)) + 1
     hits: list[QuadInt] = []
     for y in range(ybound + 1):
@@ -143,8 +153,9 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     return NormEqClasses(tuple(reps), unit)
 
 
-def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
-    """All solutions with |y| <= ybound, deterministically ordered.
+def _walk(classes: NormEqClasses, ybound: int) -> tuple[list[QuadInt], int | None]:
+    """solutions_within's list, and the least |y| a walk stepped past (None
+    with no representatives).
 
     Walks +-rep * unit^k both ways from each representative.  With r, r' the
     two real images of rep and e > 1 the unit's,
@@ -155,6 +166,7 @@ def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
     """
     unit = classes.unit
     found: set[tuple[int, int]] = set()
+    past = None
     for rep in classes.representatives:
         for step in (unit, unit.conjugate()):
             cur = rep
@@ -162,23 +174,38 @@ def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
                 found.add((cur.a, cur.b))
                 found.add((-cur.a, -cur.b))
                 cur = cur * step
+            if past is None or abs(cur.b) < past:
+                past = abs(cur.b)
     sols = [QuadInt(a, b, unit.ctx) for (a, b) in found]
     sols.sort(key=_enum_key)
-    return sols
+    return sols, past
+
+
+def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
+    """All solutions with |y| <= ybound, deterministically ordered (_walk)."""
+    return _walk(classes, ybound)[0]
 
 
 def enumerate_solutions(classes: NormEqClasses, limit: int) -> list[QuadInt]:
-    """The first `limit` solutions in the canonical order, 1 <= limit <= LIMIT_CAP."""
+    """The first `limit` solutions in the canonical order, 1 <= limit <= LIMIT_CAP.
+
+    The order sorts by |y| first, so the solutions within any bound are a
+    prefix of it, and the first `limit` of them do not depend on the bound
+    that found them.  Each round that finds too few grows the bound to at
+    least the least |y| a walk stepped past, so every round adds a
+    solution: one round per solution at worst, where quadrupling alone took
+    a round per two bits of the unit's y (5,500 at d = 100000007).
+    """
     if not 1 <= limit <= LIMIT_CAP:
         raise ValueError(f"limit must be in [1, {LIMIT_CAP}], got {limit}")
     if not classes.representatives:
         return []
     bound = max(abs(r.b) for r in classes.representatives) + 1
     while True:
-        sols = solutions_within(classes, bound)
+        sols, past = _walk(classes, bound)
         if len(sols) >= limit:
             return sols[:limit]
-        bound = bound * 4 + 4
+        bound = max(bound * 4 + 4, past)
 
 
 # ---------------------------------------------------------------------------

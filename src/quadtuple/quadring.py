@@ -370,18 +370,20 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
     (positive sqrt(d) part when the rational part is zero).  A negative
     rational z fails both square tests.  x^2 * d*y^2 = d*(B/2)^2 gives
     y = (B/2)/x, and when x does not divide B/2, y = (B/2) // x fails
-    x^2 + d*y^2 == A, so that one test decides.
+    x^2 + d*y^2 == A, so that one test decides.  is_perfect_square has
+    just shown x^2 = (A +- s)/2, so the test closes as d*y^2 == (A -+ s)/2,
+    the other root, and x is not squared again.
     """
-    ctx = z.ctx
-    d, A, B = ctx.d, z.a, z.b
+    A, B, ctx = z
+    d = ctx.d
     if B == 0:
         s = is_perfect_square(A)
         if s is not None:
-            return QuadInt(s, 0, ctx)
+            return _new(QuadInt, (s, 0, ctx))
         if A % d == 0:
             s = is_perfect_square(A // d)
             if s is not None:
-                return QuadInt(0, s, ctx)
+                return _new(QuadInt, (0, s, ctx))
         return None
     if B % 2:  # no root, as 2xy = B; below, half = B // 2 must be exact
         return None
@@ -390,13 +392,14 @@ def sqrt_in_ring(z: QuadInt) -> QuadInt | None:
         return None
     half = B // 2
     # B even makes s^2 = A^2 - d*B^2 = A^2 (mod 2), so A + s and A - s are even
-    for doubled in (A + s, A - s):
-        x = is_perfect_square(doubled // 2)
+    plus, minus = (A + s) // 2, (A - s) // 2
+    for x2, dy2 in ((plus, minus), (minus, plus)):
+        x = is_perfect_square(x2)
         if not x:  # x == 0 cannot pair with B != 0
             continue
         y = half // x
-        if x * x + d * (y * y) == A:
-            return QuadInt(x, y, ctx)
+        if d * (y * y) == dy2:
+            return _new(QuadInt, (x, y, ctx))
     return None
 
 
@@ -435,4 +438,4 @@ def int_from_json(text: str) -> int:
 
 
 def element_from_json(doc: dict, ctx: RingCtx) -> QuadInt:
-    return QuadInt(int_from_json(doc["a"]), int_from_json(doc["b"]), ctx)
+    return _new(QuadInt, (int_from_json(doc["a"]), int_from_json(doc["b"]), ctx))

@@ -7,13 +7,22 @@ conftest.py would otherwise shadow this directory's.
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import quadtuple
 from quadtuple import (
     RingCtx,
     certificate_holds,
     degenerate_check,
     is_perfect_square,
+    sqrt_in_ring,
     verify_quadruple,
 )
+from quadtuple.construct import PAIRS, PairStatus, VerifyReport
 from quadtuple.pellsolve import unit_from_norm6
 
 # rings the suite keeps coming back to; 735 and 3975 carry square factors
@@ -62,4 +71,54 @@ def report_holds_by_definition(ctx, t, n, quad, certificate):
         and certificate_holds(certificate)
         and certificate.u == unit_from_norm6(certificate.minus6) ** (2 * t)
         and verify_quadruple(ctx, quad).ok
+    )
+
+
+def verify_quadruple_by_operators(ctx, quad):
+    """construct.verify_quadruple as it was before it moved to coordinates:
+    each target is built with QuadInt's product and sum, which raise
+    MixedRingError for elements or n of another ring, and a witness is
+    compared with +-root, or squared when there is no root, as an element."""
+    pairs = []
+    distinct = degenerate_check(quad.elements)
+    all_ok = distinct
+    for i, j in PAIRS:
+        target = quad.elements[i - 1] * quad.elements[j - 1] + quad.n
+        witness = quad.witnesses.get((i, j))
+        root = sqrt_in_ring(target)
+        if witness is None:
+            witness_ok = None
+        elif root is None:
+            witness_ok = witness * witness == target
+        else:
+            witness_ok = witness in (root, -root)
+        ok = root is not None and witness_ok is not False
+        all_ok = all_ok and ok
+        pairs.append(PairStatus(i, j, witness_ok, root, ok))
+    return VerifyReport(tuple(pairs), distinct, all_ok)
+
+
+def child_env():
+    """The environment with the package's tree first on PYTHONPATH."""
+    src = str(Path(quadtuple.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_python(*args, cpu_s=None, stdin=None):
+    """The interpreter with args in a child process, the package's tree on its
+    path; with cpu_s, the child alone runs under an RLIMIT_CPU of cpu_s
+    seconds, past which SIGXCPU ends it."""
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+        preexec_fn=None if cpu_s is None else limit_cpu,
     )

@@ -8,12 +8,10 @@ import io
 import json
 import os
 import re
-import resource
 import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +24,7 @@ import quadtuple.pellsolve
 import quadtuple.quadring
 from quadtuple import verify_report_doc
 from quadtuple.cli import main
+from support import child_env, run_python
 
 
 def run(capsys, *argv):
@@ -812,9 +811,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
 def test_importing_the_cli_builds_neither_the_parser_nor_its_table():
     code = "import quadtuple.cli as cli; print(cli.build_parser.cache_info().currsize)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env(), timeout=60
-    )
+    proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
@@ -996,29 +993,9 @@ def test_dashes_as_a_value_are_a_usage_error(capsys, argv, flag):
 # the entry point as a process
 
 
-def _module_env():
-    """The environment with the package's tree first on PYTHONPATH."""
-    src = str(Path(quadtuple.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
 def _run_module(*argv, cpu_s=None):
-    """python -m quadtuple in a child process, the package's tree on its path;
-    with cpu_s, the child alone runs under an RLIMIT_CPU of cpu_s seconds,
-    past which SIGXCPU ends it."""
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
-
-    return subprocess.run(
-        [sys.executable, "-m", "quadtuple", *argv],
-        capture_output=True,
-        text=True,
-        env=_module_env(),
-        timeout=60,
-        preexec_fn=None if cpu_s is None else limit_cpu,
-    )
+    """python -m quadtuple in a child process (support.run_python)."""
+    return run_python("-m", "quadtuple", *argv, cpu_s=cpu_s)
 
 
 @pytest.mark.parametrize(
@@ -1042,21 +1019,31 @@ def test_construct_and_checkrepr_end_where_a_y_scan_would_not(argv, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: pell's y-scan bound grows with the fundamental unit",
-)
 @pytest.mark.parametrize(
     "argv, codes",
     [
-        (("pell", "--d", "14655", "--norm=-6"), {3}),
-        (("pell", "--d", "100000007", "--norm", "1"), {0, 2}),
+        pytest.param(
+            ("pell", "--d", "14655", "--norm=-6"),
+            {3},
+            id="pell-14655-minus-6",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 2: pell's y-scan bound grows with the fundamental unit",
+            ),
+        ),
+        # N = 1 needs no scan, and each enumeration round adds a solution;
+        # the default limit reaches unit^2, past the 4300-digit str() limit
+        pytest.param(("pell", "--d", "100000007", "--norm", "1"), {2}, id="pell-100000007-1"),
+        pytest.param(
+            ("pell", "--d", "100000007", "--norm", "1", "--limit", "6"),
+            {0},
+            id="pell-100000007-1-limit-6",
+        ),
     ],
-    ids=["pell-14655-minus-6", "pell-100000007-1"],
 )
 def test_pell_ends_within_a_second_of_cpu(argv, codes):
-    # exit 2 would be a refusal at a stated cap; SIGXCPU ends the scan today
+    # exit 2 is a refusal at a stated cap; SIGXCPU ends a scan that runs on
     proc = _run_module(*argv, cpu_s=1)
     assert proc.returncode in codes
 
@@ -1086,7 +1073,7 @@ def test_module_entry_point_exits_2_when_its_reader_closes_stdout(argv):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=_module_env(),
+        env=child_env(),
     )
     proc.stdout.close()
     try:

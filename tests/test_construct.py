@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadtuple.construct
 import quadtuple.pellsolve
@@ -22,10 +24,17 @@ from quadtuple import (
     verify_quadruple,
 )
 
-from quadtuple.construct import UNIT_INDEX_CAP
+from quadtuple.construct import PAIRS, UNIT_INDEX_CAP
 from quadtuple.counterex import T_CAP_DEFAULT
 from quadtuple.pellsolve import unit_from_norm6
-from support import MINUS6_D, RING15, RING735, RING3975, SCANNED_GAMMA
+from support import (
+    MINUS6_D,
+    RING15,
+    RING735,
+    RING3975,
+    SCANNED_GAMMA,
+    verify_quadruple_by_operators,
+)
 
 GOLDEN_ELEMENTS = ((4, 1), (8, -2), (8, -1), (28, -7))
 GOLDEN_WITNESSES = {
@@ -169,6 +178,101 @@ def test_verify_reports_a_good_witness_with_no_root(ring15, monkeypatch):
     report = verify_quadruple(ring15, quad)
     assert not report.ok
     assert all(p.witness_ok is True and p.root is None for p in report.pairs)
+
+
+def _bumped(x, data):
+    # +-1 on one coordinate
+    delta = data.draw(st.sampled_from([1, -1]))
+    if data.draw(st.booleans()):
+        return QuadInt(x.a + delta, x.b, x.ctx)
+    return QuadInt(x.a, x.b + delta, x.ctx)
+
+
+def _foreign(x, ctx=RING735):
+    return QuadInt(x.a, x.b, ctx)
+
+
+def _tampered(quad, kind, data):
+    """quad with one tampering of the given kind, its place drawn from data."""
+    elements, n, witnesses = list(quad.elements), quad.n, dict(quad.witnesses)
+    i = data.draw(st.integers(0, 3))
+    pair = data.draw(st.sampled_from(PAIRS))
+    if kind == "element +-1":
+        elements[i] = _bumped(elements[i], data)
+    elif kind == "witness +-1":
+        witnesses[pair] = _bumped(witnesses[pair], data)
+    elif kind == "n +-1":
+        n = _bumped(n, data)
+    elif kind == "witness negated":
+        witnesses[pair] = -witnesses[pair]
+    elif kind == "witnesses swapped":
+        other = data.draw(st.sampled_from([p for p in PAIRS if p != pair]))
+        witnesses[pair], witnesses[other] = witnesses[other], witnesses[pair]
+    elif kind == "witness dropped":
+        del witnesses[pair]
+    elif kind == "element of RING735":
+        elements[i] = _foreign(elements[i])
+    elif kind == "witness of RING735":
+        witnesses[pair] = _foreign(witnesses[pair])
+    elif kind == "n of RING735":
+        n = _foreign(n)
+    elif kind == "element of RING735, n of RING3975":
+        # which of the two a pair's ring checks comes first shows in the message
+        elements[i], n = _foreign(elements[i]), _foreign(n, RING3975)
+    elif kind == "zero element":
+        elements[i] = QuadInt(0, 0, n.ctx)
+    elif kind == "repeated element":
+        j = data.draw(st.sampled_from([j for j in range(4) if j != i]))
+        e = elements[j]
+        elements[i] = e if data.draw(st.booleans()) else QuadInt(e.a, e.b, e.ctx)
+    elif kind == "n changed":
+        n = n + QuadInt(data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50)), n.ctx)
+    return Quadruple(tuple(elements), n, witnesses)
+
+
+TAMPERINGS = [
+    "none",
+    "element +-1",
+    "witness +-1",
+    "n +-1",
+    "witness negated",
+    "witnesses swapped",
+    "witness dropped",
+    "element of RING735",
+    "witness of RING735",
+    "n of RING735",
+    "element of RING735, n of RING3975",
+    "zero element",
+    "repeated element",
+    "n changed",
+]
+
+
+def _outcome(verify, quad):
+    try:
+        report = verify(quad.n.ctx, quad)
+    except Exception as exc:  # the two forms must raise alike
+        return type(exc), str(exc)
+    return report, repr(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from(sorted({*MINUS6_D, *SCANNED_GAMMA})),
+    m=st.integers(-100, 100),
+    k=st.integers(-100, 100),
+    unit_index=st.integers(0, 8),
+    choice=st.sampled_from(["first", "second"]),
+    kind=st.sampled_from(TAMPERINGS),
+    data=st.data(),
+)
+def test_verify_quadruple_matches_the_operator_form(d, m, k, unit_index, choice, kind, data):
+    # the coordinate form against the QuadInt-operator form it replaced:
+    # equal reports, or the same exception with the same message
+    quad, _ = construct_quadruple(RingCtx(d), m, k + (m + k) % 2, unit_index, choice)
+    quad = _tampered(quad, kind, data)
+    expected = _outcome(verify_quadruple_by_operators, quad)
+    assert _outcome(verify_quadruple, quad) == expected
 
 
 @pytest.mark.parametrize("d", SCANNED_GAMMA)

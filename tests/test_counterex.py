@@ -11,7 +11,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import nextprime
+from sympy import isprime, nextprime
 
 import quadtuple.construct
 import quadtuple.counterex
@@ -37,7 +37,7 @@ from quadtuple import (
     verify_report_doc,
 )
 from quadtuple.quadring import element_to_json, is_square_free
-from support import report_holds_by_definition
+from support import report_holds_by_definition, run_python
 
 
 def test_family_d_examples():
@@ -346,6 +346,59 @@ def test_reverification_refuses_a_wrong_witness_before_factorising(ring15, monke
     assert calls == []
     assert verify_report_doc(doc)
     assert calls == [15]
+
+
+# ROADMAP item 13 part A's last known miss: the family member with
+# x = 30*beta + 3 for beta = 4401146381244 has d = x^2 + 6 = 15*p*q, 29
+# digits with two 14-digit prime factors, which Brent's rho splits in seconds
+ADVERSARIAL_X = 30 * 4401146381244 + 3
+ADVERSARIAL_P, ADVERSARIAL_Q = 20000000000147, 58110268406987
+
+
+def _adversarial_report_doc():
+    # the t = 1 report build_report would give, built from gamma = (x, 1)
+    # without build_report, which reads ctx.square_free and so factors d
+    ctx = RingCtx(ADVERSARIAL_X**2 + 6)
+    gamma = QuadInt(ADVERSARIAL_X, 1, ctx)
+    eps = quadtuple.pellsolve.unit_from_norm6(gamma)
+    base, _ = quadtuple.construct._construct_from_norm6(gamma, eps, 0, 0, 0, "first")
+    w, u = unit_power(eps, 1)
+    scaled = scale_quadruple(base, w, u)
+    certificate = NonRepCertificate(n=scaled.n, u=u, minus6=gamma)
+    report = CounterexampleReport(1, scaled, certificate, True, ())
+    return json.loads(json.dumps(report_to_json(report)))
+
+
+def test_the_adversarial_report_is_true_but_for_factoring(monkeypatch):
+    d = ADVERSARIAL_X**2 + 6
+    assert d == 15 * ADVERSARIAL_P * ADVERSARIAL_Q and len(str(d)) == 29
+    assert isprime(ADVERSARIAL_P) and isprime(ADVERSARIAL_Q)
+
+    def unread(ctx):
+        raise AssertionError("building the report read ctx.square_free")
+
+    monkeypatch.setattr(RingCtx, "square_free", property(unread))
+    doc = _adversarial_report_doc()
+    # with square-freeness granted, every other check passes: the pin below
+    # measures the factoring alone
+    monkeypatch.setattr(RingCtx, "square_free", property(lambda ctx: True))
+    assert verify_report_doc(doc) is True
+
+
+VERIFY_STDIN = (
+    "import json, sys; from quadtuple import verify_report_doc; "
+    "print(verify_report_doc(json.load(sys.stdin)))"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 17: verify_report_doc decides square-freeness with Brent's rho",
+)
+def test_the_adversarial_report_verifies_within_a_second_of_cpu():
+    proc = run_python("-c", VERIFY_STDIN, cpu_s=1, stdin=json.dumps(_adversarial_report_doc()))
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
 def test_the_report_path_takes_the_witness_norm_once(monkeypatch):

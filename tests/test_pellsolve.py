@@ -155,6 +155,61 @@ def test_solver_matches_brute_force(d, N):
     assert [enum_order_key(s) for s in sols] == sorted(enum_order_key(s) for s in sols)
 
 
+# the non-square d <= 2000 whose unit has x <= 10^10, so solve_norm_eq's scan
+# stays short: 1426 rings
+ENUM_D = [
+    d
+    for d in range(2, 2001)
+    if isqrt(d) ** 2 != d and fundamental_unit(RingCtx(d)).a <= 10**10
+]
+
+
+@pytest.mark.parametrize("N", [1, -6, 4])
+def test_enumerate_solutions_matches_the_brute_scan_in_order(N):
+    # the solutions with |y| <= 200 are a prefix of the order, so the first
+    # `limit` solutions, cut to that bound, are the scan's first ones: all
+    # `limit` of them when none lies past it, else every solution the scan has
+    for d in ENUM_D:
+        ctx = RingCtx(d)
+        classes = solve_norm_eq(ctx, N)
+        scan = [QuadInt(x, y, ctx) for x, y in brute_norm_solutions(ctx, N, 200)]
+        scan.sort(key=enum_order_key)
+        for limit in (1, 8, 50):
+            sols = enumerate_solutions(classes, limit)
+            assert len(sols) == (limit if classes.representatives else 0), (d, limit)
+            inside = [s for s in sols if abs(s.b) <= 200]
+            assert inside == (scan[:limit] if len(inside) == limit else scan), (d, limit)
+
+
+def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
+    # the one class of norm 1, the unit's powers up to sign, has 1 first;
+    # d = 100000007 has a 3333-digit unit, which the scan's bound follows
+    def forbidden(*args):
+        raise AssertionError("solve_norm_eq scanned for N = 1")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", forbidden)
+    for d in (2, 15, 735, 100000007):
+        ctx = RingCtx(d)
+        classes = solve_norm_eq(ctx, 1)
+        assert classes.representatives == (QuadInt(1, 0, ctx),)
+        assert classes.unit == fundamental_unit(ctx)
+
+
+def test_enumerate_solutions_adds_a_solution_every_round(monkeypatch):
+    # with the unit far past the quadrupling bound, each round must still
+    # reach the next power: three walks for +-1, +-unit, +-conj(unit)
+    ctx = RingCtx(100000007)
+    classes = solve_norm_eq(ctx, 1)
+    walk, rounds = quadtuple.pellsolve._walk, []
+    monkeypatch.setattr(quadtuple.pellsolve, "_walk", lambda c, b: rounds.append(b) or walk(c, b))
+    unit = classes.unit
+    one = QuadInt(1, 0, ctx)
+    assert enumerate_solutions(classes, 6) == [
+        one, -one, unit, unit.conjugate(), -unit.conjugate(), -unit
+    ]
+    assert len(rounds) == 2
+
+
 def test_solutions_within_bound_below_every_representative(ring15):
     # the representative (3, 1) already has |y| above the bound: no walk starts
     assert solutions_within(solve_norm_eq(ring15, -6), 0) == []
