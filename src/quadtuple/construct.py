@@ -118,9 +118,11 @@ def construct_quadruple(
 ) -> tuple[Quadruple, ConstructionTrace]:
     """Build a verified D(n) quadruple for n = (4m+2, 4k), m + k even.
 
-    Checks the arguments, reads the canonical solution of x^2 - d*y^2 = -6
-    off the fundamental unit (pellsolve.norm6_witness), and builds the
-    quadruple from it (_construct_from_norm6).
+    Checks the arguments, reads the canonical solution gamma of
+    x^2 - d*y^2 = -6 off the fundamental unit (pellsolve.norm6_witness),
+    and builds the quadruple from gamma and that unit, gamma^2/6, which the
+    walk left in fundamental_unit's memo (_construct_from_norm6).  gamma
+    is tested nowhere: its norm and shape are theorems (unit_from_norm6).
     """
     if ctx.d % 60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
@@ -135,7 +137,7 @@ def construct_quadruple(
     gamma = pellsolve.norm6_witness(ctx)
     if gamma is None:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    eps = pellsolve.unit_from_norm6(gamma)
+    eps = pellsolve.fundamental_unit(ctx)
     return _construct_from_norm6(gamma, eps, m, k, unit_index, factorization_choice)
 
 
@@ -146,7 +148,8 @@ def _construct_from_norm6(
 
     Steps: flip the sign of gamma's y if needed so that (gamma, delta) has
     y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second', read off
-    y mod 6 untested, as the caller's unit_from_norm6 tested gamma; split
+    y mod 6 untested, as every norm -6 element has x = 3 and y = +-1
+    (mod 6) when d = 15 (mod 60) (proved in pellsolve.unit_from_norm6); split
     3n = alpha1 * alpha2 with alpha1 = (-gamma, delta) and
     alpha2 = (gamma, delta) * (2m+1, 2k); halve alpha1 + alpha2 into a + 2r;
     take a from the deterministic unit schedule (all units of even/odd
@@ -156,11 +159,12 @@ def _construct_from_norm6(
     product of the base-sized s^2 - 4n, taken before the loop, by the
     unit, where (r^2 - n)*conj(a) would square r and multiply that by a
     full-size conj(a).  eps is the fundamental unit gamma^2/6, which the
-    caller takes (unit_from_norm6), and the schedule starts from
-    (gamma, delta)^2/6: eps itself, or its conjugate when delta flips y.
+    caller takes from the walk behind its gamma (pellsolve.norm6_witness
+    proves the identity), and the schedule starts from (gamma, delta)^2/6:
+    eps itself, or its conjugate when delta flips y.
 
     No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
-    (norm6_sign_y), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
+    (the shape above), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
     2 * (-(m+1)x - dky, -kx - my) are even; s is (even, odd) when m + k is
     even, and so is each a (norm 1): eps is (unit_from_norm6), eps^+-2 are
     (odd, even), and (even, odd) * (odd, even) is (even, odd).  So s - a is even.

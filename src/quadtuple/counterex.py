@@ -103,8 +103,8 @@ def _unit_power(minus6: QuadInt, u: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     document's u is too short to be w^2.
 
     unit_from_norm6 raises ValueError on a witness without norm -6 and its
-    shape: the report path's one test of the witness.  The canonical gamma
-    has gamma^2 = 6*unit, so u == w^2 ties t to n with no solver.
+    shape: the one place a witness is tested, as only a document's comes
+    from outside.  gamma^2 = 6*unit ties t to n through u == w^2, no solver.
     gamma^2/6 has norm 1, and the first coordinate of its e-th power has at
     least e*(bits(a) - 1) bits, a its own first coordinate; a u shorter than
     that for e = 2t is refused before the power is taken, so a long witness
@@ -210,9 +210,9 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     """Full pipeline for one ring and exponent 0 <= t <= T_CAP_DEFAULT.
 
     One norm -6 solve: its canonical representative gamma is the
-    certificate's witness, the start of the base D(2) quadruple at
-    m = k = 0, and the source of the unit, gamma^2/6, which
-    unit_from_norm6 reads off once, testing gamma.  One
+    certificate's witness and the start of the base D(2) quadruple at
+    m = k = 0, and the unit the solve took is gamma^2/6.  gamma is tested
+    nowhere here: its shape is a theorem (pellsolve.unit_from_norm6).  One
     pellsolve.unit_power call takes w = unit^t and u = w^2 together: a
     Lucas ladder on the x-coordinate, one exact division for the y, and
     w^2 from the norm-1 square (2*X^2 - 1, 2*X*Y).  scale_quadruple scales
@@ -233,12 +233,10 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
     if not ctx.square_free:
         raise ValueError(f"d = {ctx.d} is not square-free")
-    minus6 = pellsolve.solve_norm_eq(ctx, -6).representatives
-    if not minus6:
+    classes = pellsolve.solve_norm_eq(ctx, -6)
+    if not classes.representatives:
         raise ValueError(f"norm -6 is not attained for d = {ctx.d}")
-    gamma = minus6[0]
-
-    eps = pellsolve.unit_from_norm6(gamma)
+    gamma, eps = classes.representatives[0], classes.unit
     base, trace = _construct_from_norm6(gamma, eps, 0, 0, 0, "first")
     w, u = pellsolve.unit_power(eps, t)
     scaled = scale_quadruple(base, w, u)  # n = 2 * u, as the base has n = 2

@@ -2,10 +2,10 @@
 
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
-the construction rests on when d = 15 (mod 60): the shape of norm -6
-solutions, the canonical one read off the fundamental unit, the norm 1
-element built from one and its powers, and the mod-5 argument that +-2 are
-not norms.
+the construction rests on when d = 15 (mod 60): the canonical norm -6
+solution read off the fundamental unit, the norm 1 element a document's
+norm -6 witness gives, with the one test of that witness's norm and shape,
+unit powers, and the mod-5 argument that +-2 are not norms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "check_pm2_unsolvable",
     "enumerate_solutions",
     "fundamental_unit",
-    "norm6_sign_y",
     "norm6_witness",
     "solutions_within",
     "solve_norm_eq",
@@ -222,23 +221,6 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     return ctx.d % 5 == 0
 
 
-def norm6_sign_y(sol: QuadInt) -> int:
-    """The s = +-1 with y = s (mod 6), for a norm -6 solution (x, y).
-
-    For d = 15 (mod 60) every norm -6 solution has x = 3 (mod 6) and
-    y = +-1 (mod 6): an even y would give x^2 = -6 = 2 (mod 4), so y and
-    x^2 = d*y^2 - 6 are odd, and 3 | d gives 3 | x; 3 | y would give
-    9 | x^2 + 6 with 9 | x^2, so 9 | 6.  For another d the shape can fail,
-    and a solution without x = 3 (mod 6) raises ValueError.
-    """
-    if sol.norm() != -6:
-        raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
-    x, y = sol.a, sol.b
-    if x % 6 != 3:
-        raise ValueError(f"norm -6 solution with x = {x} not 3 mod 6")
-    return 1 if y % 6 == 1 else -1
-
-
 def norm6_witness(ctx: RingCtx) -> QuadInt | None:
     """The canonical norm -6 element, read off the fundamental unit, or None.
 
@@ -246,18 +228,20 @@ def norm6_witness(ctx: RingCtx) -> QuadInt | None:
     -6 is a norm exactly when 3(a - 1) and 3(a + 1)/d are both squares, and
     then (sqrt(3(a - 1)), sqrt(3(a + 1)/d)) is
     solve_norm_eq(ctx, -6).representatives[0].  A d that is not 15 (mod 60)
-    raises ValueError.  The cost is fundamental_unit's walk and two isqrts.
+    raises ValueError.  The cost is fundamental_unit's walk and two isqrts;
+    the walk's unit, the element's square over 6, stays in its memo.
 
     Why it is exact.  If 9 | d, then 3 | x, so 9 | x^2 while
     x^2 = d*y^2 - 6 = 3 (mod 9): there is no solution, and so, by the
-    converse below, the test finds no two squares.  Otherwise write d = f^2 * d0; as 9 does not
-    divide d and d is odd, f is prime to 6, so the ideals of norm 6 are
-    invertible and match those of the maximal order of Q(sqrt(d0)).  There
-    d0 = 3 (mod 4) and 3 | d0, so 2 and 3 both ramify, and only one ideal
-    has norm 6: every element of norm -6 lies in one class under
-    _associated.  Its canonical element (g, h) has (g, h)^2 / 6 = unit, the
-    argument in unit_from_norm6, so a = (g^2 + 3)/3 and d*h^2 = g^2 + 6:
-    g^2 = 3(a - 1) and h^2 = 3(a + 1)/d.  Conversely, when both are squares,
+    converse below, the test finds no two squares.  Otherwise write
+    d = f^2 * d0; as 9 does not divide d and d is odd, f is prime to 6, so
+    the ideals of norm 6 are invertible and match those of the maximal
+    order of Q(sqrt(d0)).  There d0 = 3 (mod 4) and 3 | d0, so 2 and 3 both
+    ramify, and only one ideal has norm 6: every element of norm -6 lies in
+    one class under _associated.  Its canonical element (g, h) has
+    (g, h)^2 / 6 = unit, the argument in unit_from_norm6, so
+    a = (g^2 + 3)/3 and d*h^2 = g^2 + 6: g^2 = 3(a - 1) and
+    h^2 = 3(a + 1)/d.  Conversely, when both are squares,
     g^2 - d*h^2 = 3(a - 1) - 3(a + 1) = -6.
     """
     d = ctx.d
@@ -274,22 +258,29 @@ def norm6_witness(ctx: RingCtx) -> QuadInt | None:
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
     """Norm 1 element ((g^2 + 3)/3, g*h/3) built from a norm -6 solution (g, h).
 
-    norm6_sign_y refuses, with ValueError, a solution without g = 3 (mod 6),
-    which every norm -6 solution has for d = 15 (mod 60).  That one test is
-    the whole shape: N(g, h) = -6 forces h odd, as an even h gives
-    g^2 = 2 (mod 4), and with 3 | g the element (3(g/3)^2 + 1, (g/3)*h) has
-    an even first and odd second coordinate iff g/3 is odd; so norm -6,
-    3 | g and that parity all hold iff g = 3 (mod 6).  With 3 | g,
-    (g, h)^2 = (2g^2 + 6, 2gh) makes the element (g, h)^2 / 6 exactly, so
-    its norm is 1.  For the canonical representative of
-    solve_norm_eq(ctx, -6) it is the fundamental unit: (g, h)^2 / 6 = unit^k
-    with k odd, since sqrt(6) is not in Q(sqrt(d)), and the least h > 0 in
-    the class, with g > 0, is where k = 1.  Conversely, the fundamental
-    unit (a, b) gives that representative back, g = sqrt(3(a - 1)) and
-    h = sqrt(3(a + 1)/d), which is how norm6_witness finds it.
+    How the report judge reads a document's witness (counterex._unit_power),
+    testing it: a sol whose norm is not -6 raises ValueError, and then so
+    does one without g = 3 (mod 6).  The producers take gamma from a solve
+    and the unit from its walk, and test neither, as both are theorems:
+    N(g, h) = -6 forces h odd, as an even h gives g^2 = -6 = 2 (mod 4).  For
+    d = 15 (mod 60), g^2 = d*h^2 - 6 is then odd and 3 | d gives 3 | g, so
+    g = 3 (mod 6); and 3 | h would give 9 | g^2 + 6 with 9 | g^2, so 9 | 6:
+    h = +-1 (mod 6).  For another d the shape can fail.  g = 3 (mod 6) is
+    all the unit needs: with 3 | g the element (3(g/3)^2 + 1, (g/3)*h) has
+    an even first and odd second coordinate iff g/3 is odd, and
+    (g, h)^2 = (2g^2 + 6, 2gh) makes it (g, h)^2 / 6 exactly, so its norm
+    is 1.  For the canonical representative of solve_norm_eq(ctx, -6) it is
+    the fundamental unit: (g, h)^2 / 6 = unit^k with k odd, since sqrt(6)
+    is not in Q(sqrt(d)), and the least h > 0 in the class, with g > 0, is
+    where k = 1.  Conversely, the fundamental unit (a, b) gives that
+    representative back, g = sqrt(3(a - 1)) and h = sqrt(3(a + 1)/d), which
+    is how norm6_witness finds it.
     """
-    norm6_sign_y(sol)
+    if sol.norm() != -6:
+        raise ValueError(f"{sol} has norm {sol.norm()}, expected -6")
     g, h = sol.a, sol.b
+    if g % 6 != 3:
+        raise ValueError(f"norm -6 solution with x = {g} not 3 mod 6")
     return QuadInt((g * g + 3) // 3, g * h // 3, sol.ctx)
 
 

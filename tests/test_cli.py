@@ -672,7 +672,8 @@ def test_counterexamples_out_keeps_nothing_per_ring(capsys, tmp_path):
 
 def test_commands_on_one_ring_share_its_unit(capsys):
     # the unit memo holds one ring, which is what consecutive commands on one
-    # d reuse: pell computes the unit, construct and checkrepr hit it
+    # d reuse: pell computes the unit, and construct and checkrepr hit it;
+    # construct hits it twice, for gamma (norm6_witness) and for the unit
     unit = quadtuple.pellsolve.fundamental_unit
     unit.cache_clear()
     for argv in (
@@ -682,7 +683,7 @@ def test_commands_on_one_ring_share_its_unit(capsys):
     ):
         assert run(capsys, *argv)[0] == 0
     info = unit.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")

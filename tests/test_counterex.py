@@ -34,6 +34,7 @@ from quadtuple import (
     report_to_json,
     scale_quadruple,
     unit_power,
+    verify_quadruple,
     verify_report_doc,
 )
 from quadtuple.quadring import element_to_json, is_square_free
@@ -433,32 +434,30 @@ def test_the_report_path_takes_the_witness_norm_once(monkeypatch):
     assert True not in calls
 
 
-def test_each_construction_reads_its_witness_once(monkeypatch):
-    # unit_from_norm6 tests the witness's norm and shape as it takes the
-    # unit; the construction reads the sign of y from y mod 6 and takes the
-    # unit from its caller, so neither test runs twice
+def test_the_producers_test_no_witness(monkeypatch):
+    # build_report and construct_quadruple take the unit from the walk
+    # behind their gamma, whose norm and shape are theorems (proved in
+    # unit_from_norm6's docstring): neither takes gamma's norm or calls
+    # unit_from_norm6, which only verify_report_doc runs, on a document
     ctx = family_d(2).ctx
     witness = quadtuple.pellsolve.solve_norm_eq(ctx, -6).representatives[0]
-    norm, unit, norms, units = QuadInt.norm, quadtuple.pellsolve.unit_from_norm6, [], []
+    norm, norms = QuadInt.norm, []
 
     def counted_norm(x):
         if x == witness:
             norms.append(x)
         return norm(x)
 
-    def counted_unit(x):
-        units.append(x)
-        return unit(x)
+    def refused(sol):
+        raise AssertionError(f"unit_from_norm6 called on {sol}")
 
     monkeypatch.setattr(QuadInt, "norm", counted_norm)
-    monkeypatch.setattr(quadtuple.pellsolve, "unit_from_norm6", counted_unit)
+    monkeypatch.setattr(quadtuple.pellsolve, "unit_from_norm6", refused)
     assert build_report(ctx, 1).verified
-    assert (len(norms), units) == (1, [witness])
-    norms.clear()
-    units.clear()
     for choice in ("first", "second"):
-        construct_quadruple(ctx, 0, 0, factorization_choice=choice)
-    assert (len(norms), units) == (2, [witness, witness])
+        quad, _ = construct_quadruple(ctx, 0, 0, factorization_choice=choice)
+        assert verify_quadruple(ctx, quad).ok, choice
+    assert norms == []
 
 
 def test_the_tie_refuses_a_witness_from_another_ring(ring15):

@@ -18,7 +18,9 @@ Every module-level *_CAP or *_CAP_DEFAULT constant is a stated cap, so
 README's "Caps" list names each one, with its module, and nothing else; its
 "Exit codes" paragraph names each cli.EXIT_* value, and nothing else, and
 its "Command line" section names each long option of the parser, and no
-other.
+other; each backticked identifier in its "Modules" section is a module, a
+name a module defines, an attribute of a class one defines, or a builtin;
+and its command-line and library examples run as written.
 No module names a private attribute or class of argparse (such as a
 parser's _actions or argparse._StoreAction): those may change in any Python
 release, and the CLI records what it needs of its options as it declares
@@ -31,8 +33,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import importlib
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +346,65 @@ def test_readme_flags_match_the_parser():
     )
 
 
+def _identifiers_in_modules_section(text: str) -> set[str]:
+    """Each backticked Python identifier in the "## Modules" section, up to
+    the next heading of its level; a dotted path or an expression is not one."""
+    section = text[text.index("\n## Modules\n") :].split("\n## ", 2)[1]
+    return {span for span in re.findall(r"`([^`\n]+)`", section) if span.isidentifier()}
+
+
+def _package_names() -> set[str]:
+    """quadtuple and its modules, the names each module defines, and the
+    attributes (methods, properties, fields) of each class one defines."""
+    out = {"quadtuple"}
+    for path in MODULES:
+        tree = _tree(path)
+        out |= {path.stem} | _defined(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                out |= _defined(node)
+    return out
+
+
+def _unresolved(names: set[str]) -> list[str]:
+    return sorted(names - _package_names() - set(dir(builtins)))
+
+
+def test_readme_modules_section_names_only_what_the_package_defines():
+    names = _identifiers_in_modules_section(README.read_text(encoding="utf-8"))
+    assert names, "no identifiers found in README's Modules section"
+    assert not _unresolved(names), (
+        f"README's Modules section names {_unresolved(names)}, which the package does not define"
+    )
+
+
+def _readme_block(text: str, heading: str, lang: str) -> str:
+    """The first ```lang block after the heading line."""
+    after = text[text.index(f"\n{heading}\n") :]
+    return re.search(rf"```{lang}\n(.*?)```", after, re.S).group(1)
+
+
+# the one README command that exits nonzero: 3 = 2^2 - 1^2, so checkrepr
+# finds a pair and exits 1
+README_EXIT = {"checkrepr --d 15 --n 3,0 --bound 50": 1}
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # counterexamples --out reports.jsonl writes to the working directory
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text(encoding="utf-8")
+    lines = [
+        line.removeprefix("quadtuple ")
+        for line in _readme_block(text, "## Command line", "sh").splitlines()
+        if line.startswith("quadtuple ")
+    ]
+    assert lines, "no commands found in README's Command line block"
+    codes = {line: quadtuple.cli.main(shlex.split(line)) for line in lines}
+    capsys.readouterr()
+    assert codes == {line: README_EXIT.get(line, 0) for line in lines}
+    exec(_readme_block(text, "## Library example", "python"), {})
+
+
 def test_lint_sees_a_planted_unused_import():
     # the checks above are only as good as the helpers they share
     tree = ast.parse("import os\nfrom math import gcd, isqrt\nx = isqrt(4)\n")
@@ -429,6 +492,17 @@ def test_flags_lint_reads_only_the_command_line_section():
         "```sh\ntool --unit-index 3\n```\n\n## Library\n\n`--after`\n"
     )
     assert _flags_in_readme(text) == {"--d", "--n", "--unit-index"}
+
+
+def test_modules_lint_reads_only_the_modules_section_and_sees_stale_names():
+    text = (
+        "# tool\n\nSee `before`.\n\n## Modules\n\n"
+        "| `quadring` | `RingCtx` (`square_free`), `x + 1`, `quadtuple.cli`, `ValueError`, "
+        "`norm6_sign_y` |\n\n### Sub\n\n`isqrt` and `gone`\n\n## Next\n\n`after`\n"
+    )
+    names = _identifiers_in_modules_section(text)
+    assert names == {"quadring", "RingCtx", "square_free", "ValueError", "norm6_sign_y", "isqrt", "gone"}
+    assert _unresolved(names) == ["gone", "norm6_sign_y"]
 
 
 def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):

@@ -17,7 +17,6 @@ from quadtuple import (
     family_d,
     fundamental_unit,
     is_square_free,
-    norm6_sign_y,
     norm6_witness,
     solutions_within,
     solve_norm_eq,
@@ -237,21 +236,13 @@ def test_pm2_certificates(ring15, ring735):
     assert solve_norm_eq(RingCtx(3), -2).representatives
 
 
-def test_norm6_sign_y_examples(ring15, ring735):
-    assert norm6_sign_y(QuadInt(3, 1, ring15)) == 1
-    assert norm6_sign_y(QuadInt(-3, 1, ring15)) == 1
-    assert norm6_sign_y(QuadInt(3, -1, ring15)) == -1
-    assert norm6_sign_y(QuadInt(27, 1, ring735)) == 1
-    with pytest.raises(ValueError):
-        norm6_sign_y(QuadInt(4, 1, ring15))
-
-
 def test_norm6_shape_reconstructs():
-    # x = 6 alpha + 3 and y = 6 beta + s for integers alpha, beta; norm6_sign_y
-    # reads s off y % 6 == 1 alone, so this is the check that y = +-1 (mod 6)
+    # x = 6 alpha + 3 and y = 6 beta + s for integers alpha, beta and
+    # s = +-1, the sign the construction reads off y mod 6
     for d in MINUS6_D:
         for sol in enumerate_solutions(solve_norm_eq(RingCtx(d), -6), 20):
-            sign_y = norm6_sign_y(sol)
+            assert sol.a % 6 == 3 and sol.b % 6 in (1, 5), (d, sol)
+            sign_y = 1 if sol.b % 6 == 1 else -1
             alpha, beta = (sol.a - 3) // 6, (sol.b - sign_y) // 6
             assert 6 * alpha + 3 == sol.a, (d, sol)
             assert 6 * beta + sign_y == sol.b, (d, sol)
@@ -262,8 +253,6 @@ def test_norm6_without_the_shape_raises():
     sol = QuadInt(1, 1, RingCtx(7))
     assert sol.norm() == -6
     with pytest.raises(ValueError, match="not 3 mod 6"):
-        norm6_sign_y(sol)
-    with pytest.raises(ValueError, match="not 3 mod 6"):
         unit_from_norm6(sol)
     # 36 - 42 = -6 with 3 | x, so the division is exact, but (6, 1)^2/6 = (13, 2)
     # lacks the even/odd parity: 42 is even
@@ -273,34 +262,44 @@ def test_norm6_without_the_shape_raises():
         unit_from_norm6(sol)
 
 
-def _raises_value_error(f, sol):
+def _refusal(f, sol):
     try:
         f(sol)
-    except ValueError:
-        return True
-    return False
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-def test_unit_from_norm6_raises_exactly_when_norm6_sign_y_does():
+def _off_the_shape(sol):
+    # the refusals unit_from_norm6 makes, in order: N = -6, then x = 3 (mod 6)
+    if sol.norm() != -6:
+        return f"{sol} has norm {sol.norm()}, expected -6"
+    if sol.a % 6 != 3:
+        return f"norm -6 solution with x = {sol.a} not 3 mod 6"
+    return None
+
+
+def test_unit_from_norm6_raises_exactly_off_the_shape():
     # the unit's own shape tests (norm -6, 3 | x, an even/odd unit) hold
-    # exactly when x = 3 (mod 6), the one test norm6_sign_y makes; the
-    # rings not 15 (mod 60) give solutions without that shape
+    # exactly when N = -6 and x = 3 (mod 6); the rings not 15 (mod 60) give
+    # norm -6 solutions without that shape, and the box's centre gives
+    # elements of other norms
     rings = [RingCtx(d) for d in (7, 10, 19, 42, 15, 735, 1095, 1455)]
     rings += [family_d(alpha).ctx for alpha in range(-20, 20)]
     outcomes = set()
     for ctx in rings:
         for x in range(-60, 61):
             for y in range(-60, 61):
-                if x * x - ctx.d * y * y != -6:
+                if x * x - ctx.d * y * y != -6 and max(abs(x), abs(y)) > 6:
                     continue
                 sol = QuadInt(x, y, ctx)
-                raised = _raises_value_error(norm6_sign_y, sol)
-                assert _raises_value_error(unit_from_norm6, sol) == raised, sol
-                if not raised:
+                refusal = _off_the_shape(sol)
+                assert _refusal(unit_from_norm6, sol) == refusal, sol
+                if refusal is None:
                     u = unit_from_norm6(sol)
                     assert (u.norm(), u.a % 2, u.b % 2) == (1, 0, 1), sol
-                outcomes.add(raised)
-    assert outcomes == {True, False}
+                outcomes.add(refusal and ("norm" if "expected -6" in refusal else "shape"))
+    assert outcomes == {None, "norm", "shape"}
 
 
 @pytest.mark.parametrize("d", MINUS6_D)
@@ -309,7 +308,6 @@ def test_every_norm6_solution_has_the_shape(d):
     for sol in enumerate_solutions(solve_norm_eq(ctx, -6), 24):
         assert sol.a % 6 == 3
         assert sol.b % 6 in (1, 5)
-        assert sol.b % 6 == norm6_sign_y(sol) % 6
 
 
 @pytest.mark.parametrize("choice", CHOICE_SIGN_Y)
@@ -321,10 +319,11 @@ def test_construction_gamma_matches_enumeration(choice):
     for ctx in rings:
         classes = solve_norm_eq(ctx, -6)
         solutions = enumerate_solutions(classes, 8)
-        first = next(sol for sol in solutions if norm6_sign_y(sol) == CHOICE_SIGN_Y[choice])
+        first = next(sol for sol in solutions if sol.b % 6 == CHOICE_SIGN_Y[choice] % 6)
         _, trace = construct_quadruple(ctx, 0, 0, factorization_choice=choice)
         assert trace.gamma_delta == first, ctx.d
-        # gamma^2 = 6 * unit: the construction and verify_report_doc read the unit off it
+        # gamma^2 = 6 * unit: the producers take the unit from the walk behind
+        # gamma unchecked, and verify_report_doc reads it off gamma
         assert unit_from_norm6(classes.representatives[0]) == fundamental_unit(ctx), ctx.d
 
 
