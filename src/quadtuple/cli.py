@@ -68,7 +68,7 @@ def cmd_pell(args) -> int:
     ctx = RingCtx(args.d)
     classes = solve_norm_eq(ctx, args.norm)
     solvable = bool(classes.representatives)
-    solutions = enumerate_solutions(classes, args.limit) if solvable else []
+    solutions = enumerate_solutions(classes, args.limit)
     doc = {
         "d": str(ctx.d),
         "norm": str(args.norm),

@@ -262,23 +262,24 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     compared or squared on coordinates too.  QuadInt's product and sum
     build and ring-check an element per operation; dropping them took
     ring_sweep's verify_ms_p50 from 0.0759 to 0.0671 ms (-11.5 %, medians
-    of ten pairs of bench runs).  The ring checks are the operators': for
-    each pair in order, e_j and then n against e_i, raising the
-    MixedRingError that e_i * e_j + n would.  ctx is unread; the elements
-    carry their ring.
+    of ten pairs of bench runs).  The ring is checked once, before any
+    pair: e_2, n, e_3 and e_4 against e_1, in the order that pairs (1,2),
+    (1,3) and (1,4) meet them, raising the MixedRingError that the first
+    failing e_i * e_j + n would.  Once those pass no later pair can fail.
+    ctx is unread; the elements carry their ring.
     """
     elements, witnesses = quad.elements, quad.witnesses
     na, nb, nctx = quad.n
     pairs = []
     distinct = degenerate_check(elements)
     all_ok = distinct
+    ctx1 = elements[0].ctx
+    for octx in (elements[1].ctx, nctx, elements[2].ctx, elements[3].ctx):
+        if octx is not ctx1 and octx.d != ctx1.d:
+            raise _mixed_rings(ctx1, octx)
     for i, j in PAIRS:
         a, b, ectx = elements[i - 1]
-        oa, ob, octx = elements[j - 1]
-        if octx is not ectx and octx.d != ectx.d:
-            raise _mixed_rings(ectx, octx)
-        if nctx is not ectx and nctx.d != ectx.d:
-            raise _mixed_rings(ectx, nctx)
+        oa, ob, _ = elements[j - 1]
         d = ectx.d
         pa, pb = a * oa + d * (b * ob) + na, a * ob + b * oa + nb
         root = sqrt_in_ring(_new(QuadInt, (pa, pb, ectx)))

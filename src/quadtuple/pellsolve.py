@@ -292,7 +292,7 @@ def unit_power(unit: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     X_(m+n) + X_(m-n) = 2*X_m*X_n.  That gives the Lucas ladder
     X_2k = 2*X_k^2 - 1 and X_(2k+1) = 2*X_k*X_(k+1) - a, run on the pair
     (X_k, X_(k+1)) over the bits of t: one square and one product of the
-    x-coordinate's size per bit, where QuadInt.__pow__ takes three for its
+    x-coordinate's size per bit, where QuadInt.__pow__ takes four for its
     square and four more for each multiply.  unit^(t+1) = unit^t * unit reads
     X_(t+1) = a*X_t + d*b*Y_t, so Y_t = (X_(t+1) - a*X_t) / (d*b): one
     division by a small number, exact once norm 1 has been tested, as the
@@ -310,7 +310,7 @@ def unit_power(unit: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     if a * a - d * (b * b) != 1:
         raise ValueError(f"{unit} has norm {unit.norm()}, expected 1")
     x0, x1 = 1, a  # (X_k, X_(k+1)) for k = 0
-    for bit in bin(t)[2:] if t else ():
+    for bit in bin(t)[2:]:
         mixed = 2 * (x0 * x1) - a
         if bit == "1":
             x0, x1 = mixed, 2 * (x1 * x1) - 1

@@ -312,9 +312,6 @@ class QuadInt(NamedTuple):
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
         a, b, ctx = self
-        if other is self:
-            # a shortcut to (a^2 + d*b^2, 2ab): three big products, two squarings
-            return _new(QuadInt, (a * a + ctx.d * (b * b), 2 * (a * b), ctx))
         if type(other) is QuadInt:
             oa, ob, octx = other
             if ctx is not octx and ctx.d != octx.d:

@@ -1049,6 +1049,35 @@ def test_pell_ends_within_a_second_of_cpu(argv, codes):
     assert proc.returncode in codes
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 19: checkrepr reports an n it has proved not representable "
+    "as inconclusive",
+)
+def test_checkrepr_decides_an_n_with_an_odd_sqrt_d_coordinate():
+    # p^2 - q^2 always has an even sqrt(d) coordinate, so search_repr
+    # returns at once for 2 + sqrt(15), and the answer is proved
+    proc = _run_module("checkrepr", "--d", "15", "--n", "2,1", cpu_s=2)
+    # 3 is inconclusive; a negative code, a signal such as the CPU limit's
+    assert proc.returncode >= 0 and proc.returncode != 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 3 and 24 part B: construct at UNIT_INDEX_CAP meets the "
+    "4300-digit str() limit",
+)
+def test_construct_prints_its_quadruple_at_the_unit_index_cap():
+    # alpha = 780; the elements are about the size of a t = 1000 report's
+    # unit^(2t), and today the command exits 2 after about 0.3 s
+    proc = _run_module(
+        "construct", "--d", "2190520815", "--m", "0", "--k", "0", "--unit-index", "2000", cpu_s=2
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_module_entry_point_writes_an_archive_that_verifies(tmp_path):
     archive = tmp_path / "archive.jsonl"
     argv = ["--format", "json", "counterexamples", "--alpha", "0..2", "--t", "1"]
