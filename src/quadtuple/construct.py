@@ -265,8 +265,8 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     of ten pairs of bench runs).  The ring is checked once, before any
     pair: e_2, n, e_3 and e_4 against e_1, in the order that pairs (1,2),
     (1,3) and (1,4) meet them, raising the MixedRingError that the first
-    failing e_i * e_j + n would.  Once those pass no later pair can fail.
-    ctx is unread; the elements carry their ring.
+    failing e_i * e_j + n would; then no later pair can mix rings.  ctx
+    is unread; the elements carry their ring.
     """
     elements, witnesses = quad.elements, quad.witnesses
     na, nb, nctx = quad.n
