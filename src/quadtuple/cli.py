@@ -101,10 +101,10 @@ def cmd_construct(args) -> int:
         "factorization_choice": args.factorization,
         "alpha1": element_to_json(trace.alpha1),
         "alpha2": element_to_json(trace.alpha2),
-        "unit_a": element_to_json(trace.unit_a),
-        "r": element_to_json(trace.r),
-        "b": element_to_json(trace.b),
-        "alpha_sym": element_to_json(trace.alpha_sym),
+        "unit_a": element_to_json(quad.elements[0]),
+        "r": element_to_json(quad.witnesses[(1, 2)]),
+        "b": element_to_json(quad.elements[1]),
+        "alpha_sym": element_to_json(quad.witnesses[(1, 4)]),
         "unit_index": trace.unit_index,
     }
     doc["verified"] = True

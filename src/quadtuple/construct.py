@@ -79,15 +79,16 @@ class Quadruple:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Every intermediate of a successful construction, for audit."""
+    """The intermediates of a successful construction its quadruple does
+    not hold, for audit.
+
+    The others are the quadruple's: a and b are elements[0] and elements[1],
+    r and alpha_sym are witnesses[(1, 2)] and witnesses[(1, 4)].
+    """
 
     gamma_delta: QuadInt
     alpha1: QuadInt
     alpha2: QuadInt
-    unit_a: QuadInt
-    r: QuadInt
-    b: QuadInt
-    alpha_sym: QuadInt
     unit_index: int
 
 
@@ -217,10 +218,6 @@ def _construct_from_norm6(
             gamma_delta=gd,
             alpha1=alpha1,
             alpha2=alpha2,
-            unit_a=a,
-            r=r,
-            b=b,
-            alpha_sym=alpha_sym,
             unit_index=index,
         )
         return quad, trace

@@ -10,9 +10,13 @@ unit powers, and the mod-5 argument that +-2 are not norms.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import merge
+from itertools import accumulate, groupby, islice, repeat, takewhile
 from math import isqrt
+from operator import mul
 
 from .quadring import QuadInt, RingCtx, is_perfect_square
 
@@ -152,59 +156,52 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     return NormEqClasses(tuple(reps), unit)
 
 
-def _walk(classes: NormEqClasses, ybound: int) -> tuple[list[QuadInt], int | None]:
-    """solutions_within's list, and the least |y| a walk stepped past (None
-    with no representatives).
+def _abs_y(s: QuadInt) -> int:
+    return abs(s.b)
 
-    Walks +-rep * unit^k both ways from each representative.  With r, r' the
+
+def _solutions(classes: NormEqClasses) -> Iterator[QuadInt]:
+    """Every solution, lazily, in the canonical order (_enum_key).
+
+    Each representative gives four orbits, +-rep * unit^k for k >= 0 and
+    +-rep * conj(unit)^k for k >= 1.  The norm 1 units are exactly
+    +-unit^k, so each solution lies on exactly one orbit.  With r, r' the
     two real images of rep and e > 1 the unit's,
-    y_k = (r * e^k - r' * e^-k) / (2 sqrt(d)) and r * r' = N: y_k is monotone
-    in k when N > 0, and of one sign and convex when N < 0.  Either way |y_k|
-    never shrinks going away from the representative, which has the least
-    |y| in its class, so each walk stops at its first |y| above the bound.
+    y_k = (r * e^k - r' * e^-k) / (2 sqrt(d)) and r * r' = N: y_k is
+    monotone in k when N > 0, and of one sign and convex when N < 0.  Either
+    way |y_k| never shrinks going away from the representative, which has
+    the least |y| in its class, so each orbit is nondecreasing in |y|.
+    Merging the orbits by |y| and sorting each run of equal |y| by
+    _enum_key, which is injective, gives the canonical order, one product
+    per solution.  merge breaks ties by orbit, so it never compares two
+    QuadInts, which refuse ordering.
     """
-    unit = classes.unit
-    found: set[tuple[int, int]] = set()
-    past = None
+    unit, conj = classes.unit, classes.unit.conjugate()
+    orbits = []
     for rep in classes.representatives:
-        for step in (unit, unit.conjugate()):
-            cur = rep
-            while abs(cur.b) <= ybound:
-                found.add((cur.a, cur.b))
-                found.add((-cur.a, -cur.b))
-                cur = cur * step
-            if past is None or abs(cur.b) < past:
-                past = abs(cur.b)
-    sols = [QuadInt(a, b, unit.ctx) for (a, b) in found]
-    sols.sort(key=_enum_key)
-    return sols, past
+        for s in (rep, -rep):
+            orbits.append(accumulate(repeat(unit), mul, initial=s))
+            orbits.append(accumulate(repeat(conj), mul, initial=s * conj))
+    for _, run in groupby(merge(*orbits, key=_abs_y), key=_abs_y):
+        yield from sorted(run, key=_enum_key)
 
 
 def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
-    """All solutions with |y| <= ybound, deterministically ordered (_walk)."""
-    return _walk(classes, ybound)[0]
+    """All solutions with |y| <= ybound, in the canonical order (_solutions)."""
+    return list(takewhile(lambda s: _abs_y(s) <= ybound, _solutions(classes)))
 
 
 def enumerate_solutions(classes: NormEqClasses, limit: int) -> list[QuadInt]:
     """The first `limit` solutions in the canonical order, 1 <= limit <= LIMIT_CAP.
 
     The order sorts by |y| first, so the solutions within any bound are a
-    prefix of it, and the first `limit` of them do not depend on the bound
-    that found them.  Each round that finds too few grows the bound to at
-    least the least |y| a walk stepped past, so every round adds a
-    solution: one round per solution at worst, where quadrupling alone took
-    a round per two bits of the unit's y (5,500 at d = 100000007).
+    prefix of it.  The work is one product per solution (_solutions).
     """
     if not 1 <= limit <= LIMIT_CAP:
         raise ValueError(f"limit must be in [1, {LIMIT_CAP}], got {limit}")
     if not classes.representatives:
         return []
-    bound = max(abs(r.b) for r in classes.representatives) + 1
-    while True:
-        sols, past = _walk(classes, bound)
-        if len(sols) >= limit:
-            return sols[:limit]
-        bound = max(bound * 4 + 4, past)
+    return list(islice(_solutions(classes), limit))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ def test_base_construction_golden(ring15):
     assert trace.gamma_delta == QuadInt(3, 1, ring15)
     assert trace.alpha1 == QuadInt(-3, 1, ring15)
     assert trace.alpha2 == QuadInt(3, 1, ring15)
-    assert trace.unit_a == QuadInt(4, 1, ring15)
-    assert trace.r == QuadInt(-2, 0, ring15)
-    assert trace.b == QuadInt(8, -2, ring15)
-    assert trace.alpha_sym == QuadInt(-3, 0, ring15)
+    assert quad.elements[0] == QuadInt(4, 1, ring15)
+    assert quad.witnesses[(1, 2)] == QuadInt(-2, 0, ring15)
+    assert quad.elements[1] == QuadInt(8, -2, ring15)
+    assert quad.witnesses[(1, 4)] == QuadInt(-3, 0, ring15)
     assert trace.unit_index == 0
 
 
@@ -354,7 +354,7 @@ def test_degenerate_units_are_roots_of_the_collision_quadratics():
                 for choice in ("first", "second"):
                     quad, trace = construct_quadruple(ctx, m, k, 0, choice)
                     n = quad.n
-                    s = trace.unit_a + 2 * trace.r
+                    s = quad.elements[0] + 2 * quad.witnesses[(1, 2)]
                     assert s.b % 2 == 1
                     assert sqrt_in_ring(n) is None
                     base = unit_from_norm6(trace.gamma_delta)
@@ -366,7 +366,7 @@ def test_degenerate_units_are_roots_of_the_collision_quadratics():
                             break
                         assert any(q(a, s, n) for q in COLLISION_QUADRATICS)
                         skips += 1
-                    assert (trace.unit_index, trace.unit_a) == (index, a)
+                    assert (trace.unit_index, quad.elements[0]) == (index, a)
     assert skips  # the grid reaches the skip
 
 
@@ -381,13 +381,14 @@ def test_trace_invariants_random():
         quad, trace = construct_quadruple(ctx, m, k, unit_index=rng.randint(0, 4))
         n = quad.n
         assert n == QuadInt(4 * m + 2, 4 * k, ctx)
-        a, r, b = trace.unit_a, trace.r, trace.b
+        (a, b, _, _), r = quad.elements, quad.witnesses[(1, 2)]
         assert trace.alpha1 * trace.alpha2 == 3 * n
         assert trace.alpha1 + trace.alpha2 == 2 * a + 4 * r
         assert a * b + n == r * r
         assert a.norm() == 1 and a.a % 2 == 0 and a.b % 2 == 1
         s = a + 2 * r
-        assert trace.alpha_sym * trace.alpha_sym == s * s - 3 * n
+        alpha_sym = quad.witnesses[(1, 4)]
+        assert alpha_sym * alpha_sym == s * s - 3 * n
         assert verify_quadruple(ctx, quad).ok
 
 
@@ -404,11 +405,11 @@ def test_construction_shapes_hold_without_checks(d, choice):
     ctx = RingCtx(d)
     for m, k in CONSTRUCTION_GRID:
         for index in range(9):
-            _, trace = construct_quadruple(ctx, m, k, index, choice)
-            a = trace.unit_a
+            quad, trace = construct_quadruple(ctx, m, k, index, choice)
+            a = quad.elements[0]
             assert a.norm() == 1 and a.a % 2 == 0 and a.b % 2 == 1
-            assert trace.alpha1 + trace.alpha2 == 2 * (a + 2 * trace.r)
-            assert trace.alpha1 - trace.alpha2 == 2 * trace.alpha_sym
+            assert trace.alpha1 + trace.alpha2 == 2 * (a + 2 * quad.witnesses[(1, 2)])
+            assert trace.alpha1 - trace.alpha2 == 2 * quad.witnesses[(1, 4)]
 
 
 def test_distinct_unit_indices_distinct_quadruples(ring15):
@@ -426,7 +427,7 @@ def test_unit_index_cap_is_reachable(ring15):
     assert UNIT_INDEX_CAP == 2 * T_CAP_DEFAULT
     quad, trace = construct_quadruple(ring15, 0, 0, unit_index=UNIT_INDEX_CAP)
     assert trace.unit_index == UNIT_INDEX_CAP
-    assert trace.unit_a == fundamental_unit(ring15).conjugate() ** (UNIT_INDEX_CAP - 1)
+    assert quad.elements[0] == fundamental_unit(ring15).conjugate() ** (UNIT_INDEX_CAP - 1)
     assert verify_quadruple(ring15, quad).ok
 
 
@@ -530,9 +531,9 @@ def test_b_matches_its_definition(ctx, choice):
     for m, k in ((0, 0), (1, 1)):
         n = QuadInt(4 * m + 2, 4 * k, ctx)
         for index in (0, 1, 2, 7, UNIT_INDEX_CAP):
-            _, trace = construct_quadruple(ctx, m, k, index, choice)
-            r, a = trace.r, trace.unit_a
-            assert trace.b == (r * r - n) * a.conjugate(), (m, k, index)
+            quad, _ = construct_quadruple(ctx, m, k, index, choice)
+            (a, b, _, _), r = quad.elements, quad.witnesses[(1, 2)]
+            assert b == (r * r - n) * a.conjugate(), (m, k, index)
 
 
 def test_b_takes_no_product_of_two_long_operands(monkeypatch):
@@ -549,5 +550,5 @@ def test_b_takes_no_product_of_two_long_operands(monkeypatch):
         return multiply(x, y)
 
     monkeypatch.setattr(QuadInt, "__mul__", recorded_mul)
-    _, trace = construct_quadruple(RING780, 0, 0, UNIT_INDEX_CAP)
-    assert trace.unit_a.a.bit_length() > 60_000 and not long_products
+    quad, _ = construct_quadruple(RING780, 0, 0, UNIT_INDEX_CAP)
+    assert quad.elements[0].a.bit_length() > 60_000 and not long_products

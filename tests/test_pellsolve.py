@@ -167,17 +167,29 @@ ENUM_D = [
 def test_enumerate_solutions_matches_the_brute_scan_in_order(N):
     # the solutions with |y| <= 200 are a prefix of the order, so the first
     # `limit` solutions, cut to that bound, are the scan's first ones: all
-    # `limit` of them when none lies past it, else every solution the scan has
+    # `limit` of them when none lies past it, else every solution the scan
+    # has; the cap runs on the rings with d <= 300
+    cap = quadtuple.pellsolve.LIMIT_CAP
     for d in ENUM_D:
         ctx = RingCtx(d)
         classes = solve_norm_eq(ctx, N)
         scan = [QuadInt(x, y, ctx) for x, y in brute_norm_solutions(ctx, N, 200)]
         scan.sort(key=enum_order_key)
-        for limit in (1, 8, 50):
+        for limit in (1, 8, 50) + ((cap,) if d <= 300 else ()):
             sols = enumerate_solutions(classes, limit)
             assert len(sols) == (limit if classes.representatives else 0), (d, limit)
             inside = [s for s in sols if abs(s.b) <= 200]
             assert inside == (scan[:limit] if len(inside) == limit else scan), (d, limit)
+
+
+@pytest.mark.parametrize(("d", "N"), [(15, -6), (2, 2737)])
+def test_solutions_within_is_a_prefix_of_the_enumeration(d, N):
+    # d = 2, N = 2737 has eight classes
+    classes = solve_norm_eq(RingCtx(d), N)
+    sols = enumerate_solutions(classes, quadtuple.pellsolve.LIMIT_CAP)
+    assert abs(sols[-1].b) > 200
+    for ybound in range(201):
+        assert solutions_within(classes, ybound) == [s for s in sols if abs(s.b) <= ybound]
 
 
 def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
@@ -194,19 +206,27 @@ def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
         assert classes.unit == fundamental_unit(ctx)
 
 
-def test_enumerate_solutions_adds_a_solution_every_round(monkeypatch):
-    # with the unit far past the quadrupling bound, each round must still
-    # reach the next power: three walks for +-1, +-unit, +-conj(unit)
-    ctx = RingCtx(100000007)
-    classes = solve_norm_eq(ctx, 1)
-    walk, rounds = quadtuple.pellsolve._walk, []
-    monkeypatch.setattr(quadtuple.pellsolve, "_walk", lambda c, b: rounds.append(b) or walk(c, b))
+def test_enumerate_solutions_takes_a_product_per_solution(monkeypatch):
+    # each of a class's four orbits is walked once, so the products are the
+    # solutions plus the merge's first look at each orbit; d = 100000007 has
+    # its unit far past any y-bound a round would grow
+    multiply, products = QuadInt.__mul__, []
+
+    def counted_mul(x, y):
+        products.append(None)
+        return multiply(x, y)
+
+    for d, N, limit in ((15, -6, 1000), (2, 2737, 1000), (100000007, 1, 6)):
+        classes = solve_norm_eq(RingCtx(d), N)
+        monkeypatch.setattr(QuadInt, "__mul__", counted_mul)
+        products.clear()
+        sols = enumerate_solutions(classes, limit)
+        monkeypatch.setattr(QuadInt, "__mul__", multiply)
+        assert len(sols) == limit
+        assert len(products) <= limit + 4 * len(classes.representatives), (d, N)
     unit = classes.unit
-    one = QuadInt(1, 0, ctx)
-    assert enumerate_solutions(classes, 6) == [
-        one, -one, unit, unit.conjugate(), -unit.conjugate(), -unit
-    ]
-    assert len(rounds) == 2
+    one = QuadInt(1, 0, unit.ctx)
+    assert sols == [one, -one, unit, unit.conjugate(), -unit.conjugate(), -unit]
 
 
 def test_solutions_within_bound_below_every_representative(ring15):
@@ -332,8 +352,8 @@ def test_construction_gamma_matches_enumeration(choice):
 def test_construction_unit_is_gamma_delta_squared_over_6(d, choice):
     # the construction takes (gamma, delta)^2/6 as the conjugate of gamma^2/6
     # when delta flips gamma's y; derive it from (gamma, delta) directly
-    _, trace = construct_quadruple(RingCtx(d), 0, 0, factorization_choice=choice)
-    assert trace.unit_a == unit_from_norm6(trace.gamma_delta)
+    quad, trace = construct_quadruple(RingCtx(d), 0, 0, factorization_choice=choice)
+    assert quad.elements[0] == unit_from_norm6(trace.gamma_delta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ read the same on every run.
 
 The corpus holds the literal argv lists of tests/test_cli.py, the README's
 command lines, each subcommand in both formats on d = 15, 1095, 735 and
-3975, construct and checkrepr at d = 14655, and every exit code the command
-gives (0, 1, 2 at each library cap, 3 and 5). Left out: argparse's help
+3975, construct and checkrepr at d = 14655, pell on several classes
+(d = 2, N = 2737 and d = 7, N = 57) and at limits up to 200, and every exit
+code the command gives (0, 1, 2 at each library cap, 3 and 5). Left out: argparse's help
 pages and usage errors, and any line whose text is Python's or the
 operating system's (the 4300-digit str() limit, strerror), since these vary
 with the Python version and test_cli.py and test_lint.py pin them; lines
