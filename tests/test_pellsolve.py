@@ -207,9 +207,9 @@ def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
 
 
 def test_enumerate_solutions_takes_a_product_per_solution(monkeypatch):
-    # each of a class's four orbits is walked once, so the products are the
-    # solutions plus the merge's first look at each orbit; d = 100000007 has
-    # its unit far past any y-bound a round would grow
+    # each solution costs the product that steps its orbit on, beside two
+    # per class to start the conjugate orbits and the few the merge reads
+    # ahead; at d = 100000007 the unit's y has 3329 digits
     multiply, products = QuadInt.__mul__, []
 
     def counted_mul(x, y):
