@@ -35,7 +35,8 @@ from .quadring import (
 )
 from .represent import (
     NonRepCertificate,
-    _n_and_ring_hold,
+    _proof_holds,
+    _scope_holds,
     certificate_to_json,
 )
 
@@ -90,27 +91,29 @@ def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> Iterator[DCa
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """One ring's report at exponent t; its n and d are the quadruple's."""
+    """One ring's report at exponent t; its n, d and certificate's n are the quadruple's."""
     t: int
     quadruple: Quadruple
-    certificate: NonRepCertificate
+    minus6: QuadInt
     verified: bool
     notes: tuple[str, ...]
+
+    @property
+    def certificate(self) -> NonRepCertificate:
+        return NonRepCertificate(self.quadruple.n, self.minus6)
 
 
 def _unit_power(minus6: QuadInt, u: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     """The judge's power (w, w^2) for w = (minus6^2/6)^t; ValueError when a
     document's u is too short to be w^2.
 
-    unit_from_norm6 raises ValueError on a witness without norm -6 and its
-    shape: the one place a witness is tested, as only a document's comes
-    from outside.  gamma^2 = 6*unit ties t to n through u == w^2, no solver.
-    gamma^2/6 has norm 1, and the first coordinate of its e-th power has at
-    least e*(bits(a) - 1) bits, a its own first coordinate; a u shorter than
-    that for e = 2t is refused before the power is taken, so a long witness
-    cannot make the check build a number far beyond the document.  Past
-    both tests, pellsolve.unit_power takes w and w^2 together by the Lucas
-    ladder on the x-coordinate, as build_report does.
+    unit_from_norm6 tests the witness, the one place a witness is tested, as
+    only a document's comes from outside; u == w^2 then ties t to n, with no
+    solver.  The unit has norm 1, so the first coordinate of its e-th power
+    has at least e*(bits(a) - 1) bits, a its own: a u shorter than that for
+    e = 2t is refused before the power is taken, so a long witness cannot
+    make the check build a number far beyond the document.
+    pellsolve.unit_power takes w and w^2 together, as build_report does.
     """
     unit = pellsolve.unit_from_norm6(minus6)
     if 2 * t * (unit.a.bit_length() - 1) > u.a.bit_length():
@@ -130,9 +133,8 @@ def _divided(e: QuadInt, w: QuadInt) -> QuadInt:
     w by k-bit numbers.  N(w) = w*conj(w) = 1 makes w*g == e force
     g = e*conj(w), so k sets only how often the guess holds.  Otherwise, and
     for a short w, the full product is taken on the coordinates of e and w
-    as given, not the masked ones.  _report_holds' w = unit^t has norm 1:
-    unit_from_norm6 gives ((x^2 + 3)/3, x*y/3) for x^2 - d*y^2 = -6, of norm
-    ((x^2 + 3)^2 - x^2*(x^2 + 6))/9 = 1.
+    as given, not the masked ones.  _report_holds' w = unit^t has norm 1, as
+    unit_from_norm6's unit does.
     """
     ea, eb, _ = e
     wa, wb, ctx = w
@@ -156,18 +158,14 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     power is (w, w^2) for w = unit^t, unit = gamma^2/6 for the norm -6
     witness gamma, which the caller took, testing the witness there; the
     caller also owns any restated copy of n or u.  Checked in order: the
-    hypotheses on n and the ring with u = w^2 (_n_and_ring_hold,
-    square-freeness last), whose 2u == n is the tie of n to t and, as
-    equality compares d, puts the witness in n's ring; then all six
-    pairwise products plus n are squares, matching any stored witnesses.
-    Elements and witnesses are read as coordinates in n's ring, where both
-    callers build or parse them.  N(u) = 1 is not computed: u = w^2 and
-    N(w) = 1 (_divided) give N(u) = N(w)^2 = 1.  A base quadruple with
-    power (1, 1) gets the t = 0 check.  Nonzero, distinct elements need no
-    test: a repeated f_i makes f_i^2 + 2 = rho^2 and a zero one 2 = rho^2,
-    each writing 2 as (rho - f)(rho + f).  As 5 | d (d = 15 (mod 60))
-    leaves no element of norm +-2, one factor is a unit v and the other
-    2/v; they sum to 2*rho, so v is in 2Z[sqrt(d)] and 4 | N(v) = +-1.
+    proof with u = w^2, whose 2u == n ties n to t and, as equality compares
+    d, puts the witness in n's ring; the scope; then all six pairwise
+    products plus n are squares, matching any stored witnesses.  Elements
+    and witnesses are coordinates in n's ring, where both callers build or
+    parse them.  N(u) = 1 needs no test: u = w^2 and N(w) = 1 (_divided).
+    A base quadruple with power (1, 1) gets the t = 0 check.  Nonzero,
+    distinct elements need no test: a repeated f_i makes 2 = rho^2 - f_i^2
+    and a zero one 2 = rho^2, which _proof_holds' lemma rules out.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -186,7 +184,7 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     """
     w, w2 = power
     n = quad.n
-    if not _n_and_ring_hold(n, w2):
+    if not (_proof_holds(n, w2) and _scope_holds(n)):
         return False
     d = n.ctx.d
     f = [_divided(e, w) for e in quad.elements]
@@ -219,8 +217,6 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     the quadruple by w to reach n = 2*u, taking u from here, not squaring
     w.  The judge gets (w, u) as its power, built from gamma and t, so it
     neither takes them again nor reads them off the document it judges.
-    The certificate applies because even unit powers have an odd first and
-    even second coordinate, keeping n = (4m+2, 4k) with n/2 of norm 1.
     verified is the verdict verify_report_doc gives on the report's JSON.
     A t that is not an int in range (a bool is not) or a ring that is not
     15 mod 60, not square-free or without a norm -6 element raises
@@ -243,7 +239,7 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     return CounterexampleReport(
         t=t,
         quadruple=scaled,
-        certificate=NonRepCertificate(n=scaled.n, u=u, minus6=gamma),
+        minus6=gamma,
         verified=_report_holds(scaled, (w, u)),
         notes=(
             f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "
@@ -254,16 +250,16 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
 
 def report_to_json(report: CounterexampleReport) -> dict:
     """The report's JSON form.  n is converted to decimal once, in the
-    quadruple's form; the report and, when its n is the quadruple's, the
-    certificate hold copies of that dict, which share its strings."""
-    quad, cert = quadruple_to_json(report.quadruple), report.certificate
+    quadruple's form; the report and the certificate hold copies of that
+    dict, which share its strings."""
+    quad = quadruple_to_json(report.quadruple)
     n = quad["n"]
     return {
         "d": quad["d"],
         "t": report.t,
         "n": dict(n),
         "quadruple": quad,
-        "certificate": certificate_to_json(cert, dict(n) if cert.n == report.quadruple.n else None),
+        "certificate": certificate_to_json(report.certificate, dict(n)),
         "verified": report.verified,
         "notes": list(report.notes),
     }
@@ -284,17 +280,14 @@ def verify_report_doc(doc: dict) -> bool:
     same ring, accepting only decimal-string integers and the six witness
     keys "12" ... "34".  True iff the report states "verified": true, t is
     a JSON integer in [0, T_CAP_DEFAULT], and, checked in this order and
-    with no solver: the certificate's norm -6 witness has the norm and
-    shape _unit_power tests as it takes the power (w, w^2); the restated
-    copies agree, meaning the report's n, the quadruple's n and the
-    certificate's n are equal and the certificate's u is w^2; and
-    _report_holds accepts the quadruple with that power, testing n and
-    d = 15 (mod 60), and d's square-freeness last, so a document with a
-    wrong witness or residue never pays for factoring d.  A copy of n equal
-    in text to the quadruple's n (same keys, same strings) is not converted
-    again, and any other copy is parsed and compared, so a respelled "+62"
-    or "062" still passes.  Anything malformed, including a certificate
-    without minus6 or a u too short for its witness and t, is False.
+    with no solver: _unit_power takes the power (w, w^2) from the
+    certificate's witness, testing it; the report's n, the quadruple's n
+    and the certificate's n are equal and the certificate's u is w^2; and
+    _report_holds accepts the quadruple with that power, so a document with
+    a wrong witness or residue never pays for factoring d.  Copies of n are
+    compared by _restate, so a respelled "+62" or "062" still passes.
+    Anything malformed, including a certificate without minus6 or a u too
+    short for its witness and t, is False.
     """
     try:
         t, verified = doc["t"], doc["verified"]

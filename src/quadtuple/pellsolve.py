@@ -212,8 +212,7 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     """True when 5 | d, which proves x^2 - d*y^2 = +-2 unsolvable.
 
     Reducing mod 5 leaves x^2 = +-2, and both are quadratic non-residues
-    mod 5.  False makes no claim either way.  The certificate does not call
-    this: it reads 5 | d off d = 15 (mod 60).
+    mod 5.  False makes no claim either way; represent._proof_holds calls it.
     """
     return ctx.d % 5 == 0
 

@@ -1,15 +1,12 @@
 """Difference-of-two-squares questions for n in Z[sqrt(d)].
 
-Certifies non-representability for n = (4m+2) + 4k*sqrt(d) = 2u with
-norm(u) = 1 in rings with square-free d = 15 (mod 60) where -6 is a norm,
-and carries an exhaustive search that serves as the independent oracle for
-those certificates.  A certificate holds its one witness, an element of
-norm -6 that certify_nonrepresentable reads off the fundamental unit
-(pellsolve.norm6_witness) with no search, so certificate_holds checks every
-hypothesis with arithmetic and no solver.  A report's judge (counterex)
-tests the witness where it takes the unit, and here only _n_and_ring_hold.
-Every path tests the witness before n and d, and d's square-freeness, the
-one test that may search, last.
+Certifies that n = 2u, u of norm 1, is not a difference of two squares, by
+one lemma (_proof_holds) for an n inside the paper's theorem (_scope_holds),
+and carries an exhaustive search, the independent oracle for those
+certificates.  A certificate holds n and its norm -6 witness, which
+certify_nonrepresentable reads off the fundamental unit
+(pellsolve.norm6_witness) with no search.  Every judge, a report's in
+counterex too, tests the witness, then the proof, then the scope.
 """
 
 from __future__ import annotations
@@ -39,39 +36,50 @@ BOUND_CAP = 2000
 
 @dataclass(frozen=True)
 class NonRepCertificate:
-    """n = 2u is not a difference of two squares, with its norm -6 witness.
-
-    The hypotheses (see certificate_holds): n = (4m+2) + 4k*sqrt(d) with
-    u = n/2 of norm 1, in a ring with square-free d = 15 (mod 60), so that
-    +-2 are not norms, and minus6 an element of norm -6.
-    """
+    """n = 2u is not a difference of two squares, with its norm -6 witness;
+    certificate_holds states the hypotheses.  u is n/2, read off n."""
 
     n: QuadInt
-    u: QuadInt
     minus6: QuadInt
 
+    @property
+    def u(self) -> QuadInt:
+        return QuadInt(self.n.a // 2, self.n.b // 2, self.n.ctx)
 
-def _n_and_ring_hold(n: QuadInt, u: QuadInt) -> bool:
-    """Every hypothesis on n, u and the ring but N(u) = 1, square-freeness last.
 
-    n.b = 0 (mod 4) needs no test once N(u) = 1: 2u = n with n.a = 2 (mod 4)
-    makes u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), and d is odd.
-    Nor does 5 | d, which makes +-2 non-norms (both are non-residues mod 5):
-    d = 15 (mod 60) gives it.  The report judge (counterex) has N(u) = 1
-    from its tie u = w^2 to a w of norm 1, and calls this alone.
+def _proof_holds(n: QuadInt, u: QuadInt) -> bool:
+    """The lemma's hypotheses but N(u) = +-1, which each caller owns: +-2 are
+    not norms, and 2u == n.
+
+    Lemma: if no element has norm +-2 and u is a unit, 2u is not a
+    difference of two squares.  Were 2u = (p - q)(p + q), the two norms
+    would multiply to N(2u) = +-4, neither being +-2, so one factor is a
+    unit v and the other 2u/v.  They sum to 2p, so v is in 2Z[sqrt(d)] and
+    4 | N(v) = +-1, which is absurd.
     """
+    return pellsolve.check_pm2_unsolvable(n.ctx) and 2 * u == n
+
+
+def _scope_holds(n: QuadInt) -> bool:
+    """n inside the paper's theorem, with the norm -6 witness each caller
+    tests: n.a = 2 (mod 4), d = 15 (mod 60), then d square-free, as only that
+    may search.  Past _proof_holds, n.b = 0 (mod 4) follows: n.a = 2 (mod 4)
+    makes u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), as d is odd."""
     ctx = n.ctx
-    return n.a % 4 == 2 and ctx.d % 60 == 15 and 2 * u == n and ctx.square_free
+    return n.a % 4 == 2 and ctx.d % 60 == 15 and ctx.square_free
 
 
 def certificate_holds(cert: NonRepCertificate) -> bool:
     """True iff the certificate meets every hypothesis, by arithmetic alone:
-    N(u) = 1, the witness in n's ring with N(minus6) = -6, then the rest."""
+    N(u) = 1, the witness in n's ring with N(minus6) = -6, then the proof
+    and the scope."""
+    n, u = cert.n, cert.u
     return (
-        cert.u.norm() == 1
-        and cert.minus6.ctx == cert.n.ctx
+        u.norm() == 1
+        and cert.minus6.ctx == n.ctx
         and cert.minus6.norm() == -6
-        and _n_and_ring_hold(cert.n, cert.u)
+        and _proof_holds(n, u)
+        and _scope_holds(n)
     )
 
 
@@ -83,12 +91,12 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
     fundamental unit: one continued-fraction walk and no search.
     """
     u = QuadInt(n.a // 2, n.b // 2, n.ctx)
-    if not (u.norm() == 1 and _n_and_ring_hold(n, u)):
+    if not (u.norm() == 1 and _proof_holds(n, u) and _scope_holds(n)):
         return None
     minus6 = pellsolve.norm6_witness(n.ctx)
     if minus6 is None:
         return None
-    return NonRepCertificate(n=n, u=u, minus6=minus6)
+    return NonRepCertificate(n=n, minus6=minus6)
 
 
 def _signed_range(bound: int):

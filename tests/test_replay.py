@@ -10,7 +10,12 @@ The corpus holds the literal argv lists of tests/test_cli.py, the README's
 command lines, each subcommand in both formats on d = 15, 1095, 735 and
 3975, construct and checkrepr at d = 14655, pell on several classes
 (d = 2, N = 2737 and d = 7, N = 57) and at limits up to 200, and every exit
-code the command gives (0, 1, 2 at each library cap, 3 and 5). Left out: argparse's help
+code the command gives (0, 1, 2 at each library cap, 3 and 5). It also holds
+checkrepr --n=2,0 and --n=-2,0 at --bound 20 on rings with 5 | d outside the
+paper's scope, in JSON for d = 10, 30, 35, 135, 375, 2110 and in text for
+d = 10, 2110: 135 and 375 have a square factor, and the others are not
+15 (mod 60), so each is inconclusive (exit 3) although the lemma behind the
+certificate holds there. Left out: argparse's help
 pages and usage errors, and any line whose text is Python's or the
 operating system's (the 4300-digit str() limit, strerror), since these vary
 with the Python version and test_cli.py and test_lint.py pin them; lines

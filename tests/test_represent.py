@@ -21,7 +21,8 @@ from quadtuple import (
 )
 from quadtuple.represent import (
     BOUND_CAP,
-    _n_and_ring_hold,
+    _proof_holds,
+    _scope_holds,
     certificate_to_json,
 )
 
@@ -60,32 +61,35 @@ def test_certify_reads_the_witness_off_the_unit(d, monkeypatch):
     eps2 = fundamental_unit(ctx) ** 2
     for u in (QuadInt(1, 0, ctx), eps2):
         n = 2 * u
-        assert certify_nonrepresentable(n) == NonRepCertificate(n=n, u=u, minus6=gamma)
+        cert = certify_nonrepresentable(n)
+        assert cert == NonRepCertificate(n=n, minus6=gamma) and cert.u == u
 
 
-def _cert(ctx, n, u, minus6, minus6_ctx=None):
-    return NonRepCertificate(
-        QuadInt(*n, ctx), QuadInt(*u, ctx), QuadInt(*minus6, minus6_ctx or ctx)
-    )
+def _cert(ctx, n, minus6, minus6_ctx=None):
+    return NonRepCertificate(QuadInt(*n, ctx), QuadInt(*minus6, minus6_ctx or ctx))
 
 
-# each case breaks one hypothesis; 5 | d follows from d = 15 (mod 60), so the
-# +-2 hypothesis cannot fail on its own
+# each case breaks one hypothesis, which one check refuses: the scope, the
+# proof, or certificate_holds' own tests of N(u) and the witness.  5 | d
+# follows from d = 15 (mod 60), so the +-2 hypothesis cannot fail on its own
 @pytest.mark.parametrize(
-    "cert",
+    "cert, refused_by",
     [
-        _cert(RING15, (8, 2), (4, 1), (3, 1)),  # n = 4m + (4k+2)sqrt(d)
-        _cert(RING15, (2, 0), (31, 8), (3, 1)),  # 2u != n
-        _cert(RING15, (10, 0), (5, 0), (3, 1)),  # norm(u) = 25
-        _cert(RING735, (2, 0), (1, 0), (27, 1)),  # 735 = 3 * 5 * 7^2
-        _cert(RingCtx(10), (2, 0), (1, 0), (2, 1)),  # d = 10 (mod 60)
-        _cert(RING15, (2, 0), (1, 0), (4, 1)),  # norm(minus6) = 1
-        _cert(RING15, (2, 0), (1, 0), (2, 1), minus6_ctx=RingCtx(10)),  # another ring
+        (_cert(RING15, (8, 2), (3, 1)), "scope"),  # n = 4m + (4k+2)sqrt(d)
+        (_cert(RING15, (2, 1), (3, 1)), "proof"),  # n = 2 + sqrt(15) is not 2u
+        (_cert(RING15, (10, 0), (3, 1)), "own"),  # norm(u) = 25
+        (_cert(RING735, (2, 0), (27, 1)), "scope"),  # 735 = 3 * 5 * 7^2
+        (_cert(RingCtx(10), (2, 0), (2, 1)), "scope"),  # d = 10 (mod 60), 5 | d
+        (_cert(RING15, (2, 0), (4, 1)), "own"),  # norm(minus6) = 1
+        (_cert(RING15, (2, 0), (2, 1), minus6_ctx=RingCtx(10)), "own"),  # another ring
     ],
     ids=["class", "2u", "norm_u", "square_free", "d_mod_60", "norm_minus6", "ring_minus6"],
 )
-def test_certificate_holds_needs_every_hypothesis(cert):
+def test_certificate_holds_needs_every_hypothesis(cert, refused_by):
     assert not certificate_holds(cert)
+    proof = _proof_holds(cert.n, cert.u)
+    assert proof == (refused_by != "proof")
+    assert (not proof or _scope_holds(cert.n)) == (refused_by != "scope")
 
 
 def test_certificate_closed_under_unit_squares(ring15):
@@ -104,10 +108,10 @@ def test_certificate_closed_under_unit_squares(ring15):
         n = 2 * w
         assert w.norm() == 1 and (n.a % 4, n.b % 4) == (0, 2)
         assert certify_nonrepresentable(n) is None
-        assert not certificate_holds(NonRepCertificate(n, w, QuadInt(3, 1, ring15)))
+        assert not certificate_holds(NonRepCertificate(n, QuadInt(3, 1, ring15)))
 
 
-def _n_and_ring_hold_with_every_test(n, u):
+def _hypotheses_with_every_test(n, u):
     # every hypothesis as the paper states it, n.b = 0 (mod 4) included, with
     # square-freeness before the residue of d
     ctx = n.ctx
@@ -135,11 +139,37 @@ def test_n_and_ring_hold_needs_no_test_of_n_b_mod_4():
         for u in set(units + box):
             for shift in shifts:
                 n = 2 * u + shift
-                expected = _n_and_ring_hold_with_every_test(n, u)
-                assert (u.norm() == 1 and _n_and_ring_hold(n, u)) == expected, (d, n, u)
+                expected = _hypotheses_with_every_test(n, u)
+                held_here = u.norm() == 1 and _proof_holds(n, u) and _scope_holds(n)
+                assert held_here == expected, (d, n, u)
                 held += expected
     # n = 2u for u = +-1 and +-eps^k, +-conj(eps)^k, k = 2, 4, 6, in 15, 1095, 1455, 3255
     assert held == 4 * 14
+
+
+# 5 | d, most of them outside the paper's scope: 135, 375, 735 and 3975 have a
+# square factor, and 10, ..., 190 are not 15 (mod 60); then controls where
+# +-2 are norms
+LEMMA_RINGS = (15, 135, 375, 735, 3975, 10, 30, 35, 55, 65, 85, 190)
+LEMMA_CONTROLS = (2, 7, 14)
+
+
+@pytest.mark.parametrize("d", LEMMA_RINGS + LEMMA_CONTROLS)
+def test_the_lemma_agrees_with_the_search_outside_the_scope(d):
+    # where _proof_holds holds, no 2u for a unit u is a difference of two
+    # squares, whatever the scope; where it fails, the search finds each one
+    ctx = RingCtx(d)
+    eps = fundamental_unit(ctx)
+    for u in (QuadInt(1, 0, ctx), QuadInt(-1, 0, ctx), eps, eps * eps, eps.conjugate()):
+        n = 2 * u
+        assert _proof_holds(n, u) == (d in LEMMA_RINGS), (d, u)
+        found = search_repr(n, 60)
+        if d in LEMMA_RINGS:
+            assert found is None, (d, u, found)
+        else:
+            assert found is not None, (d, u)
+            p, q = found
+            assert p * p - q * q == n
 
 
 def test_certify_tests_the_residue_of_d_before_square_freeness():
