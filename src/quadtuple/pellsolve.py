@@ -25,6 +25,7 @@ __all__ = [
     "NORM_CAP",
     "NormEqClasses",
     "PERIOD_CAP",
+    "SCAN_CAP",
     "check_pm2_unsolvable",
     "enumerate_solutions",
     "fundamental_unit",
@@ -42,6 +43,10 @@ LIMIT_CAP = 1000
 # most continued-fraction steps fundamental_unit takes: no d <= 20000 needs
 # more than 562, d = 100000007 needs 6524
 PERIOD_CAP = 10**4
+# most values of y solve_norm_eq's scan tests: of the square-free d = 15
+# (mod 60) up to 20000, 18435 needs the most below it (1.2 * 10^7), and
+# 14655 alone needs more (2.9 * 10^8)
+SCAN_CAP = 10**8
 
 
 @lru_cache(maxsize=1)
@@ -122,7 +127,9 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
 
     Scans 0 <= y <= ceil(sqrt(|N| * (t + 1) / (2d))) with t + u*sqrt(d) the
     fundamental unit; every class has a fundamental solution inside that
-    range, so an empty result is a proof of unsolvability.
+    range, so an empty result is a proof of unsolvability whenever the scan
+    ran.  A range of more than SCAN_CAP values of y raises ValueError
+    before the scan starts; the bound is taken from the unit alone.
 
     N = 1 is answered with no scan: ((1, 0),).  The norm 1 elements are
     exactly +-unit^k, as the least solution of x^2 - d*y^2 = 1 generates
@@ -140,6 +147,11 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     if N == 1:
         return NormEqClasses((QuadInt(1, 0, ctx),), unit)
     ybound = isqrt(abs(N) * (unit.a + 1) // (2 * ctx.d)) + 1
+    if ybound >= SCAN_CAP:
+        # the bound itself may run to thousands of digits, past str()'s limit
+        raise ValueError(
+            f"x^2 - {ctx.d}*y^2 = {N} needs a y-scan past the cap of {SCAN_CAP} values"
+        )
     hits: list[QuadInt] = []
     for y in range(ybound + 1):
         # is_perfect_square refuses a negative d*y^2 + N

@@ -22,7 +22,7 @@ import quadtuple.construct
 import quadtuple.counterex
 import quadtuple.pellsolve
 import quadtuple.quadring
-from quadtuple import verify_report_doc
+from quadtuple import SCAN_CAP, verify_report_doc
 from quadtuple.cli import main
 from support import child_env, run_python
 
@@ -1030,7 +1030,8 @@ def test_construct_and_checkrepr_end_where_a_y_scan_would_not(argv, code, err):
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason="ROADMAP item 2: pell's y-scan bound grows with the fundamental unit",
+                reason="ROADMAP item 2: pell refuses at SCAN_CAP rather than scanning, "
+                "and the exact answer waits for a solver that needs no y-scan",
             ),
         ),
         # N = 1 needs no scan, and each enumeration round adds a solution;
@@ -1047,6 +1048,21 @@ def test_pell_ends_within_a_second_of_cpu(argv, codes):
     # exit 2 is a refusal at a stated cap; SIGXCPU ends a scan that runs on
     proc = _run_module(*argv, cpu_s=1)
     assert proc.returncode in codes
+
+
+@pytest.mark.parametrize(
+    "d, norm",
+    [(14655, -6), (100000007, 10**6)],
+    ids=["pell-14655-minus-6", "pell-100000007-1000000"],
+)
+def test_pell_refuses_a_scan_past_the_cap_within_a_second_of_cpu(d, norm):
+    # the scans would test 2.9 * 10^8 values of y and a 1666-digit count of
+    # them, which the message leaves out
+    proc = _run_module("pell", "--d", str(d), f"--norm={norm}", cpu_s=1)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: x^2 - {d}*y^2 = {norm} needs a y-scan past the cap of {SCAN_CAP} values\n"
+    )
 
 
 @pytest.mark.xfail(

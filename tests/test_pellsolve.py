@@ -9,6 +9,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 import quadtuple.pellsolve
 from quadtuple import (
+    SCAN_CAP,
     QuadInt,
     RingCtx,
     check_pm2_unsolvable,
@@ -16,6 +17,7 @@ from quadtuple import (
     enumerate_solutions,
     family_d,
     fundamental_unit,
+    is_perfect_square,
     is_square_free,
     norm6_witness,
     solutions_within,
@@ -204,6 +206,43 @@ def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
         classes = solve_norm_eq(ctx, 1)
         assert classes.representatives == (QuadInt(1, 0, ctx),)
         assert classes.unit == fundamental_unit(ctx)
+
+
+def test_solve_norm_eq_scans_up_to_the_cap_and_refuses_past_it(monkeypatch):
+    # d = 2, N = 2737 scans y = 0..53 and finds eight classes; one value
+    # over the cap is refused before the first square test
+    ctx = RingCtx(2)
+    answer = solve_norm_eq(ctx, 2737)
+    values = isqrt(2737 * (fundamental_unit(ctx).a + 1) // (2 * ctx.d)) + 2
+    assert (values, len(answer.representatives)) == (54, 8)
+    monkeypatch.setattr(quadtuple.pellsolve, "SCAN_CAP", values)
+    assert solve_norm_eq(ctx, 2737) == answer
+    square_tests = []
+
+    def counted(n):
+        square_tests.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", counted)
+    monkeypatch.setattr(quadtuple.pellsolve, "SCAN_CAP", values - 1)
+    with pytest.raises(ValueError, match=f"past the cap of {values - 1} values"):
+        solve_norm_eq(ctx, 2737)
+    assert square_tests == []
+
+
+def test_every_ring_sweep_ring_but_14655_scans_under_the_cap():
+    # every square-free d = 15 (mod 60) up to 20000; the largest scans,
+    # 18435's and 11355's, are the loads of two benchmark tests
+    values = {
+        d: _scan_bound(RingCtx(d)) + 1 for d in range(15, 20_001, 60) if is_square_free(d)
+    }
+    assert len(values) == 168
+    over = {d for d, v in values.items() if v > SCAN_CAP}
+    assert over == {14655}
+    del values[14655]
+    assert max(values, key=values.get) == 18435
+    assert 10**7 < values[18435] < SCAN_CAP // 8
+    assert 10**6 < values[11355] < values[18435]
 
 
 def test_enumerate_solutions_takes_a_product_per_solution(monkeypatch):

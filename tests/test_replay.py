@@ -15,7 +15,9 @@ checkrepr --n=2,0 and --n=-2,0 at --bound 20 on rings with 5 | d outside the
 paper's scope, in JSON for d = 10, 30, 35, 135, 375, 2110 and in text for
 d = 10, 2110: 135 and 375 have a square factor, and the others are not
 15 (mod 60), so each is inconclusive (exit 3) although the lemma behind the
-certificate holds there. Left out: argparse's help
+certificate holds there. And it holds, in both formats, the two pell lines
+whose y-scan pellsolve.SCAN_CAP refuses before it starts (exit 2):
+--d 14655 --norm=-6 and --d 100000007 --norm 1000000. Left out: argparse's help
 pages and usage errors, and any line whose text is Python's or the
 operating system's (the 4300-digit str() limit, strerror), since these vary
 with the Python version and test_cli.py and test_lint.py pin them; lines
