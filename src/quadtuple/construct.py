@@ -119,11 +119,10 @@ def construct_quadruple(
 ) -> tuple[Quadruple, ConstructionTrace]:
     """Build a verified D(n) quadruple for n = (4m+2, 4k), m + k even.
 
-    Checks the arguments, reads the canonical solution gamma of
-    x^2 - d*y^2 = -6 off the fundamental unit (pellsolve.norm6_witness),
-    and builds the quadruple from gamma and that unit, gamma^2/6, which the
-    walk left in fundamental_unit's memo (_construct_from_norm6).  gamma
-    is tested nowhere: its norm and shape are theorems (unit_from_norm6).
+    Checks the arguments, reads the norm -6 classes off the fundamental
+    unit (pellsolve.norm6_witness), and builds the quadruple from them
+    (_construct_from_norm6).  Their representative gamma is tested
+    nowhere: its norm and shape are theorems (unit_from_norm6).
     """
     if ctx.d % 60 != 15:
         raise ValueError(f"d = {ctx.d} is not 15 mod 60")
@@ -135,17 +134,17 @@ def construct_quadruple(
         raise ValueError(
             f"factorization_choice must be 'first' or 'second', got {factorization_choice!r}"
         )
-    gamma = pellsolve.norm6_witness(ctx)
-    if gamma is None:
+    classes = pellsolve.norm6_witness(ctx)
+    if not classes.representatives:
         raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
-    eps = pellsolve.fundamental_unit(ctx)
-    return _construct_from_norm6(gamma, eps, m, k, unit_index, factorization_choice)
+    return _construct_from_norm6(classes, m, k, unit_index, factorization_choice)
 
 
 def _construct_from_norm6(
-    gamma: QuadInt, eps: QuadInt, m: int, k: int, unit_index: int, factorization_choice: str
+    classes: pellsolve.NormEqClasses, m: int, k: int, unit_index: int, factorization_choice: str
 ) -> tuple[Quadruple, ConstructionTrace]:
-    """construct_quadruple's steps, from the canonical norm -6 representative gamma.
+    """construct_quadruple's steps, from solvable norm -6 classes: gamma,
+    their canonical representative, and eps, their unit.
 
     Steps: flip the sign of gamma's y if needed so that (gamma, delta) has
     y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second', read off
@@ -159,10 +158,10 @@ def _construct_from_norm6(
     and a*conj(a) = 1 that is b = ((s^2 - 4n)*conj(a) - 2s + a)/4: one
     product of the base-sized s^2 - 4n, taken before the loop, by the
     unit, where (r^2 - n)*conj(a) would square r and multiply that by a
-    full-size conj(a).  eps is the fundamental unit gamma^2/6, which the
-    caller takes from the walk behind its gamma (pellsolve.norm6_witness
-    proves the identity), and the schedule starts from (gamma, delta)^2/6:
-    eps itself, or its conjugate when delta flips y.
+    full-size conj(a).  eps is the fundamental unit gamma^2/6
+    (pellsolve.unit_from_norm6 proves the identity), and the schedule
+    starts from (gamma, delta)^2/6: eps itself, or its conjugate when delta
+    flips y.
 
     No step needs a check: d is odd and (gamma, delta) = (x, y) has x, y odd
     (the shape above), so alpha1 +- alpha2 = 2 * (mx + dky, kx + (m+1)y) and
@@ -184,6 +183,7 @@ def _construct_from_norm6(
     is no square, as x^2 + d*y^2 is never 2 mod 4 for d = 3 (mod 4); and
     a*e = s^2 - 4n has an odd rational part, from s^2.
     """
+    gamma, eps = classes.representatives[0], classes.unit
     ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else 5  # y mod 6
     gd = gamma if gamma.b % 6 == want else gamma.conjugate()
@@ -247,19 +247,16 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
 
     The two routes are independent on purpose: a bad witness with a good
     root points at the construction, a good witness with no root points at
-    the square decision procedure.  The root comes first.  A stored witness
-    w is then checked against it: Z[sqrt(d)] has no zero divisors, so
-    w^2 == root^2 exactly when w == +-root.  Only when the target has no
-    root is the witness squared, so that a good witness with no root is
-    still reported as witness_ok True.  A witness from another ring is
-    never +-root and never squares to the target, so it gets False.
+    the square decision procedure.  So a stored witness is squared against
+    the target and never compared with the root; a witness from another
+    ring gets False.
 
     Each target e_i*e_j + n is taken on the coordinates of the elements and
     n, as counterex._report_holds takes its pairs, and the witness is
-    compared or squared on coordinates too.  QuadInt's product and sum
-    build and ring-check an element per operation; dropping them took
-    ring_sweep's verify_ms_p50 from 0.0759 to 0.0671 ms (-11.5 %, medians
-    of ten pairs of bench runs).  The ring is checked once, before any
+    squared on coordinates too.  QuadInt's product and sum build and
+    ring-check an element per operation; dropping them took ring_sweep's
+    verify_ms_p50 from 0.0759 to 0.0671 ms (-11.5 %, medians of ten pairs
+    of bench runs).  The ring is checked once, before any
     pair: e_2, n, e_3 and e_4 against e_1, in the order that pairs (1,2),
     (1,3) and (1,4) meet them, raising the MixedRingError that the first
     failing e_i * e_j + n would; then no later pair can mix rings.  ctx
@@ -287,11 +284,8 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
             wa, wb, wctx = witness
             if wctx is not ectx and wctx.d != d:
                 witness_ok = False
-            elif root is None:
-                witness_ok = wa * wa + d * (wb * wb) == pa and 2 * (wa * wb) == pb
             else:
-                ra, rb, _ = root
-                witness_ok = wa == ra and wb == rb or wa == -ra and wb == -rb
+                witness_ok = wa * wa + d * (wb * wb) == pa and 2 * (wa * wb) == pb
         ok = root is not None and witness_ok is not False
         all_ok = all_ok and ok
         pairs.append(PairStatus(i, j, witness_ok, root, ok))

@@ -107,12 +107,13 @@ def _unit_power(minus6: QuadInt, u: QuadInt, t: int) -> tuple[QuadInt, QuadInt]:
     """The judge's power (w, w^2) for w = (minus6^2/6)^t; ValueError when a
     document's u is too short to be w^2.
 
-    unit_from_norm6 tests the witness, the one place a witness is tested, as
-    only a document's comes from outside; u == w^2 then ties t to n, with no
-    solver.  The unit has norm 1, so the first coordinate of its e-th power
-    has at least e*(bits(a) - 1) bits, a its own: a u shorter than that for
-    e = 2t is refused before the power is taken, so a long witness cannot
-    make the check build a number far beyond the document.
+    unit_from_norm6 tests the witness, the one place on the report path a
+    witness is tested, as only a document's comes from outside; u == w^2
+    then ties t to n, with no solver.  The unit has norm 1, so the first
+    coordinate of its e-th power has at least e*(bits(a) - 1) bits, a its
+    own: a u shorter than that for e = 2t is refused before the power is
+    taken, so a long witness cannot make the check build a number far
+    beyond the document.
     pellsolve.unit_power takes w and w^2 together, as build_report does.
     """
     unit = pellsolve.unit_from_norm6(minus6)
@@ -232,14 +233,13 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     classes = pellsolve.solve_norm_eq(ctx, -6)
     if not classes.representatives:
         raise ValueError(f"norm -6 is not attained for d = {ctx.d}")
-    gamma, eps = classes.representatives[0], classes.unit
-    base, trace = _construct_from_norm6(gamma, eps, 0, 0, 0, "first")
-    w, u = pellsolve.unit_power(eps, t)
+    base, trace = _construct_from_norm6(classes, 0, 0, 0, "first")
+    w, u = pellsolve.unit_power(classes.unit, t)
     scaled = scale_quadruple(base, w, u)  # n = 2 * u, as the base has n = 2
     return CounterexampleReport(
         t=t,
         quadruple=scaled,
-        minus6=gamma,
+        minus6=classes.representatives[0],
         verified=_report_holds(scaled, (w, u)),
         notes=(
             f"base quadruple at m=0, k=0, unit_index={trace.unit_index}, "

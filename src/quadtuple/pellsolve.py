@@ -2,10 +2,10 @@
 
 Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
-the construction rests on when d = 15 (mod 60): the canonical norm -6
-solution read off the fundamental unit, the norm 1 element a document's
-norm -6 witness gives, with the one test of that witness's norm and shape,
-unit powers, and the mod-5 argument that +-2 are not norms.
+the construction rests on when d = 15 (mod 60): the norm -6 classes read
+off the fundamental unit, the norm 1 element a document's norm -6 witness
+gives, with the one test of that witness's norm and shape, unit powers, and
+the mod-5 argument that +-2 are not norms.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def fundamental_unit(ctx: RingCtx) -> QuadInt:
     """The fundamental unit x + y*sqrt(d), x, y > 0 the least solution of
     x^2 - d*y^2 = 1, read off the convergents of sqrt(d).
 
-    The memo keeps the last ring only: a report looks its ring up once, and
-    the hits come from commands run in turn on one d, which one entry serves.
-    It stays for the benchmark, which reads cache_info() and cache_clear().
+    The memo keeps the last ring only, for commands run in turn on one d:
+    no command takes one ring's unit twice.  It stays for the benchmark,
+    which reads cache_info() and cache_clear().
 
     One loop runs the (P, Q) recurrence of the continued fraction and the
     convergents h/k together, and stops at the first convergent of norm 1:
@@ -229,24 +229,24 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     return ctx.d % 5 == 0
 
 
-def norm6_witness(ctx: RingCtx) -> QuadInt | None:
-    """The canonical norm -6 element, read off the fundamental unit, or None.
+def norm6_witness(ctx: RingCtx) -> NormEqClasses:
+    """solve_norm_eq(ctx, -6), read off the fundamental unit.
 
     For d = 15 (mod 60), with a the x-coordinate of fundamental_unit(ctx):
     -6 is a norm exactly when 3(a - 1) and 3(a + 1)/d are both squares, and
-    then (sqrt(3(a - 1)), sqrt(3(a + 1)/d)) is
-    solve_norm_eq(ctx, -6).representatives[0].  A d that is not 15 (mod 60)
-    raises ValueError.  The cost is fundamental_unit's walk and two isqrts;
-    the walk's unit, the element's square over 6, stays in its memo.
+    then (sqrt(3(a - 1)), sqrt(3(a + 1)/d)) is the one representative;
+    otherwise there is none.  A d that is not 15 (mod 60) raises ValueError.
+    The cost is fundamental_unit's walk and two isqrts.
 
-    Why it is exact.  If 9 | d, then 3 | x, so 9 | x^2 while
-    x^2 = d*y^2 - 6 = 3 (mod 9): there is no solution, and so, by the
-    converse below, the test finds no two squares.  Otherwise write
-    d = f^2 * d0; as 9 does not divide d and d is odd, f is prime to 6, so
-    the ideals of norm 6 are invertible and match those of the maximal
-    order of Q(sqrt(d0)).  There d0 = 3 (mod 4) and 3 | d0, so 2 and 3 both
-    ramify, and only one ideal has norm 6: every element of norm -6 lies in
-    one class under _associated.  Its canonical element (g, h) has
+    Why it equals solve_norm_eq(ctx, -6), which takes the same unit.  If
+    9 | d, then 3 | x, so 9 | x^2 while x^2 = d*y^2 - 6 = 3 (mod 9): there
+    is no class, and so, by the converse below, the test finds no two
+    squares.  Otherwise write d = f^2 * d0; as 9 does not divide d and d is
+    odd, f is prime to 6, so the ideals of norm 6 are invertible and match
+    those of the maximal order of Q(sqrt(d0)).  There d0 = 3 (mod 4) and
+    3 | d0, so 2 and 3 both ramify, and only one ideal has norm 6: every
+    element of norm -6 lies in one class under _associated, so the solve
+    finds at most one representative.  Its canonical element (g, h) has
     (g, h)^2 / 6 = unit, the argument in unit_from_norm6, so
     a = (g^2 + 3)/3 and d*h^2 = g^2 + 6: g^2 = 3(a - 1) and
     h^2 = 3(a + 1)/d.  Conversely, when both are squares,
@@ -255,12 +255,13 @@ def norm6_witness(ctx: RingCtx) -> QuadInt | None:
     d = ctx.d
     if d % 60 != 15:
         raise ValueError(f"d = {d} is not 15 mod 60")
-    a = fundamental_unit(ctx).a
+    unit = fundamental_unit(ctx)
+    a = unit.a
     g = is_perfect_square(3 * (a - 1))
     if g is None or 3 * (a + 1) % d:
-        return None
+        return NormEqClasses((), unit)
     h = is_perfect_square(3 * (a + 1) // d)
-    return None if h is None else QuadInt(g, h, ctx)
+    return NormEqClasses(() if h is None else (QuadInt(g, h, ctx),), unit)
 
 
 def unit_from_norm6(sol: QuadInt) -> QuadInt:
@@ -268,8 +269,8 @@ def unit_from_norm6(sol: QuadInt) -> QuadInt:
 
     How the report judge reads a document's witness (counterex._unit_power),
     testing it: a sol whose norm is not -6 raises ValueError, and then so
-    does one without g = 3 (mod 6).  The producers take gamma from a solve
-    and the unit from its walk, and test neither, as both are theorems:
+    does one without g = 3 (mod 6).  The producers take gamma and the unit
+    from one NormEqClasses, and test neither, as both are theorems:
     N(g, h) = -6 forces h odd, as an even h gives g^2 = -6 = 2 (mod 4).  For
     d = 15 (mod 60), g^2 = d*h^2 - 6 is then odd and 3 | d gives 3 | g, so
     g = 3 (mod 6); and 3 | h would give 9 | g^2 + 6 with 9 | g^2, so 9 | 6:

@@ -93,10 +93,10 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
     u = QuadInt(n.a // 2, n.b // 2, n.ctx)
     if not (u.norm() == 1 and _proof_holds(n, u) and _scope_holds(n)):
         return None
-    minus6 = pellsolve.norm6_witness(n.ctx)
-    if minus6 is None:
+    reps = pellsolve.norm6_witness(n.ctx).representatives
+    if not reps:
         return None
-    return NonRepCertificate(n=n, minus6=minus6)
+    return NonRepCertificate(n=n, minus6=reps[0])
 
 
 def _signed_range(bound: int):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import quadtuple.construct
 import quadtuple.pellsolve
 from quadtuple import (
+    NormEqClasses,
     ParityError,
     QuadInt,
     Quadruple,
@@ -180,6 +181,16 @@ def test_verify_reports_a_good_witness_with_no_root(ring15, monkeypatch):
     assert all(p.witness_ok is True and p.root is None for p in report.pairs)
 
 
+def test_verify_keeps_a_good_witness_against_a_wrong_root(ring15, monkeypatch):
+    # the witnesses are squared against their targets, never compared with
+    # the root, so a wrong root from the procedure does not mark them bad
+    quad, _ = construct_quadruple(ring15, 0, 0)
+    wrong = QuadInt(5, 5, ring15)
+    monkeypatch.setattr(quadtuple.construct, "sqrt_in_ring", lambda z: wrong)
+    report = verify_quadruple(ring15, quad)
+    assert all(p.witness_ok is True and p.root == wrong for p in report.pairs)
+
+
 def _bumped(x, data):
     # +-1 on one coordinate
     delta = data.draw(st.sampled_from([1, -1]))
@@ -278,18 +289,28 @@ def test_verify_quadruple_matches_the_operator_form(d, m, k, unit_index, choice,
 @pytest.mark.parametrize("d", SCANNED_GAMMA)
 def test_construct_reads_gamma_off_the_unit(d, monkeypatch):
     # the same quadruple and trace as built from the y-scan's representative,
-    # with no scan: gamma comes from pellsolve.norm6_witness
+    # with no scan: gamma and the unit come from one pellsolve.norm6_witness,
+    # so each construction takes the unit once
     def forbidden(*args, **kwargs):
         raise AssertionError("construct_quadruple ran solve_norm_eq")
 
+    unit, calls = quadtuple.pellsolve.fundamental_unit, []
+
+    def counted(ctx):
+        calls.append(ctx.d)
+        return unit(ctx)
+
     monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    monkeypatch.setattr(quadtuple.pellsolve, "fundamental_unit", counted)
     ctx = RingCtx(d)
     gamma = QuadInt(*SCANNED_GAMMA[d], ctx)
-    eps = unit_from_norm6(gamma)
-    for m, k, index, choice in [(0, 0, 0, "first"), (3, -1, 2, "second"), (-7, 5, 5, "first")]:
+    classes = NormEqClasses((gamma,), unit_from_norm6(gamma))
+    cases = [(0, 0, 0, "first"), (3, -1, 2, "second"), (-7, 5, 5, "first")]
+    for m, k, index, choice in cases:
         built = construct_quadruple(ctx, m, k, index, choice)
-        expected = quadtuple.construct._construct_from_norm6(gamma, eps, m, k, index, choice)
+        expected = quadtuple.construct._construct_from_norm6(classes, m, k, index, choice)
         assert built == expected, (d, m, k, index, choice)
+    assert calls == [d] * len(cases)
 
 
 def test_preconditions(ring15):

@@ -358,7 +358,8 @@ def _adversarial_report_doc():
     ctx = RingCtx(ADVERSARIAL_X**2 + 6)
     gamma = QuadInt(ADVERSARIAL_X, 1, ctx)
     eps = quadtuple.pellsolve.unit_from_norm6(gamma)
-    base, _ = quadtuple.construct._construct_from_norm6(gamma, eps, 0, 0, 0, "first")
+    classes = quadtuple.pellsolve.NormEqClasses((gamma,), eps)
+    base, _ = quadtuple.construct._construct_from_norm6(classes, 0, 0, 0, "first")
     w, u = unit_power(eps, 1)
     scaled = scale_quadruple(base, w, u)
     report = CounterexampleReport(1, scaled, gamma, True, ())

@@ -10,6 +10,9 @@ MemoryError as an expected failure.  Every refusal the package makes is a
 ValueError, so each exception class it defines derives from ValueError.
 No module changes the process-wide limit on int-to-decimal conversion,
 sys.set_int_max_str_digits: a library that lifts it lifts it for its host.
+Only pellsolve names fundamental_unit: every other module takes the unit
+from a NormEqClasses, with the classes it belongs to, so no command walks
+for the unit twice or reads it off the memo.
 An unbounded memo (functools.cache, lru_cache(maxsize=None)) wraps only a
 function with no parameters, which it calls once: on one that takes
 arguments it keeps every argument it was ever given, such as each ring of a
@@ -171,10 +174,9 @@ def test_no_broad_exception_handlers(path):
     assert not lines, f"{path.name} catches every exception at lines {lines}"
 
 
-def _int_digit_limit_setters(tree: ast.Module) -> list[int]:
-    """The line of each reference to sys.set_int_max_str_digits, by attribute
-    or by a name imported from sys."""
-    name = "set_int_max_str_digits"
+def _references(tree: ast.Module, name: str) -> list[int]:
+    """The line of each reference to name, by attribute, by name or by an
+    import from a module."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -186,8 +188,16 @@ def _int_digit_limit_setters(tree: ast.Module) -> list[int]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_sets_the_int_digit_limit(path):
-    lines = _int_digit_limit_setters(_tree(path))
+    lines = _references(_tree(path), "set_int_max_str_digits")
     assert not lines, f"{path.name} sets sys.set_int_max_str_digits at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "pellsolve.py"], ids=lambda p: p.name
+)
+def test_only_pellsolve_names_fundamental_unit(path):
+    lines = _references(_tree(path), "fundamental_unit")
+    assert not lines, f"{path.name} names fundamental_unit at lines {lines}"
 
 
 def _cache_name(node: ast.expr) -> str | None:
@@ -438,7 +448,17 @@ def test_lint_sees_planted_int_digit_limit_setters():
         "limit = sys.get_int_max_str_digits()\n"
         "f = getattr(sys, 'x')\nset_int_max_str_digits(0)\n"
     )
-    assert _int_digit_limit_setters(tree) == [2, 3, 6]
+    assert _references(tree, "set_int_max_str_digits") == [2, 3, 6]
+
+
+def test_lint_sees_planted_fundamental_unit_references():
+    tree = ast.parse(
+        "from . import pellsolve\neps = pellsolve.fundamental_unit(ctx)\n"
+        "from .pellsolve import fundamental_unit as unit\n"
+        "doc = {'fundamental_unit': str(eps)}\n"
+        "x = fundamental_unit(ctx).a\nclasses = pellsolve.norm6_witness(ctx)\n"
+    )
+    assert _references(tree, "fundamental_unit") == [2, 3, 5]
 
 
 def test_lint_sees_planted_unbounded_caches():

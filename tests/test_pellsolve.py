@@ -410,17 +410,19 @@ def _scan_bound(ctx):
 def test_norm6_witness_matches_diop_DN():
     # sympy's diop_DN(d, -6) lists one solution per class, found by its own
     # method; the witness is the one with the least |y|, both coordinates
-    # positive, and gamma^2/6 is the fundamental unit
+    # positive, gamma^2/6 is the fundamental unit, and the classes hold it
     solvable = 0
     for d in RADICANDS_15_MOD_60:
         ctx = RingCtx(d)
-        witness = norm6_witness(ctx)
+        classes = norm6_witness(ctx)
+        assert classes.unit == fundamental_unit(ctx), d
         least = min(((abs(y), abs(x)) for x, y in diop_DN(d, -6)), default=None)
         if least is None:
-            assert witness is None, d
+            assert classes.representatives == (), d
             continue
+        (witness,) = classes.representatives
         assert (witness.b, witness.a) == least, d
-        assert unit_from_norm6(witness) == fundamental_unit(ctx), d
+        assert unit_from_norm6(witness) == classes.unit, d
         # 9 | d rules -6 out: x^2 = d*y^2 - 6 = 3 (mod 9)
         assert d % 9, d
         solvable += 1
@@ -428,18 +430,22 @@ def test_norm6_witness_matches_diop_DN():
 
 
 def test_norm6_witness_is_the_canonical_representative():
-    # the family, whose gamma is (|60 alpha + 3|, 1), and every d = 15
-    # (mod 60) up to 20000 whose y-scan stops by 10^4: 270 of 334 rings
+    # the family, whose gamma is (|60 alpha + 3|, 1), every d = 15 (mod 60)
+    # up to 20000 whose y-scan stops by 10^4 (270 of 334 rings), and every
+    # one below 200000 whose scan stops by 3000 (1288 rings, 250 of them in
+    # the second set): the classes, representatives and unit, are the
+    # solve's, as one value
     rings = [family_d(alpha).ctx for alpha in range(-300, 300)]
     rings += [RingCtx(d) for d in range(15, 20_001, 60)]
     rings = [ctx for ctx in rings if _scan_bound(ctx) <= 10**4]
-    assert len(rings) == 600 + 270
+    rings += [ctx for ctx in map(RingCtx, RADICANDS_15_MOD_60) if _scan_bound(ctx) <= 3000]
+    assert len(rings) == 600 + 270 + 1288
     solvable = 0
     for ctx in rings:
-        reps = solve_norm_eq(ctx, -6).representatives
-        assert norm6_witness(ctx) == (reps[0] if reps else None), ctx.d
-        solvable += bool(reps)
-    assert solvable == 600 + 24
+        classes = solve_norm_eq(ctx, -6)
+        assert norm6_witness(ctx) == classes, ctx.d
+        solvable += bool(classes.representatives)
+    assert solvable == 600 + 24 + 89
 
 
 def test_norm6_witness_refuses_a_d_not_15_mod_60(monkeypatch):

@@ -17,7 +17,13 @@ d = 10, 2110: 135 and 375 have a square factor, and the others are not
 15 (mod 60), so each is inconclusive (exit 3) although the lemma behind the
 certificate holds there. And it holds, in both formats, the two pell lines
 whose y-scan pellsolve.SCAN_CAP refuses before it starts (exit 2):
---d 14655 --norm=-6 and --d 100000007 --norm 1000000. Left out: argparse's help
+--d 14655 --norm=-6 and --d 100000007 --norm 1000000. And, in both formats,
+construct and checkrepr on rings that read -6 off the unit: construct
+--d 135 --m 0 --k 0 (9 | d, so -6 is not a norm: exit 2); construct
+--d 17715 --m 0 --k 0 (exit 2) and checkrepr --d 17715 --n 2,0 --bound 20
+(exit 3), a d = 3 (mod 8) ring the benchmark scans; and construct --d 15495
+--m 2 --k 0 --unit-index 1 --factorization second and checkrepr --d 15495
+--n 2,0 (exit 0), a long unit with -6 a norm. Left out: argparse's help
 pages and usage errors, and any line whose text is Python's or the
 operating system's (the 4300-digit str() limit, strerror), since these vary
 with the Python version and test_cli.py and test_lint.py pin them; lines
