@@ -38,7 +38,7 @@ from .counterex import (
     enumerate_counterexample_rings,
     report_to_json,
 )
-from .pellsolve import LIMIT_CAP, enumerate_solutions, solve_norm_eq
+from .pellsolve import LIMIT_CAP, _first_unmet, enumerate_solutions, solve_norm_eq
 from .quadring import RingCtx, element_to_json, parse_element
 from .represent import (
     BOUND_CAP,
@@ -228,7 +228,7 @@ def cmd_counterexamples(args) -> int:
         try:
             for cand in candidates:
                 ctx = cand.ctx
-                if not ctx.square_free:
+                if _first_unmet(ctx, names=("d_square_free",)) is not None:
                     ineligible += 1
                     if text:
                         kept.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")

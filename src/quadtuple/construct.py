@@ -124,8 +124,7 @@ def construct_quadruple(
     (_construct_from_norm6).  Their representative gamma is tested
     nowhere: its norm and shape are theorems (unit_from_norm6).
     """
-    if ctx.d % 60 != 15:
-        raise ValueError(f"d = {ctx.d} is not 15 mod 60")
+    pellsolve._refuse_unmet(ctx, "d_15_mod_60")
     if (m + k) % 2:
         raise ParityError(f"m + k = {m + k} is odd")
     if not 0 <= unit_index <= UNIT_INDEX_CAP:
@@ -135,16 +134,14 @@ def construct_quadruple(
             f"factorization_choice must be 'first' or 'second', got {factorization_choice!r}"
         )
     classes = pellsolve.norm6_witness(ctx)
-    if not classes.representatives:
-        raise ValueError(f"x^2 - {ctx.d}y^2 = -6 has no solutions")
     return _construct_from_norm6(classes, m, k, unit_index, factorization_choice)
 
 
 def _construct_from_norm6(
     classes: pellsolve.NormEqClasses, m: int, k: int, unit_index: int, factorization_choice: str
 ) -> tuple[Quadruple, ConstructionTrace]:
-    """construct_quadruple's steps, from solvable norm -6 classes: gamma,
-    their canonical representative, and eps, their unit.
+    """construct_quadruple's steps, from the norm -6 classes, refused here if
+    empty: gamma, their canonical representative, and eps, their unit.
 
     Steps: flip the sign of gamma's y if needed so that (gamma, delta) has
     y = +1 (mod 6) for 'first' and y = -1 (mod 6) for 'second', read off
@@ -183,6 +180,8 @@ def _construct_from_norm6(
     is no square, as x^2 + d*y^2 is never 2 mod 4 for d = 3 (mod 4); and
     a*e = s^2 - 4n has an odd rational part, from s^2.
     """
+    if not classes.representatives:
+        raise ValueError(f"x^2 - {classes.unit.ctx.d}y^2 = -6 has no solutions")
     gamma, eps = classes.representatives[0], classes.unit
     ctx = gamma.ctx
     want = 1 if factorization_choice == "first" else 5  # y mod 6

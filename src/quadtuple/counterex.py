@@ -33,12 +33,7 @@ from .quadring import (
     int_from_json,
     sqrt_in_ring,
 )
-from .represent import (
-    NonRepCertificate,
-    _proof_holds,
-    _scope_holds,
-    certificate_to_json,
-)
+from .represent import NonRepCertificate, certificate_to_json
 
 __all__ = [
     "ALPHA_SPAN_CAP",
@@ -75,7 +70,7 @@ def enumerate_counterexample_rings(alpha_lo: int, alpha_hi: int) -> Iterator[DCa
     """The candidates for alpha_lo <= alpha <= alpha_hi, in alpha order, built
     one at a time as the iterator is read.
 
-    Non-square-free members are retained, with ctx.square_free False.  An
+    Non-square-free members are retained, to be judged by their caller.  An
     empty range or a span over ALPHA_SPAN_CAP members is refused when this
     is called, before any ring is built.
     """
@@ -166,7 +161,7 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     parse them.  N(u) = 1 needs no test: u = w^2 and N(w) = 1 (_divided).
     A base quadruple with power (1, 1) gets the t = 0 check.  Nonzero,
     distinct elements need no test: a repeated f_i makes 2 = rho^2 - f_i^2
-    and a zero one 2 = rho^2, which _proof_holds' lemma rules out.
+    and a zero one 2 = rho^2, which the proof's lemma rules out.
 
     The square tests run with w divided out.  w has norm 1, so each element
     is e_i = w * f_i with f_i = e_i * conj(w), and n = 2u = 2w^2 makes
@@ -185,7 +180,7 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     """
     w, w2 = power
     n = quad.n
-    if not (_proof_holds(n, w2) and _scope_holds(n)):
+    if pellsolve._first_unmet(n.ctx, n, w2) is not None:
         return False
     d = n.ctx.d
     f = [_divided(e, w) for e in quad.elements]
@@ -219,20 +214,15 @@ def build_report(ctx: RingCtx, t: int) -> CounterexampleReport:
     w.  The judge gets (w, u) as its power, built from gamma and t, so it
     neither takes them again nor reads them off the document it judges.
     verified is the verdict verify_report_doc gives on the report's JSON.
-    A t that is not an int in range (a bool is not) or a ring that is not
-    15 mod 60, not square-free or without a norm -6 element raises
+    A t that is not an int in range (a bool is not), a ring outside the
+    scope, refused before any solve, or one without a norm -6 element raises
     ValueError; a square-free family_d member passes, as x + sqrt(d) has
     norm -6.  Nothing raises past those checks.
     """
     if type(t) is not int or not 0 <= t <= T_CAP_DEFAULT:
         raise ValueError(f"t must be in [0, {T_CAP_DEFAULT}], got {t!r}")
-    if ctx.d % 60 != 15:
-        raise ValueError(f"d = {ctx.d} is not 15 mod 60")
-    if not ctx.square_free:
-        raise ValueError(f"d = {ctx.d} is not square-free")
+    pellsolve._refuse_unmet(ctx, "d_15_mod_60", "d_square_free")
     classes = pellsolve.solve_norm_eq(ctx, -6)
-    if not classes.representatives:
-        raise ValueError(f"norm -6 is not attained for d = {ctx.d}")
     base, trace = _construct_from_norm6(classes, 0, 0, 0, "first")
     w, u = pellsolve.unit_power(classes.unit, t)
     scaled = scale_quadruple(base, w, u)  # n = 2 * u, as the base has n = 2

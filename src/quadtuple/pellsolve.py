@@ -4,8 +4,9 @@ Provides the fundamental solution of x^2 - d*y^2 = 1, class representatives
 and deterministic enumeration for x^2 - d*y^2 = N, and the facts about norms
 the construction rests on when d = 15 (mod 60): the norm -6 classes read
 off the fundamental unit, the norm 1 element a document's norm -6 witness
-gives, with the one test of that witness's norm and shape, unit powers, and
-the mod-5 argument that +-2 are not norms.
+gives, with the one test of that witness's norm and shape, unit powers, the
+mod-5 argument that +-2 are not norms, and the one table of the hypotheses
+every judge tests and every producer refuses by (_HYPOTHESES).
 """
 
 from __future__ import annotations
@@ -224,9 +225,45 @@ def check_pm2_unsolvable(ctx: RingCtx) -> bool:
     """True when 5 | d, which proves x^2 - d*y^2 = +-2 unsolvable.
 
     Reducing mod 5 leaves x^2 = +-2, and both are quadratic non-residues
-    mod 5.  False makes no claim either way; represent._proof_holds calls it.
+    mod 5.  False makes no claim either way; it is _HYPOTHESES' first test.
     """
     return ctx.d % 5 == 0
+
+
+# The hypotheses behind a certificate that n = 2u is not a difference of two
+# squares, each tested here alone, in the order every judge tests them, as
+# name: (test on the ring ctx or on n and u, what d is when a ring fails it).
+# The first two, _PROOF, are the lemma's: if no element has norm +-2 and u
+# is a unit, 2u is not a difference of two squares.  Were 2u = (p - q)(p + q),
+# the two norms would multiply to N(2u) = +-4, neither being +-2, so one
+# factor is a unit v and the other 2u/v.  They sum to 2p, so v is in
+# 2Z[sqrt(d)] and 4 | N(v) = +-1, which is absurd.  The rest, _SCOPE, put n
+# inside the paper's theorem, square-free d last, as only that test may
+# search.  Past the proof, n.b = 0 (mod 4) follows: n.a = 2 (mod 4) makes
+# u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), as d is odd.  Each judge
+# owns N(u) = 1 and the norm -6 witness; a producer, with no n yet, names
+# ring hypotheses only.
+_HYPOTHESES = {
+    "pm2_unattained": (lambda ctx, n, u: check_pm2_unsolvable(ctx), None),
+    "n_is_2u": (lambda ctx, n, u: 2 * u == n, None),
+    "n_a_2_mod_4": (lambda ctx, n, u: n.a % 4 == 2, None),
+    "d_15_mod_60": (lambda ctx, n, u: ctx.d % 60 == 15, "not 15 mod 60"),
+    "d_square_free": (lambda ctx, n, u: ctx.square_free, "not square-free"),
+}
+_PROOF, _SCOPE = tuple(_HYPOTHESES)[:2], tuple(_HYPOTHESES)[2:]
+
+
+def _first_unmet(ctx: RingCtx, n=None, u=None, names=_HYPOTHESES) -> str | None:
+    """The first of the named hypotheses, in the table's order, that the ring
+    ctx, or n = 2u in it, fails; None when it meets them all."""
+    return next((h for h in _HYPOTHESES if h in names and not _HYPOTHESES[h][0](ctx, n, u)), None)
+
+
+def _refuse_unmet(ctx: RingCtx, *names: str) -> None:
+    """Refuse a ring that fails one of the named ring hypotheses, naming the
+    first: ValueError("d = 45 is not 15 mod 60")."""
+    if name := _first_unmet(ctx, names=names):
+        raise ValueError(f"d = {ctx.d} is {_HYPOTHESES[name][1]}")
 
 
 def norm6_witness(ctx: RingCtx) -> NormEqClasses:
@@ -252,15 +289,13 @@ def norm6_witness(ctx: RingCtx) -> NormEqClasses:
     h^2 = 3(a + 1)/d.  Conversely, when both are squares,
     g^2 - d*h^2 = 3(a - 1) - 3(a + 1) = -6.
     """
-    d = ctx.d
-    if d % 60 != 15:
-        raise ValueError(f"d = {d} is not 15 mod 60")
+    _refuse_unmet(ctx, "d_15_mod_60")
     unit = fundamental_unit(ctx)
     a = unit.a
     g = is_perfect_square(3 * (a - 1))
-    if g is None or 3 * (a + 1) % d:
+    if g is None or 3 * (a + 1) % ctx.d:
         return NormEqClasses((), unit)
-    h = is_perfect_square(3 * (a + 1) // d)
+    h = is_perfect_square(3 * (a + 1) // ctx.d)
     return NormEqClasses(() if h is None else (QuadInt(g, h, ctx),), unit)
 
 

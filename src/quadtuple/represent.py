@@ -1,11 +1,11 @@
 """Difference-of-two-squares questions for n in Z[sqrt(d)].
 
 Certifies that n = 2u, u of norm 1, is not a difference of two squares, by
-one lemma (_proof_holds) for an n inside the paper's theorem (_scope_holds),
-and carries an exhaustive search, the independent oracle for those
-certificates.  A certificate holds n and its norm -6 witness, which
-certify_nonrepresentable reads off the fundamental unit
-(pellsolve.norm6_witness) with no search.  Every judge, a report's in
+one lemma for an n inside the paper's theorem: the proof and the scope,
+the two slices of pellsolve._HYPOTHESES.  Carries an exhaustive search, the
+independent oracle for those certificates.  A certificate holds n and its
+norm -6 witness, which certify_nonrepresentable reads off the fundamental
+unit (pellsolve.norm6_witness) with no search.  Every judge, a report's in
 counterex too, tests the witness, then the proof, then the scope.
 """
 
@@ -47,28 +47,6 @@ class NonRepCertificate:
         return QuadInt(self.n.a // 2, self.n.b // 2, self.n.ctx)
 
 
-def _proof_holds(n: QuadInt, u: QuadInt) -> bool:
-    """The lemma's hypotheses but N(u) = +-1, which each caller owns: +-2 are
-    not norms, and 2u == n.
-
-    Lemma: if no element has norm +-2 and u is a unit, 2u is not a
-    difference of two squares.  Were 2u = (p - q)(p + q), the two norms
-    would multiply to N(2u) = +-4, neither being +-2, so one factor is a
-    unit v and the other 2u/v.  They sum to 2p, so v is in 2Z[sqrt(d)] and
-    4 | N(v) = +-1, which is absurd.
-    """
-    return pellsolve.check_pm2_unsolvable(n.ctx) and 2 * u == n
-
-
-def _scope_holds(n: QuadInt) -> bool:
-    """n inside the paper's theorem, with the norm -6 witness each caller
-    tests: n.a = 2 (mod 4), d = 15 (mod 60), then d square-free, as only that
-    may search.  Past _proof_holds, n.b = 0 (mod 4) follows: n.a = 2 (mod 4)
-    makes u.a odd, so N(u) = 1 gives d*u.b^2 = 0 (mod 4), as d is odd."""
-    ctx = n.ctx
-    return n.a % 4 == 2 and ctx.d % 60 == 15 and ctx.square_free
-
-
 def certificate_holds(cert: NonRepCertificate) -> bool:
     """True iff the certificate meets every hypothesis, by arithmetic alone:
     N(u) = 1, the witness in n's ring with N(minus6) = -6, then the proof
@@ -78,8 +56,7 @@ def certificate_holds(cert: NonRepCertificate) -> bool:
         u.norm() == 1
         and cert.minus6.ctx == n.ctx
         and cert.minus6.norm() == -6
-        and _proof_holds(n, u)
-        and _scope_holds(n)
+        and pellsolve._first_unmet(n.ctx, n, u) is None
     )
 
 
@@ -91,12 +68,10 @@ def certify_nonrepresentable(n: QuadInt) -> NonRepCertificate | None:
     fundamental unit: one continued-fraction walk and no search.
     """
     u = QuadInt(n.a // 2, n.b // 2, n.ctx)
-    if not (u.norm() == 1 and _proof_holds(n, u) and _scope_holds(n)):
+    if u.norm() != 1 or pellsolve._first_unmet(n.ctx, n, u) is not None:
         return None
     reps = pellsolve.norm6_witness(n.ctx).representatives
-    if not reps:
-        return None
-    return NonRepCertificate(n=n, minus6=reps[0])
+    return NonRepCertificate(n=n, minus6=reps[0]) if reps else None
 
 
 def _signed_range(bound: int):

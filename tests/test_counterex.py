@@ -129,13 +129,32 @@ def test_build_report_guards(ring15):
             build_report(ring15, t)
     with pytest.raises(ValueError, match="^d = 3975 is not square-free$"):
         build_report(RingCtx(3975), 0)
-    with pytest.raises(ValueError, match="^norm -6 is not attained for d = 195$"):
+    # construct's refusal, raised for both producers by _construct_from_norm6
+    with pytest.raises(ValueError, match=r"^x\^2 - 195y\^2 = -6 has no solutions$"):
         build_report(RingCtx(195), 0)
     with pytest.raises(ValueError, match="^d = 19 is not 15 mod 60$"):
         build_report(RingCtx(19), 0)
     # 12 = 2^2 * 3 fails both ring tests; the cheaper residue test speaks
     with pytest.raises(ValueError, match="^d = 12 is not 15 mod 60$"):
         build_report(RingCtx(12), 0)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (45, "d = 45 is not 15 mod 60"),
+        (12, "d = 12 is not 15 mod 60"),
+        (3975, "d = 3975 is not square-free"),
+    ],
+)
+def test_build_report_refuses_a_ring_outside_the_scope_before_any_solve(monkeypatch, d, message):
+    # 12 = 2^2 * 3 fails the residue and square-freeness; the residue speaks
+    def forbidden(*args):
+        raise AssertionError("build_report solved before refusing the ring")
+
+    monkeypatch.setattr(quadtuple.pellsolve, "solve_norm_eq", forbidden)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_report(RingCtx(d), 1)
 
 
 def test_report_json_shape(ring15):

@@ -13,6 +13,9 @@ sys.set_int_max_str_digits: a library that lifts it lifts it for its host.
 Only pellsolve names fundamental_unit: every other module takes the unit
 from a NormEqClasses, with the classes it belongs to, so no command walks
 for the unit twice or reads it off the memo.
+The paper's hypotheses on the ring are tested in one table,
+pellsolve._HYPOTHESES: no other code takes d % 60 or reads a ring's
+square_free, which only RingCtx itself decides.
 An unbounded memo (functools.cache, lru_cache(maxsize=None)) wraps only a
 function with no parameters, which it calls once: on one that takes
 arguments it keeps every argument it was ever given, such as each ring of a
@@ -198,6 +201,41 @@ def test_no_module_sets_the_int_digit_limit(path):
 def test_only_pellsolve_names_fundamental_unit(path):
     lines = _references(_tree(path), "fundamental_unit")
     assert not lines, f"{path.name} names fundamental_unit at lines {lines}"
+
+
+def _ring_hypothesis_tests(tree: ast.Module) -> list[int]:
+    """The line of each x % 60 and each read of .square_free outside a
+    module-level _HYPOTHESES table and class RingCtx."""
+    exempt = {
+        id(inner)
+        for node in tree.body
+        if (isinstance(node, ast.ClassDef) and node.name == "RingCtx")
+        or (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "_HYPOTHESES" for t in node.targets)
+        )
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in exempt
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == "square_free")
+            or (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 60
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_ring_hypotheses_are_tested_only_in_their_table(path):
+    lines = _ring_hypothesis_tests(_tree(path))
+    assert not lines, f"{path.name} tests d % 60 or square_free outside the table at lines {lines}"
 
 
 def _cache_name(node: ast.expr) -> str | None:
@@ -459,6 +497,17 @@ def test_lint_sees_planted_fundamental_unit_references():
         "x = fundamental_unit(ctx).a\nclasses = pellsolve.norm6_witness(ctx)\n"
     )
     assert _references(tree, "fundamental_unit") == [2, 3, 5]
+
+
+def test_lint_sees_planted_ring_hypothesis_tests():
+    tree = ast.parse(
+        "if ctx.d % 60 != 15: pass\nok = ctx.square_free\n"
+        "_HYPOTHESES = {'a': lambda ctx: ctx.d % 60 == 15, 'b': lambda ctx: ctx.square_free}\n"
+        "class RingCtx:\n    def f(self): return self.square_free\n"
+        "r = (d % 60, d % 5, self._square_free, 'square_free')\n"
+        "def g(ctx): return n.ctx.square_free and x % 60 == 15\n"
+    )
+    assert _ring_hypothesis_tests(tree) == [1, 2, 6, 7, 7]
 
 
 def test_lint_sees_planted_unbounded_caches():

@@ -23,7 +23,12 @@ construct and checkrepr on rings that read -6 off the unit: construct
 --d 17715 --m 0 --k 0 (exit 2) and checkrepr --d 17715 --n 2,0 --bound 20
 (exit 3), a d = 3 (mod 8) ring the benchmark scans; and construct --d 15495
 --m 2 --k 0 --unit-index 1 --factorization second and checkrepr --d 15495
---n 2,0 (exit 0), a long unit with -6 a norm. Left out: argparse's help
+--n 2,0 (exit 0), a long unit with -6 a norm. And, in both formats, the
+order in which construct refuses: construct --d 45 --m 0 --k 1 exits 2 on
+the residue of d before the parity of m + k; construct --d 135 --m 0 --k 1
+exits 5 on that parity, and construct --d 135 --m 0 --k 0 --unit-index 5000
+exits 2 on the index cap, each before finding -6 is not a norm; and
+checkrepr --d 45 --n 2,0 --bound 20 (exit 3) in JSON too. Left out: argparse's help
 pages and usage errors, and any line whose text is Python's or the
 operating system's (the 4300-digit str() limit, strerror), since these vary
 with the Python version and test_cli.py and test_lint.py pin them; lines

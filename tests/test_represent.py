@@ -19,12 +19,8 @@ from quadtuple import (
     search_repr,
     verify_report_doc,
 )
-from quadtuple.represent import (
-    BOUND_CAP,
-    _proof_holds,
-    _scope_holds,
-    certificate_to_json,
-)
+from quadtuple.pellsolve import _PROOF, _SCOPE, _first_unmet
+from quadtuple.represent import BOUND_CAP, certificate_to_json
 
 from support import RING15, RING735, RING3975, SCANNED_GAMMA
 
@@ -87,9 +83,33 @@ def _cert(ctx, n, minus6, minus6_ctx=None):
 )
 def test_certificate_holds_needs_every_hypothesis(cert, refused_by):
     assert not certificate_holds(cert)
-    proof = _proof_holds(cert.n, cert.u)
+    n, u = cert.n, cert.u
+    proof = _first_unmet(n.ctx, n, u, _PROOF) is None
     assert proof == (refused_by != "proof")
-    assert (not proof or _scope_holds(cert.n)) == (refused_by != "scope")
+    assert (not proof or _first_unmet(n.ctx, n, u, _SCOPE) is None) == (refused_by != "scope")
+
+
+# each hypothesis, with a case that fails it and no other, but for +-2: its
+# test, 5 | d, follows from d = 15 (mod 60), so d = 19 fails both, and the
+# table names the first
+@pytest.mark.parametrize(
+    "d, n, u, unmet",
+    [
+        (19, (2, 0), (1, 0), {"pm2_unattained", "d_15_mod_60"}),
+        (15, (2, 1), (1, 0), {"n_is_2u"}),
+        (15, (8, 2), (4, 1), {"n_a_2_mod_4"}),  # n = 2 * eps
+        (10, (2, 0), (1, 0), {"d_15_mod_60"}),
+        (735, (2, 0), (1, 0), {"d_square_free"}),  # 735 = 3 * 5 * 7^2
+    ],
+)
+def test_first_unmet_names_the_one_hypothesis_a_case_fails(d, n, u, unmet):
+    ctx = RingCtx(d)
+    n, u = QuadInt(*n, ctx), QuadInt(*u, ctx)
+    assert u.norm() == 1
+    names = _PROOF + _SCOPE
+    assert {name for name in names if _first_unmet(ctx, n, u, (name,))} == unmet
+    assert _first_unmet(ctx, n, u) == min(unmet, key=names.index)
+    assert certify_nonrepresentable(n) is None
 
 
 def test_certificate_closed_under_unit_squares(ring15):
@@ -140,7 +160,7 @@ def test_n_and_ring_hold_needs_no_test_of_n_b_mod_4():
             for shift in shifts:
                 n = 2 * u + shift
                 expected = _hypotheses_with_every_test(n, u)
-                held_here = u.norm() == 1 and _proof_holds(n, u) and _scope_holds(n)
+                held_here = u.norm() == 1 and _first_unmet(ctx, n, u) is None
                 assert held_here == expected, (d, n, u)
                 held += expected
     # n = 2u for u = +-1 and +-eps^k, +-conj(eps)^k, k = 2, 4, 6, in 15, 1095, 1455, 3255
@@ -156,13 +176,13 @@ LEMMA_CONTROLS = (2, 7, 14)
 
 @pytest.mark.parametrize("d", LEMMA_RINGS + LEMMA_CONTROLS)
 def test_the_lemma_agrees_with_the_search_outside_the_scope(d):
-    # where _proof_holds holds, no 2u for a unit u is a difference of two
+    # where the proof holds, no 2u for a unit u is a difference of two
     # squares, whatever the scope; where it fails, the search finds each one
     ctx = RingCtx(d)
     eps = fundamental_unit(ctx)
     for u in (QuadInt(1, 0, ctx), QuadInt(-1, 0, ctx), eps, eps * eps, eps.conjugate()):
         n = 2 * u
-        assert _proof_holds(n, u) == (d in LEMMA_RINGS), (d, u)
+        assert (_first_unmet(ctx, n, u, _PROOF) is None) == (d in LEMMA_RINGS), (d, u)
         found = search_repr(n, 60)
         if d in LEMMA_RINGS:
             assert found is None, (d, u, found)
