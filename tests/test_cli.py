@@ -1014,7 +1014,7 @@ def _run_module(*argv, cpu_s=None):
 )
 def test_construct_and_checkrepr_end_where_a_y_scan_would_not(argv, code, err):
     # -6 is no norm in either ring, and the y-scan's bound grows with the
-    # unit: minutes at 14655, 4 s at 18435; the witness read off the unit
+    # unit: about 95 s at 14655, 1.2 s at 18435; the witness read off the unit
     # answers in one continued-fraction walk
     proc = _run_module(*argv, cpu_s=2)
     assert (proc.returncode, proc.stderr) == (code, err)

@@ -147,8 +147,18 @@ def test_enumerate_solutions(ring15):
     assert len(enumerate_solutions(classes, cap)) == cap
 
 
-@pytest.mark.parametrize("d", SOLVER_D)
-@pytest.mark.parametrize("N", [1, -1, 2, -2, -6])
+# inputs at the edges of the scan's kernel, which steps d*y^2 + N on by
+# differences and tests its low six bits first: N < -d, so the first few
+# values are negative; N = -d*k^2, whose solutions start at x = 0; and
+# d = 0 (mod 64) with N = 4, where every value is 4 mod 64 and passes
+SOLVER_EDGES = [(-49, 2), (-47, 3), (-87, 13), (-100, 15), (-3000, 94), (-1001, 735)]
+SOLVER_EDGES += [(-8, 2), (-117, 13), (-60, 15), (-735, 735), (-15900, 3975)]
+SOLVER_EDGES += [(4, 128), (4, 192), (4, 320)]
+
+
+@pytest.mark.parametrize(
+    ("N", "d"), [(N, d) for N in (1, -1, 2, -2, -6) for d in SOLVER_D] + SOLVER_EDGES
+)
 def test_solver_matches_brute_force(d, N):
     ctx = RingCtx(d)
     sols = solutions_within(solve_norm_eq(ctx, N), 500)
@@ -196,27 +206,9 @@ def test_solutions_within_is_a_prefix_of_the_enumeration(d, N):
 
 def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
     # the one class of norm 1, the unit's powers up to sign, has 1 first;
-    # d = 100000007 has a 3333-digit unit, which the scan's bound follows
-    def forbidden(*args):
-        raise AssertionError("solve_norm_eq scanned for N = 1")
-
-    monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", forbidden)
-    for d in (2, 15, 735, 100000007):
-        ctx = RingCtx(d)
-        classes = solve_norm_eq(ctx, 1)
-        assert classes.representatives == (QuadInt(1, 0, ctx),)
-        assert classes.unit == fundamental_unit(ctx)
-
-
-def test_solve_norm_eq_scans_up_to_the_cap_and_refuses_past_it(monkeypatch):
-    # d = 2, N = 2737 scans y = 0..53 and finds eight classes; one value
-    # over the cap is refused before the first square test
-    ctx = RingCtx(2)
-    answer = solve_norm_eq(ctx, 2737)
-    values = isqrt(2737 * (fundamental_unit(ctx).a + 1) // (2 * ctx.d)) + 2
-    assert (values, len(answer.representatives)) == (54, 8)
-    monkeypatch.setattr(quadtuple.pellsolve, "SCAN_CAP", values)
-    assert solve_norm_eq(ctx, 2737) == answer
+    # d = 100000007 has a 3333-digit unit, which the scan's bound follows.
+    # A scan of x^2 - 2y^2 = -1 shows the spy sees one: v = -1 + 2y^2 is 1
+    # at y = 1, a square mod 64
     square_tests = []
 
     def counted(n):
@@ -224,6 +216,35 @@ def test_solve_norm_eq_scans_up_to_the_cap_and_refuses_past_it(monkeypatch):
         return is_perfect_square(n)
 
     monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", counted)
+    for d in (2, 15, 735, 100000007):
+        ctx = RingCtx(d)
+        classes = solve_norm_eq(ctx, 1)
+        assert classes.representatives == (QuadInt(1, 0, ctx),)
+        assert classes.unit == fundamental_unit(ctx)
+        assert square_tests == [], d
+    solve_norm_eq(RingCtx(2), -1)
+    assert 1 in square_tests
+
+
+def test_solve_norm_eq_scans_up_to_the_cap_and_refuses_past_it(monkeypatch):
+    # d = 2, N = 2737 scans y = 0..53 and finds eight classes, each found
+    # through a square test; one value over the cap is refused before the
+    # first square test
+    ctx = RingCtx(2)
+    answer = solve_norm_eq(ctx, 2737)
+    values = isqrt(2737 * (fundamental_unit(ctx).a + 1) // (2 * ctx.d)) + 2
+    assert (values, len(answer.representatives)) == (54, 8)
+    square_tests = []
+
+    def counted(n):
+        square_tests.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", counted)
+    monkeypatch.setattr(quadtuple.pellsolve, "SCAN_CAP", values)
+    assert solve_norm_eq(ctx, 2737) == answer
+    assert len(square_tests) >= 8
+    square_tests.clear()
     monkeypatch.setattr(quadtuple.pellsolve, "SCAN_CAP", values - 1)
     with pytest.raises(ValueError, match=f"past the cap of {values - 1} values"):
         solve_norm_eq(ctx, 2737)
@@ -431,21 +452,22 @@ def test_norm6_witness_matches_diop_DN():
 
 def test_norm6_witness_is_the_canonical_representative():
     # the family, whose gamma is (|60 alpha + 3|, 1), every d = 15 (mod 60)
-    # up to 20000 whose y-scan stops by 10^4 (270 of 334 rings), and every
-    # one below 200000 whose scan stops by 3000 (1288 rings, 250 of them in
-    # the second set): the classes, representatives and unit, are the
-    # solve's, as one value
+    # up to 20000 whose y-scan stops by 10^6 (317 of 334 rings, 163 of
+    # ring_sweep's 168 among them), and every one below 200000 whose scan
+    # stops by 3000 (1288 rings, 250 of them in the second set): the
+    # classes, representatives and unit, are the solve's, as one value
     rings = [family_d(alpha).ctx for alpha in range(-300, 300)]
     rings += [RingCtx(d) for d in range(15, 20_001, 60)]
-    rings = [ctx for ctx in rings if _scan_bound(ctx) <= 10**4]
+    rings = [ctx for ctx in rings if _scan_bound(ctx) <= 10**6]
+    assert sum(is_square_free(ctx.d) for ctx in rings[600:]) == 163
     rings += [ctx for ctx in map(RingCtx, RADICANDS_15_MOD_60) if _scan_bound(ctx) <= 3000]
-    assert len(rings) == 600 + 270 + 1288
+    assert len(rings) == 600 + 317 + 1288
     solvable = 0
     for ctx in rings:
         classes = solve_norm_eq(ctx, -6)
         assert norm6_witness(ctx) == classes, ctx.d
         solvable += bool(classes.representatives)
-    assert solvable == 600 + 24 + 89
+    assert solvable == 600 + 28 + 89
 
 
 def test_norm6_witness_refuses_a_d_not_15_mod_60(monkeypatch):
