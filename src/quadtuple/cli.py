@@ -183,6 +183,14 @@ def cmd_checkrepr(args) -> int:
         ]
         _emit(args, doc, lines)
         return EXIT_OK
+    if n.b % 2:
+        doc = {"certified": False, "found": None, "reason": "odd sqrt(d) coordinate"}
+        lines = [
+            f"n = {n} is not a difference of two squares: "
+            "p^2 - q^2 has an even sqrt(d) coordinate"
+        ]
+        _emit(args, doc, lines)
+        return EXIT_OK
     found = search_repr(n, args.bound)
     if found is not None:
         p, q = found

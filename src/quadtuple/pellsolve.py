@@ -19,7 +19,7 @@ from itertools import accumulate, groupby, islice, repeat, takewhile
 from math import isqrt
 from operator import mul
 
-from .quadring import _SQ64, QuadInt, RingCtx, is_perfect_square
+from .quadring import _SQ64, _SQ693, QuadInt, RingCtx, is_perfect_square
 
 __all__ = [
     "LIMIT_CAP",
@@ -132,8 +132,10 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     ran.  A range of more than SCAN_CAP values of y raises ValueError
     before the scan starts; the bound is taken from the unit alone.  Every
     y in the range is tested: v = d*y^2 + N is stepped on by differences,
-    and only a v whose low six bits are a square mod 64 reaches
-    is_perfect_square, the one exact test, which refuses a negative v.
+    and only a v whose low six bits are a square mod 64, and then whose
+    residue mod 693 is a square, reaches is_perfect_square, the one exact
+    test, which refuses a negative v.  The two tables are is_perfect_square's
+    own, in its order, so a v the first refuses is never reduced mod 693.
 
     N = 1 is answered with no scan: ((1, 0),).  The norm 1 elements are
     exactly +-unit^k, as the least solution of x^2 - d*y^2 = 1 generates
@@ -160,7 +162,7 @@ def solve_norm_eq(ctx: RingCtx, N: int) -> NormEqClasses:
     # v = d*y^2 + N, and v(y + 1) - v(y) = step = d*(2y + 1)
     v, step, d2 = N, d, 2 * d
     for y in range(ybound + 1):
-        if _SQ64[v & 63] and (x := is_perfect_square(v)) is not None:
+        if _SQ64[v & 63] and _SQ693[v % 693] and (x := is_perfect_square(v)) is not None:
             signs = {(x, y), (-x, y), (x, -y), (-x, -y)}
             hits.extend(QuadInt(sx, sy, ctx) for sx, sy in signs)
         v += step

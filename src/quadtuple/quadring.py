@@ -40,17 +40,30 @@ class MixedRingError(ValueError):
 # integer routines
 
 
-# _SQ64[r] is 1 iff r is a square mod 64 (12 of the 64 residues are)
-_SQ64 = bytes(1 if any(x * x % 64 == r for x in range(64)) else 0 for r in range(64))
+def _squares_mod(m: int) -> bytes:
+    """table[r] is 1 iff r is a square mod m."""
+    squares = {x * x % m for x in range(m)}
+    return bytes(r in squares for r in range(m))
+
+
+# 12 of the 64 residues are squares, and 96 of the 693.  693 = 9*7*11 is
+# Cohen's 63 and 11 in one reduction.  His 65 is left out: for d = 15
+# (mod 60) and N = -6 every d*y^2 + N is 4 mod 5, a square, so its 5
+# refuses nothing on the paper's rings (nor would a bare 3, as every such
+# value is 0 mod 3; 9 refuses two thirds of them)
+_SQ64 = _squares_mod(64)
+_SQ693 = _squares_mod(693)
 
 
 def is_perfect_square(n: int) -> int | None:
     """Return the nonnegative integer square root of n, or None.
 
-    A square's low six bits are one of 12 residues mod 64, so the other 52
-    are refused before the isqrt, which alone decides (Cohen, Alg. 1.7.3).
+    Cohen's square test (GTM 138, Alg. 1.7.3), in two stages: the 52 of 64
+    residues of the low six bits that no square has are refused first, then
+    the 597 of 693 residues mod 693 = 9*7*11, and only then the isqrt,
+    which alone decides.  A negative n is refused at once.
     """
-    if n < 0 or not _SQ64[n & 63]:
+    if n < 0 or not _SQ64[n & 63] or not _SQ693[n % 693]:
         return None
     r = isqrt(n)
     return r if r * r == n else None

@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import quadtuple
@@ -18,7 +19,6 @@ from quadtuple import (
     RingCtx,
     certificate_holds,
     degenerate_check,
-    is_perfect_square,
     sqrt_in_ring,
     verify_quadruple,
 )
@@ -39,14 +39,15 @@ SCANNED_GAMMA = {15: (3, 1), 1095: (33, 1), 15495: (224041257, 1799833)}
 
 
 def brute_norm_solutions(ctx, N, ybound):
-    """Every (x, y) with x^2 - d*y^2 = N and |y| <= ybound, by raw scan."""
+    """Every (x, y) with x^2 - d*y^2 = N and |y| <= ybound, by raw scan.
+
+    Squares are tested by isqrt alone, not by quadring.is_perfect_square,
+    so a wrong residue table in the code under test cannot pass its own
+    check."""
     out = set()
     for y in range(ybound + 1):
         t = ctx.d * y * y + N
-        if t < 0:
-            continue
-        x = is_perfect_square(t)
-        if x is None:
+        if t < 0 or (x := isqrt(t)) ** 2 != t:
             continue
         out.update({(x, y), (-x, y), (x, -y), (-x, -y)})
     return out

@@ -1065,18 +1065,22 @@ def test_pell_refuses_a_scan_past_the_cap_within_a_second_of_cpu(d, norm):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 19: checkrepr reports an n it has proved not representable "
-    "as inconclusive",
-)
 def test_checkrepr_decides_an_n_with_an_odd_sqrt_d_coordinate():
-    # p^2 - q^2 always has an even sqrt(d) coordinate, so search_repr
-    # returns at once for 2 + sqrt(15), and the answer is proved
+    # p^2 - q^2 always has an even sqrt(d) coordinate, so 2 + sqrt(15) is
+    # proved not a difference of two squares, with no search and no bound
     proc = _run_module("checkrepr", "--d", "15", "--n", "2,1", cpu_s=2)
-    # 3 is inconclusive; a negative code, a signal such as the CPU limit's
-    assert proc.returncode >= 0 and proc.returncode != 3
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "n = 2,1 is not a difference of two squares: "
+        "p^2 - q^2 has an even sqrt(d) coordinate\n"
+    )
+    proc = _run_module("--format", "json", "checkrepr", "--d", "15", "--n", "2,1", cpu_s=2)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "certified": False,
+        "found": None,
+        "reason": "odd sqrt(d) coordinate",
+    }
 
 
 @pytest.mark.xfail(

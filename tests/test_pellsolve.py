@@ -26,7 +26,7 @@ from quadtuple import (
     unit_power,
 )
 
-from support import MINUS6_D, brute_norm_solutions, enum_order_key
+from support import MINUS6_D, SCANNED_GAMMA, brute_norm_solutions, enum_order_key
 
 # all square-free d = 15 (mod 60) up to 2000
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
@@ -148,12 +148,14 @@ def test_enumerate_solutions(ring15):
 
 
 # inputs at the edges of the scan's kernel, which steps d*y^2 + N on by
-# differences and tests its low six bits first: N < -d, so the first few
-# values are negative; N = -d*k^2, whose solutions start at x = 0; and
-# d = 0 (mod 64) with N = 4, where every value is 4 mod 64 and passes
+# differences and tests it mod 64, then mod 693: N < -d, so the first few
+# values are negative; N = -d*k^2, whose solutions start at x = 0;
+# d = 0 (mod 64) with N = 4, where every value is 4 mod 64 and passes the
+# first table; and d = 0 (mod 44352 = 64 * 693) with N = 4, where every
+# value passes both (23 * 44352 has two classes, and a scan of 3 values)
 SOLVER_EDGES = [(-49, 2), (-47, 3), (-87, 13), (-100, 15), (-3000, 94), (-1001, 735)]
 SOLVER_EDGES += [(-8, 2), (-117, 13), (-60, 15), (-735, 735), (-15900, 3975)]
-SOLVER_EDGES += [(4, 128), (4, 192), (4, 320)]
+SOLVER_EDGES += [(4, 128), (4, 192), (4, 320), (4, 23 * 44352)]
 
 
 @pytest.mark.parametrize(
@@ -264,6 +266,43 @@ def test_every_ring_sweep_ring_but_14655_scans_under_the_cap():
     assert max(values, key=values.get) == 18435
     assert 10**7 < values[18435] < SCAN_CAP // 8
     assert 10**6 < values[11355] < values[18435]
+
+
+@pytest.mark.parametrize("d", [15495, 11355])
+def test_the_scan_reduces_mod_693_only_what_passes_mod_64(monkeypatch, d):
+    # counts, not times: the scan reads the mod-693 table for exactly the
+    # values whose low six bits are a square, and calls the exact test for
+    # exactly those that pass both, each set recomputed here from the
+    # squares mod 64 and mod 693.  At 15495 (7 mod 8) exactly the odd y
+    # pass mod 64, and 163621 of the 1799835 values pass both; at 11355
+    # (3 mod 8) no value passes mod 64, so neither is reached
+    table, reads, square_tests = quadtuple.pellsolve._SQ693, [], []
+
+    class CountedTable:
+        def __getitem__(self, r):
+            reads.append(r)
+            return table[r]
+
+    def counted(n):
+        square_tests.append(n)
+        return is_perfect_square(n)
+
+    monkeypatch.setattr(quadtuple.pellsolve, "_SQ693", CountedTable())
+    monkeypatch.setattr(quadtuple.pellsolve, "is_perfect_square", counted)
+    ctx = RingCtx(d)
+    classes = solve_norm_eq(ctx, -6)
+    mod64 = {x * x % 64 for x in range(64)}
+    mod693 = {x * x % 693 for x in range(693)}
+    values = [d * y * y - 6 for y in range(_scan_bound(ctx) + 1)]
+    past64 = [v for v in values if v % 64 in mod64]
+    assert reads == [v % 693 for v in past64]
+    assert square_tests == [v for v in past64 if v % 693 in mod693]
+    if d == 15495:
+        assert past64 == values[1::2]
+        assert len(square_tests) == 163621
+        assert classes.representatives == (QuadInt(*SCANNED_GAMMA[d], ctx),)
+    else:
+        assert (reads, square_tests, classes.representatives) == ([], [], ())
 
 
 def test_enumerate_solutions_takes_a_product_per_solution(monkeypatch):

@@ -28,6 +28,7 @@ from quadtuple import (
 )
 from quadtuple.quadring import (
     _SQ64,
+    _SQ693,
     _INT,
     RADICAND_CAP,
     element_from_json,
@@ -429,8 +430,12 @@ def _square_root_by_isqrt(n):
 
 
 def test_is_perfect_square_matches_isqrt():
-    # the mod-64 pre-test may refuse only non-squares: 12 residues pass it
+    # the pre-tests may refuse only non-squares: 12 residues mod 64 pass the
+    # first, and the 96 squares mod 693, recomputed here, the second
     assert sum(_SQ64) == 12
+    squares = {x * x % 693 for x in range(693)}
+    assert len(squares) == 96
+    assert {r for r in range(693) if _SQ693[r]} == squares and len(_SQ693) == 693
     for n in range(-256, 1 << 16):
         assert is_perfect_square(n) == _square_root_by_isqrt(n), n
     rng = random.Random(64)
@@ -439,6 +444,19 @@ def test_is_perfect_square_matches_isqrt():
         for k in (k, k + 1):  # both parities
             for n in (k * k - 1, k * k, k * k + 1, -k * k, 1 - k * k):
                 assert is_perfect_square(n) == _square_root_by_isqrt(n)
+
+
+@pytest.mark.parametrize("floor", [2**64, 10**600], ids=["above-2^64", "above-10^600"])
+def test_is_perfect_square_in_every_class_of_its_two_tables(floor):
+    # the tables read n mod 64 and n mod 693, so n mod 44352 = 64 * 693
+    # decides what they let through: one value in each class, and one
+    # square in each class that holds squares, (m + x)^2 = x^2 mod 44352
+    modulus = 64 * 693
+    base = -(-floor // modulus) * modulus
+    root = isqrt(floor) // modulus * modulus + modulus
+    for r in range(modulus):
+        for n in (base + r, (root + r) ** 2):
+            assert is_perfect_square(n) == _square_root_by_isqrt(n), (r, n % modulus)
 
 
 def test_factorize():
