@@ -38,7 +38,7 @@ from .counterex import (
     enumerate_counterexample_rings,
     report_to_json,
 )
-from .pellsolve import LIMIT_CAP, _first_unmet, enumerate_solutions, solve_norm_eq
+from .pellsolve import _HYPOTHESES, LIMIT_CAP, _first_unmet, enumerate_solutions, solve_norm_eq
 from .quadring import RingCtx, element_to_json, parse_element
 from .represent import (
     BOUND_CAP,
@@ -236,10 +236,11 @@ def cmd_counterexamples(args) -> int:
         try:
             for cand in candidates:
                 ctx = cand.ctx
-                if _first_unmet(ctx, names=("d_square_free",)) is not None:
+                if unmet := _first_unmet(ctx, names=("d_square_free",)):
                     ineligible += 1
                     if text:
-                        kept.append(f"alpha={cand.alpha} d={ctx.d} ineligible (not square-free)")
+                        why = _HYPOTHESES[unmet][1]
+                        kept.append(f"alpha={cand.alpha} d={ctx.d} ineligible ({why})")
                     continue
                 eligible += 1
                 report = build_report(ctx, args.t)

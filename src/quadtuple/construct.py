@@ -53,6 +53,27 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 # the one spelling of each pair as a witness key, "12" for (1, 2), in PAIRS order
 WITNESS_KEYS = {f"{i}{j}": (i, j) for i, j in PAIRS}
 
+
+def _pair_test(e: QuadInt, o: QuadInt, na: int, nb: int, w: QuadInt | None):
+    """The one pair test of a D(n) quadruple: (pa, pb, ok) for the target
+    pa + pb*sqrt(d) = e*o + n, n = na + nb*sqrt(d), with ok whether the
+    witness w squares to it, None when w is None.
+
+    Read in e's ring, off coordinates; the caller owns the ring of o, n and
+    w.  No QuadInt is built, as each of QuadInt's products and sums builds
+    and ring-checks one: with them both judges' verify_ms_p50 read 11-20 %
+    slower, over ten pairs of bench runs.
+    """
+    a, b, ctx = e
+    oa, ob, _ = o
+    d = ctx.d
+    pa, pb = a * oa + d * (b * ob) + na, a * ob + b * oa + nb
+    if w is None:
+        return pa, pb, None
+    wa, wb, _ = w
+    return pa, pb, wa * wa + d * (wb * wb) == pa and 2 * (wa * wb) == pb
+
+
 # largest unit_index construct_quadruple accepts: 2 * counterex.T_CAP_DEFAULT.
 # At the cap the elements are about the size of a t = 1000 report's
 # unit^(2t), so they meet the same 4300-digit str() limit when printed.
@@ -248,18 +269,13 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
     root points at the construction, a good witness with no root points at
     the square decision procedure.  So a stored witness is squared against
     the target and never compared with the root; a witness from another
-    ring gets False.
+    ring gets False, before it is squared.
 
-    Each target e_i*e_j + n is taken on the coordinates of the elements and
-    n, as counterex._report_holds takes its pairs, and the witness is
-    squared on coordinates too.  QuadInt's product and sum build and
-    ring-check an element per operation; dropping them took ring_sweep's
-    verify_ms_p50 from 0.0759 to 0.0671 ms (-11.5 %, medians of ten pairs
-    of bench runs).  The ring is checked once, before any
-    pair: e_2, n, e_3 and e_4 against e_1, in the order that pairs (1,2),
-    (1,3) and (1,4) meet them, raising the MixedRingError that the first
-    failing e_i * e_j + n would; then no later pair can mix rings.  ctx
-    is unread; the elements carry their ring.
+    Pairs are tested by _pair_test (on coordinates; its docstring says why).
+    The ring is checked once, before any pair: e_2, n, e_3 and e_4 against
+    e_1, in the order that pairs (1,2), (1,3) and (1,4) meet them, raising
+    the MixedRingError that the first failing e_i * e_j + n would; then no
+    later pair can mix rings.  ctx is unread; the elements carry their ring.
     """
     elements, witnesses = quad.elements, quad.witnesses
     na, nb, nctx = quad.n
@@ -271,20 +287,12 @@ def verify_quadruple(ctx: RingCtx, quad: Quadruple) -> VerifyReport:
         if octx is not ctx1 and octx.d != ctx1.d:
             raise _mixed_rings(ctx1, octx)
     for i, j in PAIRS:
-        a, b, ectx = elements[i - 1]
-        oa, ob, _ = elements[j - 1]
-        d = ectx.d
-        pa, pb = a * oa + d * (b * ob) + na, a * ob + b * oa + nb
-        root = sqrt_in_ring(_new(QuadInt, (pa, pb, ectx)))
         witness = witnesses.get((i, j))
-        if witness is None:
-            witness_ok = None
-        else:
-            wa, wb, wctx = witness
-            if wctx is not ectx and wctx.d != d:
-                witness_ok = False
-            else:
-                witness_ok = wa * wa + d * (wb * wb) == pa and 2 * (wa * wb) == pb
+        own = witness is None or witness.ctx is ctx1 or witness.ctx.d == ctx1.d
+        e, o = elements[i - 1], elements[j - 1]
+        pa, pb, squared = _pair_test(e, o, na, nb, witness if own else None)
+        witness_ok = own and squared
+        root = sqrt_in_ring(_new(QuadInt, (pa, pb, ctx1)))
         ok = root is not None and witness_ok is not False
         all_ok = all_ok and ok
         pairs.append(PairStatus(i, j, witness_ok, root, ok))

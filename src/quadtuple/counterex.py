@@ -21,6 +21,7 @@ from .construct import (
     PAIRS,
     Quadruple,
     _construct_from_norm6,
+    _pair_test,
     quadruple_from_json,
     quadruple_to_json,
     scale_quadruple,
@@ -174,29 +175,24 @@ def _report_holds(quad: Quadruple, power: tuple[QuadInt, QuadInt]) -> bool:
     element and witness, so the square tests run on numbers of its size,
     not of unit^(2t).  For a long w, each quotient is a low-bits guess kept
     only if w times it gives back the dividend (_divided), which keeps it
-    exact.  The pair test is written on coordinates, not with QuadInt's
-    products and sums: those made near_window's verify_ms_p50 about 20 %
-    slower, over ten pairs of bench runs.
+    exact.  Pairs are tested by construct._pair_test (on coordinates; its
+    docstring says why).
     """
     w, w2 = power
     n = quad.n
     if pellsolve._first_unmet(n.ctx, n, w2) is not None:
         return False
-    d = n.ctx.d
     f = [_divided(e, w) for e in quad.elements]
     witnesses = quad.witnesses
     for i, j in PAIRS:
-        a, b, ctx = f[i - 1]
-        oa, ob, _ = f[j - 1]
-        pa, pb = a * oa + d * (b * ob) + 2, a * ob + b * oa
         witness = witnesses.get((i, j))
-        if witness is None:
-            if sqrt_in_ring(_new(QuadInt, (pa, pb, ctx))) is None:
-                return False
-        else:
-            ra, rb, _ = _divided(witness, w)
-            if ra * ra + d * (rb * rb) != pa or 2 * (ra * rb) != pb:
-                return False
+        pa, pb, ok = _pair_test(
+            f[i - 1], f[j - 1], 2, 0, None if witness is None else _divided(witness, w)
+        )
+        if ok is None:
+            ok = sqrt_in_ring(_new(QuadInt, (pa, pb, n.ctx))) is not None
+        if not ok:
+            return False
     return True
 
 

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import merge
-from itertools import accumulate, groupby, islice, repeat, takewhile
+from itertools import accumulate, groupby, islice, repeat
 from math import isqrt
 from operator import mul
 
@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_solutions",
     "fundamental_unit",
     "norm6_witness",
-    "solutions_within",
     "solve_norm_eq",
     "unit_from_norm6",
     "unit_power",
@@ -203,11 +202,6 @@ def _solutions(classes: NormEqClasses) -> Iterator[QuadInt]:
             orbits.append(accumulate(repeat(conj), mul, initial=s * conj))
     for _, run in groupby(merge(*orbits, key=_abs_y), key=_abs_y):
         yield from sorted(run, key=_enum_key)
-
-
-def solutions_within(classes: NormEqClasses, ybound: int) -> list[QuadInt]:
-    """All solutions with |y| <= ybound, in the canonical order (_solutions)."""
-    return list(takewhile(lambda s: _abs_y(s) <= ybound, _solutions(classes)))
 
 
 def enumerate_solutions(classes: NormEqClasses, limit: int) -> list[QuadInt]:

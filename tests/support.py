@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import takewhile
 from math import isqrt
 from pathlib import Path
 
@@ -19,11 +20,12 @@ from quadtuple import (
     RingCtx,
     certificate_holds,
     degenerate_check,
+    enumerate_solutions,
     sqrt_in_ring,
     verify_quadruple,
 )
 from quadtuple.construct import PAIRS, PairStatus, VerifyReport
-from quadtuple.pellsolve import unit_from_norm6
+from quadtuple.pellsolve import LIMIT_CAP, unit_from_norm6
 
 # rings the suite keeps coming back to; 735 and 3975 carry square factors
 # (3*5*7^2 and 3*5^2*53), so no certificate holds in them
@@ -51,6 +53,16 @@ def brute_norm_solutions(ctx, N, ybound):
             continue
         out.update({(x, y), (-x, y), (x, -y), (-x, -y)})
     return out
+
+
+def solutions_up_to(classes, ybound):
+    """The solutions with |y| <= ybound, in the canonical order: the first
+    LIMIT_CAP solutions cut at the bound, which the order puts first.  The
+    cut is asserted whole: fewer than LIMIT_CAP solutions, or the last one
+    past the bound."""
+    sols = enumerate_solutions(classes, LIMIT_CAP)
+    assert len(sols) < LIMIT_CAP or abs(sols[-1].b) > ybound, (classes, ybound)
+    return list(takewhile(lambda s: abs(s.b) <= ybound, sols))
 
 
 def enum_order_key(sol):

@@ -21,14 +21,13 @@ from quadtuple import (
     is_square_free,
     scale_quadruple,
     search_repr,
-    solutions_within,
     solve_norm_eq,
     sqrt_in_ring,
     unit_from_norm6,
     verify_quadruple,
 )
 
-from support import RING15, RING735, RING3975, brute_norm_solutions
+from support import RING15, RING735, RING3975, brute_norm_solutions, solutions_up_to
 
 
 @contextmanager
@@ -136,7 +135,7 @@ def test_criterion_8_solver_oracle_equivalence():
                 continue
             ctx = RingCtx(d)
             for N in (1, -1, 2, -2, -6):
-                sols = solutions_within(solve_norm_eq(ctx, N), ybound)
+                sols = solutions_up_to(solve_norm_eq(ctx, N), ybound)
                 got = sorted((s.a, s.b) for s in sols)
                 want = sorted(brute_norm_solutions(ctx, N, ybound))
                 assert got == want, (d, N)

@@ -760,6 +760,15 @@ def test_counterexamples_text_summary(capsys):
     assert "eligible=1 ineligible=1 verified=1" in out
 
 
+def test_counterexamples_reads_the_skip_reason_from_the_hypothesis_table(capsys, monkeypatch):
+    # the words of a skip are the table's, which the refusals read too
+    table = quadtuple.pellsolve._HYPOTHESES
+    monkeypatch.setitem(table, "d_square_free", (table["d_square_free"][0], "the swapped words"))
+    code, out, _ = run(capsys, "counterexamples", "--alpha", "0..1", "--t", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "alpha=1 d=3975 ineligible (the swapped words)"
+
+
 # ---------------------------------------------------------------------------
 # one parser per process, and the option table read from it
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtuple.construct
+import quadtuple.counterex
 import quadtuple.pellsolve
 from quadtuple import (
     NormEqClasses,
@@ -25,9 +26,9 @@ from quadtuple import (
     verify_quadruple,
 )
 
-from quadtuple.construct import PAIRS, UNIT_INDEX_CAP
-from quadtuple.counterex import T_CAP_DEFAULT
-from quadtuple.pellsolve import unit_from_norm6
+from quadtuple.construct import PAIRS, UNIT_INDEX_CAP, _pair_test
+from quadtuple.counterex import T_CAP_DEFAULT, _report_holds
+from quadtuple.pellsolve import unit_from_norm6, unit_power
 from support import (
     MINUS6_D,
     RING15,
@@ -284,6 +285,64 @@ def test_verify_quadruple_matches_the_operator_form(d, m, k, unit_index, choice,
     quad = _tampered(quad, kind, data)
     expected = _outcome(verify_quadruple_by_operators, quad)
     assert _outcome(verify_quadruple, quad) == expected
+
+
+# coordinates of either sign up to 10^600, far past any machine word
+HUGE = st.integers(-(10**600), 10**600)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([15, 735, 3975, 2190520815]),
+    coords=st.lists(HUGE, min_size=8, max_size=8),
+    bump=st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+)
+def test_the_pair_kernel_matches_the_operators(d, coords, bump):
+    # the target is e*o + n; a witness passes exactly when it squares to the
+    # target, so for the target w*w both w and -w pass and a w moved by one
+    # in either coordinate does not (its square is w*w only for +-w)
+    ctx = RingCtx(d)
+    e, o, n, w = (QuadInt(*coords[i : i + 2], ctx) for i in range(0, 8, 2))
+    target = e * o + n
+    assert _pair_test(e, o, n.a, n.b, None) == (target.a, target.b, None)
+    square, m = w * w, w * w - e * o
+    for root in (w, -w):
+        assert _pair_test(e, o, m.a, m.b, root) == (square.a, square.b, True)
+    moved = QuadInt(w.a + bump[0], w.b + bump[1], ctx)
+    assert _pair_test(e, o, m.a, m.b, moved) == (square.a, square.b, False)
+
+
+def _counted(monkeypatch, module, name):
+    """The calls module.name gets from here on, each still made."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_verify_quadruple_runs_the_pair_kernel_and_the_root_on_every_pair(ring15, monkeypatch):
+    quad, _ = construct_quadruple(ring15, 2, 4, 3)
+    assert len(quad.witnesses) == 6
+    kernel = _counted(monkeypatch, quadtuple.construct, "_pair_test")
+    roots = _counted(monkeypatch, quadtuple.construct, "sqrt_in_ring")
+    assert verify_quadruple(ring15, quad).ok
+    assert (len(kernel), len(roots)) == (6, 6)
+
+
+@pytest.mark.parametrize("t", [1, T_CAP_DEFAULT])
+def test_report_holds_runs_the_pair_kernel_and_no_root(ring15, monkeypatch, t):
+    # every pair of build_report's quadruple has its witness, so no root is
+    # searched for, at t = 1000 too, where w is divided out by the guess
+    report = build_report(ring15, t)
+    power = unit_power(unit_from_norm6(report.minus6), t)
+    kernel = _counted(monkeypatch, quadtuple.counterex, "_pair_test")
+    roots = _counted(monkeypatch, quadtuple.counterex, "sqrt_in_ring")
+    assert _report_holds(report.quadruple, power)
+    assert (len(kernel), len(roots)) == (6, 0)
 
 
 @pytest.mark.parametrize("d", SCANNED_GAMMA)

@@ -20,13 +20,18 @@ from quadtuple import (
     is_perfect_square,
     is_square_free,
     norm6_witness,
-    solutions_within,
     solve_norm_eq,
     unit_from_norm6,
     unit_power,
 )
 
-from support import MINUS6_D, SCANNED_GAMMA, brute_norm_solutions, enum_order_key
+from support import (
+    MINUS6_D,
+    SCANNED_GAMMA,
+    brute_norm_solutions,
+    enum_order_key,
+    solutions_up_to,
+)
 
 # all square-free d = 15 (mod 60) up to 2000
 SQUAREFREE_D = [d for d in range(15, 2001, 60) if is_square_free(d)]
@@ -163,7 +168,7 @@ SOLVER_EDGES += [(4, 128), (4, 192), (4, 320), (4, 23 * 44352)]
 )
 def test_solver_matches_brute_force(d, N):
     ctx = RingCtx(d)
-    sols = solutions_within(solve_norm_eq(ctx, N), 500)
+    sols = solutions_up_to(solve_norm_eq(ctx, N), 500)
     assert sorted((s.a, s.b) for s in sols) == sorted(brute_norm_solutions(ctx, N, 500))
     assert [enum_order_key(s) for s in sols] == sorted(enum_order_key(s) for s in sols)
 
@@ -198,12 +203,14 @@ def test_enumerate_solutions_matches_the_brute_scan_in_order(N):
 
 @pytest.mark.parametrize(("d", "N"), [(15, -6), (2, 2737)])
 def test_solutions_within_is_a_prefix_of_the_enumeration(d, N):
-    # d = 2, N = 2737 has eight classes
+    # the solutions within each bound are the enumeration's first ones, so
+    # cutting it at the bound loses none; d = 2, N = 2737 has eight classes
     classes = solve_norm_eq(RingCtx(d), N)
     sols = enumerate_solutions(classes, quadtuple.pellsolve.LIMIT_CAP)
     assert abs(sols[-1].b) > 200
     for ybound in range(201):
-        assert solutions_within(classes, ybound) == [s for s in sols if abs(s.b) <= ybound]
+        within = [s for s in sols if abs(s.b) <= ybound]
+        assert solutions_up_to(classes, ybound) == within == sols[: len(within)]
 
 
 def test_solve_norm_eq_answers_norm_1_with_no_scan(monkeypatch):
@@ -329,10 +336,10 @@ def test_enumerate_solutions_takes_a_product_per_solution(monkeypatch):
 
 
 def test_solutions_within_bound_below_every_representative(ring15):
-    # the representative (3, 1) already has |y| above the bound: no walk starts
-    assert solutions_within(solve_norm_eq(ring15, -6), 0) == []
+    # the representative (3, 1) already has |y| above the bound: the cut is empty
+    assert solutions_up_to(solve_norm_eq(ring15, -6), 0) == []
     one = QuadInt(1, 0, ring15)
-    assert solutions_within(solve_norm_eq(ring15, 1), 0) == [one, -one]
+    assert solutions_up_to(solve_norm_eq(ring15, 1), 0) == [one, -one]
 
 
 def test_norm6_times_unit_closure(ring15):
